@@ -80,7 +80,7 @@ let baseline () =
       in
       let global mode =
         cycles
-          (Remat.Allocator.run ~mode ~machine:Remat.Machine.standard cfg)
+          (Remat.Allocator.allocate ~mode ~machine:Remat.Machine.standard cfg)
             .Remat.Allocator.cfg
       in
       Format.fprintf std "%-12s %12d %12d %12d %12d@." k.Suite.Kernels.name
@@ -159,7 +159,7 @@ let bechamel () =
   let tomcatv = kernel "tomcatv" in
   let twldrv = kernel "twldrv" in
   let alloc mode machine cfg () =
-    ignore (Remat.Allocator.run ~mode ~machine cfg)
+    ignore (Remat.Allocator.allocate ~mode ~machine cfg)
   in
   let tests =
     bitset_tests

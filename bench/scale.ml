@@ -8,7 +8,7 @@
    lib/core as built.  Both sides run on identical inputs and their
    outputs are compared exactly, so every benchmark run doubles as a
    differential test; the timing table then shows the asymptotic gap.
-   A full Remat.Allocator.run per size records end-to-end per-phase
+   A full Remat.Allocator.allocate per size records end-to-end per-phase
    seconds and minor-heap words through Stats. *)
 
 module Cfg = Iloc.Cfg
@@ -117,9 +117,9 @@ type row = {
 }
 
 (* At and above [big_threshold] sizes run as this row instead: the flat
-   substrate (arena encode, dense liveness where it fits, boundary
-   liveness), with the flat and structured forms byte-compared through
-   the printer, plus one instrumented end-to-end flat allocation.  [u]
+   substrate (arena encode, boundary liveness), with the flat and
+   structured forms byte-compared through the printer, plus one
+   instrumented end-to-end allocation.  [u]
    is |U|, the upward-exposed universe boundary liveness compresses its
    rows to. *)
 type big_row = {
@@ -130,8 +130,8 @@ type big_row = {
   u : int;
   bphases : (string * float) list;
   balloc : (Remat.Stats.phase * float * float * float) list;
-      (** end-to-end flat allocation, per-phase (seconds, minor words,
-          major words) summed over rounds *)
+      (** end-to-end allocation, per-phase (seconds, minor words, major
+          words) summed over rounds *)
   bcounters : (string * int) list;  (** see {!row.counters} *)
 }
 
@@ -237,18 +237,8 @@ let measure ~repeats ~target seed =
         ignore (Remat.Select.run g ~k ~order ~partners))
   in
   (* End-to-end allocation, instrumented: per-phase seconds and heap
-     words summed over spill rounds.  The same input also runs with the
-     flat substrate disabled and the two results are byte-compared, so
-     every benchmark run re-proves the flat path's output identity at
-     benchmark (not unit-test) sizes. *)
-  let res = Remat.Allocator.run ~mode ~machine (cfg ()) in
-  let res_struct =
-    Remat.Allocator.run ~mode ~machine ~use_flat:false (cfg ())
-  in
-  check_equal "flat vs structured allocations"
-    (String.equal
-       (Cfg.to_string res.Remat.Allocator.cfg)
-       (Cfg.to_string res_struct.Remat.Allocator.cfg));
+     words summed over spill rounds. *)
+  let res = Remat.Allocator.allocate ~mode ~machine (cfg ()) in
   (* Small sizes default to the incremental builder; forcing the batched
      pipeline on the same input must not move a byte of the output. *)
   let res_batched =
@@ -272,14 +262,13 @@ let measure ~repeats ~target seed =
     counters = build_counters res_batched;
   }
 
-(* Dense liveness keeps |blocks| x |regs|-bit rows per family; at 100k
-   instructions that is a few hundred MB and worth timing, at 1M it
-   would be gigabytes, so the dense sweep stops here and only boundary
-   liveness (rows |U| bits wide) runs above. *)
-let dense_cutoff = 200_000
+(* Sizes above this generate with [big_config] and skip the
+   batched-vs-incremental byte-compare in [measure_big]: the incremental
+   rebuild there is minutes of work. *)
+let huge_cutoff = 200_000
 
 let measure_big ~repeats ~target seed =
-  let mk = if target > dense_cutoff then big_config else config in
+  let mk = if target > huge_cutoff then big_config else config in
   let stmts = stmts_for ~mk ~target seed in
   let cfg = Gen.generate ~config:(mk ~stmts) seed in
   let instrs = n_instrs cfg in
@@ -290,33 +279,21 @@ let measure_big ~repeats ~target seed =
   let encode =
     time_min ~repeats (fun () -> ignore (Iloc.Flat.of_routine cfg))
   in
-  let phases = ref [ ("encode", encode) ] in
-  if target <= dense_cutoff then begin
-    let live =
-      time_min ~repeats (fun () ->
-          ignore (Dataflow.Liveness.compute_flat fl))
-    in
-    phases := ("live", live) :: !phases
-  end;
   let boundary =
     time_min ~repeats (fun () ->
         ignore (Dataflow.Liveness.Boundary.compute fl))
   in
-  phases := ("boundary", boundary) :: !phases;
   let bl = Dataflow.Liveness.Boundary.compute fl in
-  (* End-to-end flat allocation, instrumented, once (a full run at these
-     sizes is minutes of work; phase words don't vary across repeats).
-     No structured counterpart runs here — dense rows and the structured
-     renumber were never meant for this tier; output identity is proven
-     by the small tier's byte-compare and the A/B property tests. *)
-  let res = Remat.Allocator.run ~mode ~machine cfg in
-  (* Up to the dense cutoff, re-run with the batched builder forced off
+  (* End-to-end allocation, instrumented, once (a full run at these
+     sizes is minutes of work; phase words don't vary across repeats). *)
+  let res = Remat.Allocator.allocate ~mode ~machine cfg in
+  (* Up to the huge cutoff, re-run with the batched builder forced off
      and byte-compare: the CI smoke size (100k) then proves batched ≡
      incremental at a five-digit node count on every bench run.  Above
-     the cutoff the incremental rebuild is the minutes-long baseline
-     this PR retired, so identity at the top size rests on the one-off
-     A/B recorded in DESIGN.md plus the property tests. *)
-  if target <= dense_cutoff then begin
+     the cutoff the incremental rebuild is the minutes-long baseline the
+     batched builder retired, so identity at the top size rests on the
+     one-off A/B recorded in DESIGN.md plus the property tests. *)
+  if target <= huge_cutoff then begin
     let res_inc =
       Remat.Allocator.allocate ~mode ~machine ~batch_build:false
         (Gen.generate ~config:(mk ~stmts) seed)
@@ -332,7 +309,7 @@ let measure_big ~repeats ~target seed =
     bblocks = Iloc.Flat.n_blocks fl;
     bregs = Dataflow.Reg_index.count (Dataflow.Reg_index.of_flat fl);
     u = Dataflow.Reg_index.count bl.Dataflow.Liveness.Boundary.uindex;
-    bphases = List.rev !phases;
+    bphases = [ ("encode", encode); ("boundary", boundary) ];
     balloc = alloc_stats res;
     bcounters = build_counters res;
   }
@@ -391,9 +368,8 @@ let pp ppf rows =
 let pp_big ppf rows =
   Format.fprintf ppf
     "=== Flat substrate at scale ===@.\
-     (arena encode + liveness on the packed form; flat and structured@.\
-    \ printouts byte-compared; dense rows skipped above %d instrs)@.@."
-    dense_cutoff;
+     (arena encode + boundary liveness on the packed form; flat and@.\
+    \ structured printouts byte-compared)@.@.";
   Format.fprintf ppf "%8s %9s %7s %7s %6s | %s@." "target" "instrs" "blocks"
     "regs" "|U|" "phase seconds (best of repeats)";
   Format.fprintf ppf "%s@." (String.make 78 '-');
@@ -407,7 +383,7 @@ let pp_big ppf rows =
       Format.fprintf ppf "@.")
     rows;
   Format.fprintf ppf
-    "@.end-to-end flat allocation, per-phase seconds (share of total), \
+    "@.end-to-end allocation, per-phase seconds (share of total), \
      minor/major kwords:@.";
   List.iter
     (fun r ->
@@ -650,7 +626,7 @@ let default_sizes = [ 1000; 5000; 20000; 100_000; 1_000_000 ]
 
 (* Entry point shared by bench/main.exe and `ralloc bench scale`.
    Returns the process exit code: 0 clean, 1 on an old/new divergence, a
-   flat-vs-structured mismatch, or a --check regression. *)
+   batched-vs-incremental mismatch, or a --check regression. *)
 let run ?(sizes = default_sizes) ?(repeats = 3) ?(seed = 42) ?out ?check_file
     ppf =
   let small_sizes, big_sizes =

@@ -280,7 +280,7 @@ let batch_cmd =
             | `Iloc text -> Iloc.Parser.routine text
           in
           let cfg = if opt_flag then Opt.Pipeline.run cfg else cfg in
-          let res = Remat.Allocator.run ~mode ~machine cfg in
+          let res = Remat.Allocator.allocate ~mode ~machine cfg in
           (match Remat.Allocator.check res with
           | Ok () -> ()
           | Error es ->
@@ -337,7 +337,7 @@ let run_cmd =
         let cfg =
           if do_alloc then begin
             let machine = Remat.Machine.make ~name:"cli" ~k_int ~k_float in
-            (Remat.Allocator.run ~mode ~machine cfg).Remat.Allocator.cfg
+            (Remat.Allocator.allocate ~mode ~machine cfg).Remat.Allocator.cfg
           end
           else cfg
         in
@@ -375,7 +375,7 @@ let emit_cmd =
         let cfg =
           if do_alloc then begin
             let machine = Remat.Machine.make ~name:"cli" ~k_int ~k_float in
-            (Remat.Allocator.run ~mode ~machine cfg).Remat.Allocator.cfg
+            (Remat.Allocator.allocate ~mode ~machine cfg).Remat.Allocator.cfg
           end
           else cfg
         in
@@ -438,9 +438,10 @@ let report_cmd =
                     (Remat.Local_allocator.run cfg).Remat.Local_allocator.cfg
                 in
                 let global =
-                  cycles
-                    (Remat.Allocator.run ~machine:Remat.Machine.standard cfg)
-                      .Remat.Allocator.cfg
+                  let res =
+                    Remat.Allocator.allocate ~machine:Remat.Machine.standard cfg
+                  in
+                  cycles res.Remat.Allocator.cfg
                 in
                 Fmt.pr "%-12s local=%d briggs=%d@." k.Suite.Kernels.name local
                   global)

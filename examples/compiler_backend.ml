@@ -47,7 +47,7 @@ let () =
      in the paper's §5.2 (coalescing removes copies, so the unallocated
      routine is not the right baseline). *)
   let base_cycles =
-    let huge = Remat.Allocator.run ~machine:Remat.Machine.huge optimized in
+    let huge = Remat.Allocator.allocate ~machine:Remat.Machine.huge optimized in
     Sim.Counts.cycles
       (Sim.Interp.run huge.Remat.Allocator.cfg).Sim.Interp.counts
   in
@@ -57,7 +57,7 @@ let () =
       let machine =
         Remat.Machine.make ~name:(Printf.sprintf "k=%d" k) ~k_int:k ~k_float:k
       in
-      match Remat.Allocator.run ~machine optimized with
+      match Remat.Allocator.allocate ~machine optimized with
       | res ->
           let out = Sim.Interp.run res.Remat.Allocator.cfg in
           assert (Sim.Interp.outcome_equal reference out);

@@ -43,7 +43,9 @@ let () =
 
   (* 3. Allocate registers for a tiny machine. *)
   let machine = Remat.Machine.make ~name:"tiny" ~k_int:4 ~k_float:2 in
-  let res = Remat.Allocator.run ~mode:Remat.Mode.Briggs_remat ~machine routine in
+  let res =
+    Remat.Allocator.allocate ~mode:Remat.Mode.Briggs_remat ~machine routine
+  in
   Fmt.pr "--- after allocation (4 int / 2 float registers) ---@.%s@."
     (Iloc.Printer.routine_to_string res.Remat.Allocator.cfg);
   Fmt.pr

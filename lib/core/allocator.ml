@@ -75,7 +75,6 @@ let rewrite_physical (cfg : Cfg.t) (g : Interference.t)
    [ctx.cfg] in place and returns (rounds, spilled_memory, spilled_remat,
    spill_slots). *)
 let color_rounds ~name ~max_rounds (ctx : Context.t) =
-  let use_flat = ctx.Context.use_flat in
   let machine = ctx.Context.machine in
   let cfg = ctx.Context.cfg in
   let slot_counter = ref 0 in
@@ -154,41 +153,34 @@ let color_rounds ~name ~max_rounds (ctx : Context.t) =
               victims
         in
         Context.count ctx Stats.Spilled_ranges (List.length spilled_nodes);
-        let respliced = ref None in
-        Context.time ctx Stats.Spill (fun () ->
-            let spilled = List.map (Interference.reg g) spilled_nodes in
-            let st =
-              if use_flat then begin
-                (* Splice spill code into the arena, then write the
-                   result back through the structured view: blocks and
-                   edges are unchanged, only instruction lists move. *)
-                let st, fl =
-                  Spill_code.insert_flat (Context.flat ctx)
-                    ~tags:ctx.Context.tags ~infinite ~spilled ~slot_counter
-                in
-                let ncfg = Iloc.Flat.to_routine fl in
-                Cfg.iter_blocks
-                  (fun b ->
-                    let nb = Cfg.block ncfg b.Iloc.Block.id in
-                    b.Iloc.Block.body <- nb.Iloc.Block.body;
-                    b.Iloc.Block.term <- nb.Iloc.Block.term)
-                  cfg;
-                Reg.Supply.advance cfg.Cfg.supply fl.Iloc.Flat.supply_last;
-                respliced := Some fl;
-                st
-              end
-              else
-                Spill_code.insert cfg ~tags:ctx.Context.tags ~infinite ~spilled
-                  ~slot_counter
-            in
-            spilled_memory := !spilled_memory + st.Spill_code.memory_lrs;
-            spilled_remat := !spilled_remat + st.Spill_code.remat_lrs);
+        let fl =
+          Context.time ctx Stats.Spill (fun () ->
+              let spilled = List.map (Interference.reg g) spilled_nodes in
+              (* Splice spill code into the arena, then write the result
+                 back through the structured view: blocks and edges are
+                 unchanged, only instruction lists move. *)
+              let st, fl =
+                Spill_code.insert_flat (Context.flat ctx)
+                  ~tags:ctx.Context.tags ~infinite ~spilled ~slot_counter
+              in
+              let ncfg = Iloc.Flat.to_routine fl in
+              Cfg.iter_blocks
+                (fun b ->
+                  let nb = Cfg.block ncfg b.Iloc.Block.id in
+                  b.Iloc.Block.body <- nb.Iloc.Block.body;
+                  b.Iloc.Block.term <- nb.Iloc.Block.term)
+                cfg;
+              Reg.Supply.advance cfg.Cfg.supply fl.Iloc.Flat.supply_last;
+              spilled_memory := !spilled_memory + st.Spill_code.memory_lrs;
+              spilled_remat := !spilled_remat + st.Spill_code.remat_lrs;
+              fl)
+        in
         (* Spill code changed the routine structurally: both derived
-           structures are rebuilt next round (the round's one build). *)
-        Context.invalidate ctx;
-        (* The spliced arena already equals the written-back routine;
+           structures are rebuilt next round (the round's one build).
+           The spliced arena already equals the written-back routine;
            keep it so the next round skips one re-encoding. *)
-        Option.iter (Context.set_flat ctx) !respliced;
+        Context.invalidate ctx;
+        Context.set_flat ctx fl;
         round (r + 1)
   in
   let rounds = round 1 in
@@ -245,87 +237,77 @@ let allocate_ssa ~verify ~mode ~machine ~max_rounds (input : Cfg.t) =
     stats;
   }
 
+(* Flat-native renumbering: encode once, rename on the arena, and bridge
+   the result back for the structured consumers (splitting, rewrite,
+   verification, the snapshot's skeleton check).  The renamed arena
+   equals an encode of the bridged routine, so callers prime their
+   context's arena cache with it. *)
+let renumber mode (cfg0 : Cfg.t) =
+  let fr = Renumber.run_flat mode (Iloc.Flat.of_routine cfg0) in
+  (Iloc.Flat.to_routine fr.Renumber.fl, fr)
+
+(* Control-flow analysis: dominators and loop structure.  Renumber and
+   the splitting schemes do not add or remove blocks, so loop depths
+   computed here remain valid throughout allocation. *)
+let loops_of (cfg0 : Cfg.t) =
+  Dataflow.Loops.compute cfg0 (Dataflow.Dominance.compute cfg0)
+
+let result_of (fr : Renumber.flat_result) (ctx : Context.t)
+    (rounds, spilled_memory, spilled_remat, spill_slots) =
+  {
+    cfg = ctx.Context.cfg;
+    mode = ctx.Context.mode;
+    machine = ctx.Context.machine;
+    rounds;
+    spilled_memory;
+    spilled_remat;
+    spill_slots;
+    n_values = fr.Renumber.f_n_values;
+    n_live_ranges = fr.Renumber.f_n_live_ranges;
+    coalesced_copies = ctx.Context.coalesced;
+    stats = ctx.Context.stats;
+  }
+
 let allocate ?(verify = false) ?(mode = Mode.Briggs_remat)
-    ?(machine = Machine.standard) ?(max_rounds = 64) ?(use_flat = true)
-    ?batch_build (input : Cfg.t) =
+    ?(machine = Machine.standard) ?(max_rounds = 64) ?batch_build
+    (input : Cfg.t) =
   validate_input input;
   if Mode.is_ssa mode then allocate_ssa ~verify ~mode ~machine ~max_rounds input
   else begin
   let stats = Stats.create () in
   let cfg0 = Cfg.split_critical_edges input in
-  (* Control-flow analysis: dominators and loop structure.  Renumber and
-     the splitting schemes do not add or remove blocks, so loop depths
-     computed here remain valid throughout allocation. *)
-  let loops =
-    Stats.time stats ~round:0 Stats.Cfa (fun () ->
-        let dom = Dataflow.Dominance.compute cfg0 in
-        Dataflow.Loops.compute cfg0 dom)
-  in
-  let renamed_fl = ref None in
-  let rn =
-    Stats.time stats ~round:0 Stats.Renum (fun () ->
-        if use_flat then begin
-          (* Flat-native renumbering: encode once, rename on the arena,
-             bridge the result back for the structured consumers
-             (splitting, rewrite, verification).  Output is
-             byte-identical to [Renumber.run] of the same routine. *)
-          let fr = Renumber.run_flat mode (Iloc.Flat.of_routine cfg0) in
-          renamed_fl := Some fr.Renumber.fl;
-          {
-            Renumber.cfg = Iloc.Flat.to_routine fr.Renumber.fl;
-            tags = fr.Renumber.f_tags;
-            split_pairs = fr.Renumber.f_split_pairs;
-            n_values = fr.Renumber.f_n_values;
-            n_live_ranges = fr.Renumber.f_n_live_ranges;
-          }
-        end
-        else Renumber.run mode cfg0)
+  let loops = Stats.time stats ~round:0 Stats.Cfa (fun () -> loops_of cfg0) in
+  let cfg, fr =
+    Stats.time stats ~round:0 Stats.Renum (fun () -> renumber mode cfg0)
   in
   let ctx =
-    Context.create ~use_flat ?batch_build ~mode ~machine ~loops
-      ~tags:rn.Renumber.tags ~split_pairs:rn.Renumber.split_pairs ~stats
-      rn.Renumber.cfg
+    Context.create ?batch_build ~mode ~machine ~loops ~tags:fr.Renumber.f_tags
+      ~split_pairs:fr.Renumber.f_split_pairs ~stats cfg
   in
-  (* The renamed arena equals an encode of the bridged routine, so prime
-     the context's cache with it and skip one re-encoding.  Splitting
-     schemes invalidate the whole context when they rewrite the routine,
-     so a stale arena cannot survive them. *)
-  Option.iter (Context.set_flat ctx) !renamed_fl;
-  let cfg = ctx.Context.cfg in
+  (* Splitting schemes invalidate the whole context when they rewrite
+     the routine, so the primed arena cannot outlive them stale. *)
+  Context.set_flat ctx fr.Renumber.fl;
   (* §6 loop-boundary splitting schemes, layered after renumber. *)
   (match Mode.loop_scheme mode with
   | Some scheme -> Splitting.phase scheme ctx
   | None -> ());
-  let rounds, spilled_memory, spilled_remat, spill_slots =
-    color_rounds ~name:input.Cfg.name ~max_rounds ctx
-  in
+  let counts = color_rounds ~name:input.Cfg.name ~max_rounds ctx in
   if verify then verify_output ~input ~output:cfg ~machine;
-  {
-    cfg;
-    mode;
-    machine;
-    rounds;
-    spilled_memory;
-    spilled_remat;
-    spill_slots;
-    n_values = rn.Renumber.n_values;
-    n_live_ranges = rn.Renumber.n_live_ranges;
-    coalesced_copies = ctx.Context.coalesced;
-    stats;
-  }
+  result_of fr ctx counts
   end
 
 (* Incremental re-allocation.
 
    A snapshot captures everything a {e small edit} of the routine leaves
-   valid: the renumbered code (pristine, before any coalescing), global
-   liveness and the freshly built interference graph.  Liveness and the
-   graph depend only on which registers each instruction defines and
-   uses, on which instructions are copies, and on terminator targets —
-   never on immediate/offset payloads or source-operand order — so an
-   edit that preserves that skeleton (after renumbering) can skip the
-   from-scratch liveness + build and go straight to coalescing on a
-   private copy of the cached graph.
+   valid: the renumbered code (pristine, before any coalescing), boundary
+   liveness and the freshly built interference graph — built by the same
+   flat code a cold allocation runs.  Liveness and the graph depend only
+   on which registers each instruction defines and uses, on which
+   instructions are copies, and on terminator targets — never on
+   immediate/offset payloads or source-operand order — so an edit that
+   preserves that skeleton (after renumbering) can skip the from-scratch
+   liveness + build and go straight to coalescing on a private copy of
+   the cached graph.
 
    Renumbering itself is {e not} skipped: tag unioning can coincide
    differently under a payload change (two values whose remat tags were
@@ -341,7 +323,7 @@ type snapshot = {
   snap_loops : Dataflow.Loops.t;
   snap_cfg : Cfg.t;  (* pristine renumbered routine *)
   snap_split_pairs : (Reg.t * Reg.t) list;
-  snap_live : Dataflow.Liveness.t;
+  snap_boundary : Dataflow.Liveness.Boundary.t;
   snap_graph : Interference.t;
 }
 
@@ -349,26 +331,24 @@ let snapshot ?(mode = Mode.Briggs_remat) ?(machine = Machine.standard)
     (input : Cfg.t) =
   validate_input input;
   let cfg0 = Cfg.split_critical_edges input in
-  let dom = Dataflow.Dominance.compute cfg0 in
-  let loops = Dataflow.Loops.compute cfg0 dom in
-  let rn = Renumber.run mode cfg0 in
+  let loops = loops_of cfg0 in
+  let cfg, fr = renumber mode cfg0 in
   (* A throwaway context forces liveness and the graph through the same
-     code paths a structured allocation uses; nothing here mutates
-     [rn.cfg], so it is stored pristine. *)
+     code a cold allocation runs; nothing here mutates [cfg], so it is
+     stored pristine. *)
   let ctx =
-    Context.create ~use_flat:false ~mode ~machine ~loops ~tags:rn.Renumber.tags
-      ~split_pairs:rn.Renumber.split_pairs ~stats:(Stats.create ())
-      rn.Renumber.cfg
+    Context.create ~mode ~machine ~loops ~tags:fr.Renumber.f_tags
+      ~split_pairs:fr.Renumber.f_split_pairs ~stats:(Stats.create ()) cfg
   in
-  let live = Context.liveness ctx in
+  Context.set_flat ctx fr.Renumber.fl;
   let graph = Context.graph ctx in
   {
     snap_mode = mode;
     snap_machine = machine;
     snap_loops = loops;
-    snap_cfg = rn.Renumber.cfg;
-    snap_split_pairs = rn.Renumber.split_pairs;
-    snap_live = live;
+    snap_cfg = cfg;
+    snap_split_pairs = fr.Renumber.f_split_pairs;
+    snap_boundary = Context.boundary ctx;
     snap_graph = graph;
   }
 
@@ -432,63 +412,48 @@ let allocate_incremental ?(verify = false) ?(max_rounds = 64)
   else begin
     let stats = Stats.create () in
     let cfg0 = Cfg.split_critical_edges input in
-    let rn =
-      Stats.time stats ~round:0 Stats.Renum (fun () -> Renumber.run mode cfg0)
+    let cfg, fr =
+      Stats.time stats ~round:0 Stats.Renum (fun () -> renumber mode cfg0)
     in
     if
       not
-        (skeleton_equal snap.snap_cfg rn.Renumber.cfg
+        (skeleton_equal snap.snap_cfg cfg
         && List.equal
              (fun (a, b) (c, d) -> Reg.equal a c && Reg.equal b d)
-             snap.snap_split_pairs rn.Renumber.split_pairs)
+             snap.snap_split_pairs fr.Renumber.f_split_pairs)
     then None
     else begin
       let ctx =
-        Context.create ~use_flat:false ~mode ~machine ~loops:snap.snap_loops
-          ~tags:rn.Renumber.tags ~split_pairs:rn.Renumber.split_pairs ~stats
-          rn.Renumber.cfg
+        Context.create ~mode ~machine ~loops:snap.snap_loops
+          ~tags:fr.Renumber.f_tags ~split_pairs:fr.Renumber.f_split_pairs
+          ~stats cfg
       in
-      (* Prime the caches: liveness is shared read-only (no phase ever
-         writes a row), the graph is deep-copied because coalescing will
-         mutate it.  Round 1 then performs no Liveness_runs and no
-         Full_builds — the observable signature of the incremental
-         path. *)
-      ctx.Context.live <- Some snap.snap_live;
+      (* Prime the caches: the arena is the edited routine's own;
+         boundary liveness is shared read-only (no phase ever writes a
+         row, and the context recycles only rows it computed itself);
+         the graph is deep-copied because coalescing will mutate it.
+         Round 1 then performs no Liveness_runs and no Full_builds — the
+         observable signature of the incremental path. *)
+      Context.set_flat ctx fr.Renumber.fl;
+      ctx.Context.boundary <- Some snap.snap_boundary;
       ctx.Context.graph <- Some (Interference.copy snap.snap_graph);
       (* Pristine copy of the edited routine's renumbered form, captured
-         before coloring mutates [ctx.cfg]: the derived snapshot reuses
-         this run's liveness/graph for the {e edited} routine's future
+         before coloring mutates [cfg]: the derived snapshot reuses this
+         run's liveness/graph for the {e edited} routine's future
          edits. *)
-      let pristine = Cfg.copy rn.Renumber.cfg in
-      let rounds, spilled_memory, spilled_remat, spill_slots =
-        color_rounds ~name:input.Cfg.name ~max_rounds ctx
-      in
-      let cfg = ctx.Context.cfg in
+      let pristine = Cfg.copy cfg in
+      let counts = color_rounds ~name:input.Cfg.name ~max_rounds ctx in
       if verify then verify_output ~input ~output:cfg ~machine;
-      let result =
+      let snap' =
         {
-          cfg;
-          mode;
-          machine;
-          rounds;
-          spilled_memory;
-          spilled_remat;
-          spill_slots;
-          n_values = rn.Renumber.n_values;
-          n_live_ranges = rn.Renumber.n_live_ranges;
-          coalesced_copies = ctx.Context.coalesced;
-          stats;
+          snap with
+          snap_cfg = pristine;
+          snap_split_pairs = fr.Renumber.f_split_pairs;
         }
       in
-      let snap' =
-        { snap with snap_cfg = pristine; snap_split_pairs = rn.Renumber.split_pairs }
-      in
-      Some (result, snap')
+      Some (result_of fr ctx counts, snap')
     end
   end
-
-let run ?mode ?machine ?max_rounds ?use_flat input =
-  allocate ?mode ?machine ?max_rounds ?use_flat input
 
 let check (res : result) =
   let errs = ref [] in

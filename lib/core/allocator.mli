@@ -5,9 +5,12 @@
                  ^                                              |
                  +------------------ spill code <---------------+ v}
 
-    [run] drives the whole loop for a chosen {!Mode} and {!Machine},
-    threading a {!Context.t} through the phases so each one reads the
-    cached liveness and interference graph instead of recomputing them.
+    {!allocate} drives the whole loop for a chosen {!Mode} and
+    {!Machine}, threading a {!Context.t} through the phases so each one
+    reads the cached liveness and interference graph instead of
+    recomputing them.  Every phase of the Chaitin–Briggs family runs on
+    the flat arena form ({!Iloc.Flat}); the structured routine is the
+    interchange form for splitting, the final rewrite and verification.
     Per-phase wall times (Table 2) and event counters land in the
     context's {!Stats.t}.  On success the routine's registers have been
     rewritten to physical registers [r0 .. r(k_int-1)] /
@@ -54,22 +57,14 @@ val allocate :
   ?mode:Mode.t ->
   ?machine:Machine.t ->
   ?max_rounds:int ->
-  ?use_flat:bool ->
   ?batch_build:bool ->
   Iloc.Cfg.t ->
   result
 (** [mode] defaults to {!Mode.Briggs_remat}, [machine] to
-    {!Machine.standard}, [max_rounds] to 64.  [use_flat] (default true)
-    runs liveness, interference construction and spill insertion on the
-    flat arena form ({!Iloc.Flat}); [false] keeps the structured path.
-    The two settings produce {e identical} output — same allocation,
-    same statistics — differing only in allocation behavior of the
-    phases themselves (checked by test_flat's A/B property).
-    [batch_build] forces the flat path's graph construction strategy
-    (batched vs. incremental — see
-    {!Interference.build_flat_boundary}); unset, the node count
-    decides.  Output is byte-identical either way.
-    The input routine must pass
+    {!Machine.standard}, [max_rounds] to 64.  [batch_build] forces the
+    graph construction strategy (batched vs. incremental — see
+    {!Interference.build_flat_boundary}); unset, the node count decides.
+    Output is byte-identical either way.  The input routine must pass
     {!Iloc.Validate.routine}; it is not mutated (allocation works on a
     critical-edge-split copy).  Raises {!Allocation_error} when the input
     is invalid or the round limit is hit, and
@@ -84,12 +79,14 @@ val allocate :
 
 type snapshot
 (** Everything a small edit of a routine leaves valid: the pristine
-    renumbered code, global liveness, and a freshly built interference
-    graph.  Liveness and the graph see only def/use registers, copies
+    renumbered code, boundary liveness ({!Dataflow.Liveness.Boundary}),
+    and a freshly built interference graph — all produced by the same
+    flat-arena code a cold {!allocate} runs.  Liveness and the graph see only def/use registers, copies
     and terminator targets — never immediate payloads or source-operand
     order — so an edit preserving that skeleton reuses both.  A snapshot
     is immutable once built: concurrent {!allocate_incremental} calls
-    may share one (each takes a private graph copy). *)
+    may share one (each takes a private graph copy and shares the
+    liveness rows read-only). *)
 
 val snapshot :
   ?mode:Mode.t -> ?machine:Machine.t -> Iloc.Cfg.t -> snapshot
@@ -111,24 +108,13 @@ val allocate_incremental :
     skeleton diverges from the snapshot's, [None] is returned and the
     caller must fall back to a cold {!allocate} — reuse only happens
     when it is provably sound, so the returned allocation is always
-    byte-identical to a cold allocation of the same routine (the
-    structured/flat A/B property bridges the rest).  On success the
-    first round performs no [Full_builds] and no [Liveness_runs]
+    byte-identical to a cold allocation of the same routine.  On success
+    the first round performs no [Full_builds] and no [Liveness_runs]
     (observable in [result.stats]: [Full_builds] = rounds − 1 instead of
     rounds), and a new snapshot for the {e edited} routine is returned,
     sharing the cached liveness/graph.  Returns [None] for modes with a
     loop-splitting scheme (splitting rewrites the routine after
     renumber). *)
-
-val run :
-  ?mode:Mode.t ->
-  ?machine:Machine.t ->
-  ?max_rounds:int ->
-  ?use_flat:bool ->
-  Iloc.Cfg.t ->
-  result
-(** [allocate] without verification, kept as the historical entry
-    point. *)
 
 val check : result -> (unit, string list) Result.t
 (** Post-allocation sanity check: the code is valid ILOC and every

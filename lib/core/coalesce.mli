@@ -12,12 +12,12 @@
     ({!Interference.merge}: the neighbor sets are unioned, as Chaitin's
     allocator does) instead of asking the caller to recompute liveness and
     rebuild — the change that caps the build–coalesce loop at one full
-    {!Interference.build} per spill round.  Because the graph is current
-    after every merge, both regimes may perform many merges per sweep; a
-    sweep that merged anything ends with one rewrite of the routine
-    (renaming coalesced registers, deleting the now-identity copies),
-    remaps the context's split pairs, and invalidates only the liveness
-    cache. *)
+    {!Interference.build_flat_boundary} per spill round.  Because the
+    graph is current after every merge, both regimes may perform many
+    merges per sweep; a sweep that merged anything ends with one rewrite
+    of the routine (renaming coalesced registers, deleting the
+    now-identity copies), remaps the context's split pairs, and
+    invalidates only the liveness cache. *)
 
 type phase = Unrestricted | Conservative
 

@@ -9,13 +9,11 @@ type t = {
   infinite : unit Reg.Tbl.t;
   loops : Dataflow.Loops.t;
   stats : Stats.t;
-  use_flat : bool;
   batch_build : bool option;  (* force the build strategy; None = auto *)
   mutable round : int;
   mutable split_pairs : (Reg.t * Reg.t) list;
   mutable coalesced : int;
   mutable order : int array option;
-  mutable live : Dataflow.Liveness.t option;
   mutable boundary : Dataflow.Liveness.Boundary.t option;
   mutable lr_index : Dataflow.Reg_index.t option;
   mutable graph : Interference.t option;
@@ -27,13 +25,15 @@ type t = {
   (* Cross-round scratch for the per-round recomputations: the batched
      build's pair buffer and the boundary solver's working buffers.
      Both survive every invalidation — their previous contents are dead
-     by then. *)
+     by then.  The pair buffer is created by the first batched build:
+     its radix histogram alone is 64k words, which a routine below
+     [Interference.dense_node_limit] would pay on every allocation for
+     a builder that never runs. *)
   mutable pair_scratch : Dataflow.Pair_buf.t option;
   mutable boundary_scratch : Dataflow.Liveness.Boundary.scratch option;
 }
 
-let create ?(use_flat = true) ?batch_build ~mode ~machine ~loops ~tags
-    ~split_pairs ~stats cfg =
+let create ?batch_build ~mode ~machine ~loops ~tags ~split_pairs ~stats cfg =
   {
     cfg;
     mode;
@@ -43,13 +43,11 @@ let create ?(use_flat = true) ?batch_build ~mode ~machine ~loops ~tags
     infinite = Reg.Tbl.create 16;
     loops;
     stats;
-    use_flat;
     batch_build;
     round = 0;
     split_pairs;
     coalesced = 0;
     order = None;
-    live = None;
     boundary = None;
     lr_index = None;
     graph = None;
@@ -83,20 +81,6 @@ let flat t =
       f
 
 let set_flat t f = t.flat <- Some f
-
-let liveness t =
-  match t.live with
-  | Some l -> l
-  | None ->
-      let order = block_order t in
-      let l =
-        time t Stats.Liveness (fun () ->
-            if t.use_flat then Dataflow.Liveness.compute_flat ~order (flat t)
-            else Dataflow.Liveness.compute ~order t.cfg)
-      in
-      count t Stats.Liveness_runs 1;
-      t.live <- Some l;
-      l
 
 let boundary t =
   match t.boundary with
@@ -136,34 +120,28 @@ let graph t =
   match t.graph with
   | Some g -> g
   | None ->
+      (* Boundary rows feed the build directly: dense liveness (rows as
+         wide as the live-range count, per block) is never
+         materialized. *)
+      let regs = lr_index t in
+      let fl = flat t in
+      let bl = boundary t in
+      let pairs () =
+        match t.pair_scratch with
+        | Some b -> b
+        | None ->
+            let b = Dataflow.Pair_buf.create () in
+            t.pair_scratch <- Some b;
+            b
+      in
+      let on_pairs ~emitted ~dropped =
+        count t Stats.Build_pairs emitted;
+        count t Stats.Build_dupes dropped
+      in
       let g =
-        if t.use_flat then begin
-          (* Boundary rows feed the build directly: dense liveness (rows
-             as wide as the live-range count, per block) is never
-             materialized on the flat path. *)
-          let regs = lr_index t in
-          let fl = flat t in
-          let bl = boundary t in
-          let pairs =
-            match t.pair_scratch with
-            | Some b -> b
-            | None ->
-                let b = Dataflow.Pair_buf.create () in
-                t.pair_scratch <- Some b;
-                b
-          in
-          let on_pairs ~emitted ~dropped =
-            count t Stats.Build_pairs emitted;
-            count t Stats.Build_dupes dropped
-          in
-          time t Stats.Build (fun () ->
-              Interference.build_flat_boundary ?matrix:t.matrix_scratch
-                ~pairs ?batch:t.batch_build ~on_pairs ~k:t.k regs fl bl)
-        end
-        else
-          let l = liveness t in
-          time t Stats.Build (fun () ->
-              Interference.build ?matrix:t.matrix_scratch ~k:t.k t.cfg l)
+        time t Stats.Build (fun () ->
+            Interference.build_flat_boundary ?matrix:t.matrix_scratch ~pairs
+              ?batch:t.batch_build ~on_pairs ~k:t.k regs fl bl)
       in
       count t Stats.Full_builds 1;
       t.graph <- Some g;
@@ -177,7 +155,6 @@ let graph t =
       g
 
 let invalidate_liveness t =
-  t.live <- None;
   t.boundary <- None;
   (* Coalescing rewrote instructions in place; the arena is a copy of
      instruction contents, so it staled with liveness — and with it the
@@ -186,7 +163,6 @@ let invalidate_liveness t =
   t.lr_index <- None
 
 let invalidate t =
-  t.live <- None;
   t.boundary <- None;
   t.graph <- None;
   t.order <- None;

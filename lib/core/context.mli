@@ -2,13 +2,15 @@
     allocator's phases share — the routine under allocation, the machine
     and mode, the tag and infinite-cost tables, the split-pair list, the
     per-phase {!Stats} — plus {e caches} for the derived structures:
-    the block postorder, global liveness, and the interference graph.
+    the block postorder, the flat arena encoding, boundary liveness, the
+    live-range numbering and the interference graph.
 
     The caches carry the incremental-update invariant of the
     build–coalesce loop: {!graph} performs a from-scratch
-    {!Interference.build} only when no graph is cached, and coalescing
-    keeps the cached graph current in place ({!Interference.merge}), so a
-    spill round triggers at most one full build.  Phases that mutate the
+    {!Interference.build_flat_boundary} only when no graph is cached,
+    and coalescing keeps the cached graph current in place
+    ({!Interference.merge}), so a spill round triggers at most one full
+    build.  Phases that mutate the
     routine declare what they stale: coalescing calls
     {!invalidate_liveness} (the graph it maintains itself; the block
     order survives, since coalescing rewrites instructions but never
@@ -32,10 +34,6 @@ type t = {
       (** spill temporaries from earlier rounds (never re-spilled) *)
   loops : Dataflow.Loops.t;
   stats : Stats.t;
-  use_flat : bool;
-      (** run liveness, graph construction and spill insertion on the
-          flat arena form (the default); [false] keeps every phase on
-          the structured view — the A/B baseline *)
   batch_build : bool option;
       (** forces {!Interference.build_flat_boundary}'s [?batch] choice;
           [None] (the default) lets the node count decide *)
@@ -43,7 +41,6 @@ type t = {
   mutable split_pairs : (Iloc.Reg.t * Iloc.Reg.t) list;
   mutable coalesced : int;  (** copies removed by coalescing, total *)
   mutable order : int array option;  (** postorder cache; see {!block_order} *)
-  mutable live : Dataflow.Liveness.t option;  (** cache; may be stale *)
   mutable boundary : Dataflow.Liveness.Boundary.t option;
       (** |U|-compressed boundary liveness cache; see {!boundary} *)
   mutable lr_index : Dataflow.Reg_index.t option;
@@ -60,13 +57,14 @@ type t = {
   mutable mark : int array;  (** see {!fresh_marks} *)
   mutable mark_epoch : int;
   mutable pair_scratch : Dataflow.Pair_buf.t option;
-      (** the batched build's pair buffer, recycled across rounds *)
+      (** the batched build's pair buffer, recycled across rounds;
+          created by the first build that takes the batched path, so a
+          context whose builds all stay incremental never holds one *)
   mutable boundary_scratch : Dataflow.Liveness.Boundary.scratch option;
       (** boundary liveness working buffers, recycled across rounds *)
 }
 
 val create :
-  ?use_flat:bool ->
   ?batch_build:bool ->
   mode:Mode.t ->
   machine:Machine.t ->
@@ -92,23 +90,20 @@ val flat : t -> Iloc.Flat.t
 
 val set_flat : t -> Iloc.Flat.t -> unit
 (** Prime the cache with an arena known to equal the current [cfg] —
-    the spliced result of flat spill insertion, after its write-back. *)
-
-val liveness : t -> Dataflow.Liveness.t
-(** Cached global liveness of [cfg]; recomputed (timed and counted,
-    reusing {!block_order}) when a phase has invalidated it.  The
-    structured pipeline's view; the flat pipeline uses {!boundary} and
-    never materializes dense rows. *)
+    the renamed arena renumbering produced, or the spliced result of
+    flat spill insertion after its write-back. *)
 
 val boundary : t -> Dataflow.Liveness.Boundary.t
-(** Cached {!Dataflow.Liveness.Boundary.compute} of the arena — rows
-    |U| bits wide instead of |LR|.  Timed and counted like {!liveness};
-    staled by exactly what stales it. *)
+(** Cached global liveness of the arena, as
+    {!Dataflow.Liveness.Boundary.compute} — rows |U| bits wide instead
+    of |LR|, so dense rows are never materialized.  Recomputed (timed as
+    [Liveness], counted as a [Liveness_runs] event, reusing
+    {!block_order}) when a phase has invalidated it. *)
 
 val lr_index : t -> Dataflow.Reg_index.t
 (** Cached dense numbering of the registers occurring in the arena —
     the compaction pass mapping the sparse post-renumber register
-    universe to live-range indices.  The flat-mode graph build and its
+    universe to live-range indices.  The graph build and its
     consumers size every per-node structure by this index's count. *)
 
 val graph : t -> Interference.t

@@ -538,65 +538,6 @@ let class_bytes regs n =
     regs;
   cls
 
-let build_flat ?matrix ?batch ?k (fl : Iloc.Flat.t)
-    (live : Dataflow.Liveness.t) =
-  let regs = live.Dataflow.Liveness.regs in
-  let n = Reg_index.count regs in
-  let batch = match batch with Some b -> b | None -> n > dense_node_limit in
-  if batch then begin
-    let pmap = Reg_index.packed_map regs in
-    let buf = Pair_buf.create () in
-    let seed hl b =
-      Bitset.iter (Hier_set.add hl) live.Dataflow.Liveness.live_out.(b)
-    in
-    let shift = batched_sweep n pmap fl buf ~cls:(class_bytes regs n) ~seed in
-    finish_batched ?k regs n buf shift
-  end
-  else begin
-  let t = make ?matrix ?k regs n in
-  let pmap = Reg_index.packed_map regs in
-  let int_mask = Bitset.create n and float_mask = Bitset.create n in
-  Reg_index.iter
-    (fun i r ->
-      match Reg.cls r with
-      | Reg.Int -> Bitset.unsafe_add int_mask i
-      | Reg.Float -> Bitset.unsafe_add float_mask i)
-    regs;
-  let candidates = Bitset.create n in
-  (* One reusable live_now row instead of a copy per block. *)
-  let live_now = Bitset.create n in
-  let code = fl.Iloc.Flat.code in
-  let stride = Iloc.Flat.stride in
-  for b = 0 to Iloc.Flat.n_blocks fl - 1 do
-    Bitset.assign ~dst:live_now live.Dataflow.Liveness.live_out.(b);
-    for slot = Iloc.Flat.block_term fl b downto Iloc.Flat.block_first fl b do
-      let o = slot * stride in
-      let d = Array.unsafe_get code (o + Iloc.Flat.f_dst) in
-      if d >= 0 then begin
-        let di = Array.unsafe_get pmap d in
-        let skip =
-          if Iloc.Flat.Tag.is_copy (Array.unsafe_get code (o + Iloc.Flat.f_tag))
-          then Array.unsafe_get pmap (Array.unsafe_get code (o + Iloc.Flat.f_s0))
-          else -1
-        in
-        Bitset.assign ~dst:candidates live_now;
-        ignore
-          (Bitset.inter_into ~dst:candidates
-             (if d land 1 = 0 then int_mask else float_mask));
-        Bitset.iter
-          (fun l -> if l <> di && l <> skip then add_edge t di l)
-          candidates;
-        Bitset.unsafe_remove live_now di
-      end;
-      for sk = Iloc.Flat.f_s0 to Iloc.Flat.f_s2 do
-        let p = Array.unsafe_get code (o + sk) in
-        if p >= 0 then Bitset.unsafe_add live_now (Array.unsafe_get pmap p)
-      done
-    done
-  done;
-  t
-  end
-
 let build_flat_boundary ?matrix ?pairs ?batch ?on_pairs ?k regs
     (fl : Iloc.Flat.t) (bl : Dataflow.Liveness.Boundary.t) =
   let n = Reg_index.count regs in
@@ -610,7 +551,8 @@ let build_flat_boundary ?matrix ?pairs ?batch ?on_pairs ?k regs
     in
     let buf =
       match pairs with
-      | Some b ->
+      | Some supply ->
+          let b = supply () in
           Pair_buf.clear b;
           b
       | None -> Pair_buf.create ()

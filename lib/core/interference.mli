@@ -67,8 +67,8 @@ type t = {
 
 val dense_node_limit : int
 (** Node count above which {!build} switches the edge set from [Dense]
-    to [Sparse], and {!build_flat}/{!build_flat_boundary} default
-    [?batch] to true (producing [Csr] edges). *)
+    to [Sparse], and {!build_flat_boundary} defaults [?batch] to true
+    (producing [Csr] edges). *)
 
 val build :
   ?matrix:Dataflow.Bitset.t ->
@@ -81,27 +81,12 @@ val build :
     the graph is dense and the buffer's storage can hold the n(n−1)/2
     triangular bits it is cleared and recycled (via
     {!Dataflow.Bitset.view}) instead of allocating fresh — the earlier
-    graph must no longer be in use.  The allocation context threads its
-    previous matrix through here on every spill-round rebuild. *)
-
-val build_flat :
-  ?matrix:Dataflow.Bitset.t ->
-  ?batch:bool ->
-  ?k:(Iloc.Reg.cls -> int) ->
-  Iloc.Flat.t ->
-  Dataflow.Liveness.t ->
-  t
-(** Same pass over the flat arena form, with one reused live-now row and
-    no per-instruction allocation.  [live] must come from
-    {!Dataflow.Liveness.compute_flat} on the same arena (the register
-    numbering is shared); the resulting graph is identical — same edges,
-    inserted in the same order — to {!build} on the bridged routine.
-    [batch] (default: node count > {!dense_node_limit}) selects the
-    batched two-phase builder; see {!build_flat_boundary}. *)
+    graph must no longer be in use.  The structured reference build:
+    the allocator itself builds with {!build_flat_boundary}. *)
 
 val build_flat_boundary :
   ?matrix:Dataflow.Bitset.t ->
-  ?pairs:Dataflow.Pair_buf.t ->
+  ?pairs:(unit -> Dataflow.Pair_buf.t) ->
   ?batch:bool ->
   ?on_pairs:(emitted:int -> dropped:int -> unit) ->
   ?k:(Iloc.Reg.cls -> int) ->
@@ -113,11 +98,10 @@ val build_flat_boundary :
     dense rows: per block, the live-now set is seeded from the boundary
     live-out (translated u-index → node index), so no structure wider
     than [|U|] per block is ever materialized.  The node index must be
-    [Dataflow.Reg_index.of_flat] of the same arena — precisely what
-    {!Dataflow.Liveness.compute_flat} would build — and the boundary
-    must come from {!Dataflow.Liveness.Boundary.compute} on it; the
-    graph is then identical, edge order included, to {!build_flat} with
-    dense liveness.
+    [Dataflow.Reg_index.of_flat] of the same arena and the boundary must
+    come from {!Dataflow.Liveness.Boundary.compute} on it; the graph is
+    then identical, node numbering and edge order included, to {!build}
+    of the bridged routine with its dense {!Dataflow.Liveness.compute}.
 
     [batch] (default: node count > {!dense_node_limit}) selects the
     batched two-phase builder: one sweep emits every candidate pair
@@ -126,8 +110,11 @@ val build_flat_boundary :
     [Csr].  The result is byte-identical to the incremental build —
     same edges {e and} same per-node neighbor order — with membership
     probes and O(n/64) live-set scans gone from the sweep.  [pairs]
-    recycles a pair buffer across builds (ignored when incremental);
-    [on_pairs] reports how many candidate pairs the sweep emitted and
+    supplies a pair buffer to recycle across builds; it is called only
+    when the batched builder runs, so a caller can create the buffer on
+    first demand.  [matrix] is recycled as in {!build}; the allocation
+    context threads its previous matrix through here on every
+    spill-round rebuild.  [on_pairs] reports how many candidate pairs the sweep emitted and
     how many were duplicates (both paths report it). *)
 
 val of_edges : ?k:(Iloc.Reg.cls -> int) -> int -> (int * int) list -> t

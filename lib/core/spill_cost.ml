@@ -80,25 +80,13 @@ let phase (ctx : Context.t) =
   (* Fetched after coalescing: the context recomputes liveness when the
      coalescer invalidated it, so crossing-block detection sees the
      merged live ranges.  Crossing only asks for set membership, so the
-     |U|-compressed boundary rows answer it exactly on the flat path —
-     dense rows exist only for the structured baseline. *)
-  let live_in_iter =
-    if ctx.Context.use_flat then begin
-      let bl = Context.boundary ctx in
-      fun b f ->
-        Dataflow.Bitset.iter
-          (fun u ->
-            f
-              (Dataflow.Reg_index.reg bl.Dataflow.Liveness.Boundary.uindex u))
-          bl.Dataflow.Liveness.Boundary.live_in.(b)
-    end
-    else begin
-      let live = Context.liveness ctx in
-      fun b f ->
-        Dataflow.Bitset.iter
-          (fun li -> f (Dataflow.Reg_index.reg live.Dataflow.Liveness.regs li))
-          live.Dataflow.Liveness.live_in.(b)
-    end
+     |U|-compressed boundary rows answer it exactly. *)
+  let bl = Context.boundary ctx in
+  let uindex = bl.Dataflow.Liveness.Boundary.uindex in
+  let live_in_iter b f =
+    Dataflow.Bitset.iter
+      (fun u -> f (Dataflow.Reg_index.reg uindex u))
+      bl.Dataflow.Liveness.Boundary.live_in.(b)
   in
   Context.time ctx Stats.Costs (fun () ->
       compute ctx.Context.cfg ctx.Context.loops g ~live_in_iter

@@ -31,9 +31,8 @@ val compute :
     guard). *)
 
 val phase : Context.t -> float array
-(** {!compute} on the context's routine, graph and (fresh) liveness —
-    boundary rows when the context runs flat, dense rows on the
-    structured baseline — timed as [Costs]. *)
+(** {!compute} on the context's routine, graph and (fresh) boundary
+    liveness, timed as [Costs]. *)
 
 val load_store_cycles : int
 (** Cycles charged per inserted load or store (2, matching §5.1). *)

@@ -28,7 +28,7 @@ let presence_in (cfg : Cfg.t) (body : Dataflow.Bitset.t) r =
    across the loop (the value travels in [r'], which has no in-loop
    references and is the ideal spill or rematerialization victim). *)
 let split_one (cfg : Cfg.t) ~tags ~pairs (loop : Dataflow.Loops.loop)
-    (live : Dataflow.Liveness.t) r =
+    (live : Dataflow.Liveness.Boundary.t) r =
   let body = loop.Dataflow.Loops.body in
   let header = loop.Dataflow.Loops.header in
   let in_loop b = Dataflow.Bitset.mem body b in
@@ -58,7 +58,9 @@ let split_one (cfg : Cfg.t) ~tags ~pairs (loop : Dataflow.Loops.loop)
       if in_loop b.Block.id then
         List.iter
           (fun s ->
-            if (not (in_loop s)) && Dataflow.Liveness.live_in_mem live s r
+            if
+              (not (in_loop s))
+              && Dataflow.Liveness.Boundary.live_in_mem live s r
             then
               if List.length (Cfg.succs cfg b.Block.id) = 1 then
                 Block.append_before_term b [ Instr.copy r r' ]
@@ -99,9 +101,11 @@ let run (scheme : scheme) (cfg : Cfg.t) ~tags =
     (fun (l : Dataflow.Loops.loop) ->
       (* Structure never changes — only copies are inserted — so
          recomputing liveness per loop is sound. *)
-      let live = Dataflow.Liveness.compute cfg in
+      let live =
+        Dataflow.Liveness.Boundary.compute (Iloc.Flat.of_routine cfg)
+      in
       let candidates =
-        Dataflow.Liveness.live_in live l.Dataflow.Loops.header
+        Dataflow.Liveness.Boundary.live_in live l.Dataflow.Loops.header
       in
       let candidates =
         match scheme with

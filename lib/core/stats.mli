@@ -27,7 +27,7 @@ type phase =
   | Spill
 
 type counter =
-  | Full_builds  (** from-scratch {!Interference.build} runs *)
+  | Full_builds  (** from-scratch {!Interference.build_flat_boundary} runs *)
   | Liveness_runs  (** global liveness recomputations *)
   | Coalesce_sweeps  (** coalescing sweeps over the routine's copies *)
   | Coalesced_copies  (** copy instructions removed by coalescing *)

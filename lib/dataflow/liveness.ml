@@ -212,40 +212,6 @@ let[@inline] flat_preds_iter (fl : Iloc.Flat.t) b f =
     f fl.Iloc.Flat.pred.(i)
   done
 
-let compute_flat ?order (fl : Iloc.Flat.t) =
-  let regs = Reg_index.of_flat fl in
-  let nr = Reg_index.count regs in
-  let nb = Iloc.Flat.n_blocks fl in
-  let pmap = Reg_index.packed_map regs in
-  let ue = Bitset.slab ~rows:nb ~capacity:nr () in
-  let kill = Bitset.slab ~rows:nb ~capacity:nr () in
-  let code = fl.Iloc.Flat.code in
-  let stride = Iloc.Flat.stride in
-  for b = 0 to nb - 1 do
-    let ue_b = ue.(b) and kill_b = kill.(b) in
-    for slot = Iloc.Flat.block_first fl b to Iloc.Flat.block_term fl b do
-      let o = slot * stride in
-      (* Sources before the destination, as in the structured sweep: a
-         register both used and defined by one instruction is
-         upward-exposed. *)
-      for k = Iloc.Flat.f_s0 to Iloc.Flat.f_s2 do
-        let p = Array.unsafe_get code (o + k) in
-        if p >= 0 then begin
-          let ui = Array.unsafe_get pmap p in
-          if not (Bitset.unsafe_mem kill_b ui) then Bitset.unsafe_add ue_b ui
-        end
-      done;
-      let d = Array.unsafe_get code (o + Iloc.Flat.f_dst) in
-      if d >= 0 then Bitset.unsafe_add kill_b (Array.unsafe_get pmap d)
-    done
-  done;
-  let live_in = Bitset.slab ~rows:nb ~capacity:nr () in
-  let live_out = Bitset.slab ~rows:nb ~capacity:nr () in
-  let po = match order with Some o -> o | None -> Order.postorder_flat fl in
-  solve ~nb ~nr ~po ~succs_iter:(flat_succs_iter fl)
-    ~preds_iter:(flat_preds_iter fl) ~live_in ~live_out ~ue ~kill;
-  { regs; live_in; live_out; ue; kill }
-
 let to_regs t set =
   Bitset.fold (fun i acc -> Reg_index.reg t.regs i :: acc) set [] |> List.rev
 
@@ -273,7 +239,8 @@ module Boundary = struct
      registers: generated million-instruction routines have hundreds of
      thousands of registers but a few thousand members of [U], and dense
      rows would cost gigabytes.  Rows here are [|U|] bits wide; the
-     result is exactly [compute_flat]'s boundary sets reindexed. *)
+     result is exactly [compute]'s boundary sets of the bridged routine,
+     reindexed. *)
   type nonrec t = {
     uindex : Reg_index.t;  (** dense numbering of [U] only *)
     live_in : Bitset.t array;
@@ -405,6 +372,10 @@ module Boundary = struct
         s.s_prev <- Some t)
       scratch;
     t
+
+  let live_in t b =
+    Bitset.fold (fun i acc -> Reg_index.reg t.uindex i :: acc) t.live_in.(b) []
+    |> List.rev
 
   (* A register outside U is outside every boundary set — [false] here is
      the dense computation's answer, not an approximation. *)

@@ -30,13 +30,6 @@ val compute : ?order:int array -> Iloc.Cfg.t -> t
     {!Order.postorder}; callers that hold one (the allocation context
     caches it across coalescing rounds) pass it to skip the DFS. *)
 
-val compute_flat : ?order:int array -> Iloc.Flat.t -> t
-(** Same analysis over the flat arena form: one sweep over the packed
-    code array builds [ue]/[kill] with zero per-instruction allocation,
-    and all four row families live in {!Bitset.slab}s (one major-heap
-    buffer each).  The resulting sets are bit-identical to {!compute} of
-    the bridged routine; [order] is {!Order.postorder_flat}. *)
-
 val compute_ssa : ?order:int array -> Iloc.Cfg.t -> t
 (** φ-aware liveness over an SSA-form routine, the decoupled pipeline's
     pressure substrate: a φ-node's arguments are used at the end of the
@@ -67,7 +60,7 @@ val live_out_mem : t -> int -> Iloc.Reg.t -> bool
     nothing; for generated million-instruction routines [|U|] is three
     orders of magnitude below the register count, which is what makes
     boundary liveness at that scale feasible at all.  The sets equal
-    {!compute_flat}'s reindexed through [uindex]. *)
+    {!compute}'s of the bridged routine, reindexed through [uindex]. *)
 module Boundary : sig
   type nonrec t = {
     uindex : Reg_index.t;
@@ -86,6 +79,10 @@ module Boundary : sig
   val scratch : unit -> scratch
 
   val compute : ?order:int array -> ?scratch:scratch -> Iloc.Flat.t -> t
+
+  val live_in : t -> int -> Iloc.Reg.t list
+  (** Block [b]'s live-in registers in ascending {!Iloc.Reg.compare}
+      order — the list the dense {!Liveness.live_in} returns. *)
 
   val live_in_mem : t -> int -> Iloc.Reg.t -> bool
   val live_out_mem : t -> int -> Iloc.Reg.t -> bool

@@ -133,7 +133,7 @@ let check_config ?(fuel = 200_000) ~reference cfg config =
   | Ok prepared -> (
       match
         protect "alloc" (fun () ->
-            Remat.Allocator.run ~mode:config.mode ~machine:config.machine
+            Remat.Allocator.allocate ~mode:config.mode ~machine:config.machine
               prepared)
       with
       | Error d -> Some d

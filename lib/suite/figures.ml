@@ -83,7 +83,7 @@ let fig1 ppf =
   Format.fprintf ppf "=== Figure 1: Rematerialization versus Spilling ===@.@.";
   Format.fprintf ppf "--- Source (before allocation) ---@.%a@." pp_routine src;
   let show mode title =
-    let res = Remat.Allocator.run ~mode ~machine:fig1_machine src in
+    let res = Remat.Allocator.allocate ~mode ~machine:fig1_machine src in
     let out = Sim.Interp.run res.Remat.Allocator.cfg in
     Format.fprintf ppf "--- %s (k = %d int / %d float) ---@.%a@." title
       fig1_machine.Machine.k_int fig1_machine.Machine.k_float pp_routine
@@ -105,7 +105,7 @@ let fig2 ppf =
     \ -> renumber -> build -> coalesce -> spill costs -> simplify -> select ->@.@.";
   let src = fig1_source () in
   let res =
-    Remat.Allocator.run ~mode:Mode.Briggs_remat ~machine:fig1_machine src
+    Remat.Allocator.allocate ~mode:Mode.Briggs_remat ~machine:fig1_machine src
   in
   Format.fprintf ppf "Phase trace for the Figure 1 routine:@.%a@."
     Remat.Stats.pp res.Remat.Allocator.stats
@@ -144,7 +144,8 @@ let fig4 ppf =
   let kernel = Kernels.find "saxpy" in
   let cfg = Kernels.cfg_of kernel in
   let res =
-    Remat.Allocator.run ~mode:Mode.Briggs_remat ~machine:Machine.standard cfg
+    Remat.Allocator.allocate ~mode:Mode.Briggs_remat
+      ~machine:Machine.standard cfg
   in
   Format.fprintf ppf "--- allocated ILOC (%s) ---@.%a@."
     kernel.Kernels.name pp_routine res.Remat.Allocator.cfg;

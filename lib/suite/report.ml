@@ -17,8 +17,8 @@ let run_counts cfg = (Sim.Interp.run cfg).Sim.Interp.counts
 
 let measure ?(machine = Machine.standard) mode kernel =
   let cfg = Kernels.cfg_of ~optimize:true kernel in
-  let result = Remat.Allocator.run ~mode ~machine cfg in
-  let huge = Remat.Allocator.run ~mode ~machine:Machine.huge cfg in
+  let result = Remat.Allocator.allocate ~mode ~machine cfg in
+  let huge = Remat.Allocator.allocate ~mode ~machine:Machine.huge cfg in
   let counts = run_counts result.Remat.Allocator.cfg in
   let baseline = run_counts huge.Remat.Allocator.cfg in
   let spill_cycles = Counts.cycles_signed (Counts.sub counts baseline) in
@@ -126,7 +126,7 @@ let averaged_phases ~repeats mode cfg =
   let order = ref [] in
   let counters = ref [] in
   for _ = 1 to repeats do
-    let res = Remat.Allocator.run ~mode ~machine:Machine.standard cfg in
+    let res = Remat.Allocator.allocate ~mode ~machine:Machine.standard cfg in
     counters := Remat.Stats.counters res.Remat.Allocator.stats;
     List.iter
       (fun (round, phase, s, w, mj) ->
@@ -393,7 +393,7 @@ let race ?(machine = Machine.standard) ?(repeats = 5)
     let result = ref None in
     for _ = 1 to max 1 repeats do
       let t0 = Unix.gettimeofday () in
-      let r = Remat.Allocator.run ~mode ~machine cfg in
+      let r = Remat.Allocator.allocate ~mode ~machine cfg in
       let dt = Unix.gettimeofday () -. t0 in
       if dt < !best then best := dt;
       result := Some r

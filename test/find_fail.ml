@@ -4,7 +4,7 @@ let () =
     let cfg = Suite.Kernels.cfg_of k in
     List.iter (fun mode ->
       List.iter (fun machine ->
-        match Remat.Allocator.run ~mode ~machine cfg with
+        match Remat.Allocator.allocate ~mode ~machine cfg with
         | _ -> ()
         | exception e ->
           Format.printf "%s %s %s: %s@." k.Suite.Kernels.name

@@ -69,13 +69,13 @@ let correctness =
     tc "invalid input rejected" (fun () ->
         let src = "routine x\nentry:\n  r2 <- addi r1 1\n  ret\n" in
         try
-          ignore (Remat.Allocator.run (Iloc.Parser.routine src));
+          ignore (Remat.Allocator.allocate (Iloc.Parser.routine src));
           Alcotest.fail "invalid routine accepted"
         with Remat.Allocator.Allocation_error _ -> ());
     tc "input routine not mutated" (fun () ->
         let cfg = Testutil.fig1 () in
         let before = Iloc.Printer.routine_to_string cfg in
-        ignore (Remat.Allocator.run cfg);
+        ignore (Remat.Allocator.allocate cfg);
         check Alcotest.string "unchanged" before
           (Iloc.Printer.routine_to_string cfg));
   ]

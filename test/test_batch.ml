@@ -156,7 +156,7 @@ let allocate_all jobs =
     (fun k ->
       let cfg = Suite.Kernels.cfg_of ~optimize:true k in
       let res =
-        Remat.Allocator.run ~mode:Remat.Mode.Briggs_remat
+        Remat.Allocator.allocate ~mode:Remat.Mode.Briggs_remat
           ~machine:Remat.Machine.standard cfg
       in
       Iloc.Printer.routine_to_string res.Remat.Allocator.cfg)

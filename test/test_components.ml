@@ -292,7 +292,7 @@ let determinism_tests =
             let text () =
               let cfg = Suite.Kernels.cfg_of ~optimize:true kernel in
               let res =
-                Remat.Allocator.run ~machine:Remat.Machine.standard cfg
+                Remat.Allocator.allocate ~machine:Remat.Machine.standard cfg
               in
               Iloc.Printer.routine_to_string res.Remat.Allocator.cfg
             in

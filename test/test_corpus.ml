@@ -66,7 +66,7 @@ let corpus_tests =
                List.iter
                  (fun mode ->
                    let res =
-                     Remat.Allocator.run ~mode
+                     Remat.Allocator.allocate ~mode
                        ~machine:Remat.Machine.standard optimized
                    in
                    Testutil.assert_equiv

@@ -474,9 +474,8 @@ let k_crossing_routine k =
   Iloc.Parser.routine (Buffer.contents buf)
 
 let boundary_agrees what cfg =
-  let fl = Iloc.Flat.of_routine cfg in
-  let dense = Dataflow.Liveness.compute_flat fl in
-  let bound = Dataflow.Liveness.Boundary.compute fl in
+  let dense = Dataflow.Liveness.compute cfg in
+  let bound = Dataflow.Liveness.Boundary.compute (Iloc.Flat.of_routine cfg) in
   let regs = Cfg.all_regs cfg in
   for b = 0 to Cfg.n_blocks cfg - 1 do
     Iloc.Reg.Set.iter

@@ -199,7 +199,7 @@ let emitter_tests =
                    (Suite.Kernels.find name)
                in
                let res =
-                 Remat.Allocator.run ~machine:Remat.Machine.standard cfg
+                 Remat.Allocator.allocate ~machine:Remat.Machine.standard cfg
                in
                check_against_interp res.Remat.Allocator.cfg)
              [ "fehl"; "sgemm"; "ptrsweep"; "tomcatv" ]));
@@ -209,7 +209,7 @@ let emitter_tests =
            List.iter
              (fun mode ->
                let res =
-                 Remat.Allocator.run ~mode
+                 Remat.Allocator.allocate ~mode
                    ~machine:Suite.Figures.fig1_machine cfg
                in
                check_against_interp res.Remat.Allocator.cfg)

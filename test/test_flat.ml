@@ -236,6 +236,9 @@ let gen_configs =
       { Fuzz.Gen.default with Fuzz.Gen.never_killed_weight = 12 } );
   ]
 
+(* Small enough that generated routines spill. *)
+let tiny = Remat.Machine.make ~name:"tiny" ~k_int:6 ~k_float:4
+
 let roundtrip_prop (name, config) =
   QCheck.Test.make ~count:100
     ~name:(Printf.sprintf "flat round-trip (%s)" name)
@@ -253,36 +256,24 @@ let liveness_flat_prop (name, config) =
     QCheck.(make Gen.(int_bound 1_000_000))
     (fun seed ->
       let cfg = Fuzz.Gen.generate ~config seed in
-      let fl = Flat.of_routine cfg in
       let dense = Dataflow.Liveness.compute cfg in
-      let flat = Dataflow.Liveness.compute_flat fl in
-      let bound = Dataflow.Liveness.Boundary.compute fl in
+      let bound = Dataflow.Liveness.Boundary.compute (Flat.of_routine cfg) in
+      (* Boundary sets, reindexed through [uindex], must equal the
+         structured dense sets exactly. *)
+      let bound_out b =
+        let open Dataflow.Liveness.Boundary in
+        Dataflow.Bitset.fold
+          (fun i acc -> Dataflow.Reg_index.reg bound.uindex i :: acc)
+          bound.live_out.(b) []
+        |> List.rev
+      in
+      let eq_regs a b = List.equal Reg.equal a b in
       for b = 0 to Cfg.n_blocks cfg - 1 do
         let open Dataflow.Liveness in
         if
           not
-            (Dataflow.Bitset.equal dense.live_in.(b) flat.live_in.(b)
-            && Dataflow.Bitset.equal dense.live_out.(b) flat.live_out.(b)
-            && Dataflow.Bitset.equal dense.ue.(b) flat.ue.(b)
-            && Dataflow.Bitset.equal dense.kill.(b) flat.kill.(b))
-        then
-          QCheck.Test.fail_reportf "seed %d: flat sets differ at block %d" seed
-            b;
-        (* Boundary sets, reindexed through [uindex], must equal the
-           dense boundary sets exactly. *)
-        let to_regs uindex set =
-          Dataflow.Bitset.fold
-            (fun i acc -> Dataflow.Reg_index.reg uindex i :: acc)
-            set []
-          |> List.rev
-        in
-        let eq_regs a b = List.equal Reg.equal a b in
-        if
-          not
-            (eq_regs (live_in dense b)
-               (to_regs bound.Boundary.uindex bound.Boundary.live_in.(b))
-            && eq_regs (live_out dense b)
-                 (to_regs bound.Boundary.uindex bound.Boundary.live_out.(b)))
+            (eq_regs (live_in dense b) (Boundary.live_in bound b)
+            && eq_regs (live_out dense b) (bound_out b))
         then
           QCheck.Test.fail_reportf "seed %d: boundary sets differ at block %d"
             seed b
@@ -377,14 +368,14 @@ let graph_boundary_prop (name, config) =
     (fun seed ->
       let cfg = Fuzz.Gen.generate ~config seed in
       let fl = Flat.of_routine cfg in
-      let dense = Dataflow.Liveness.compute_flat fl in
       let bound = Dataflow.Liveness.Boundary.compute fl in
       let regs = Dataflow.Reg_index.of_flat fl in
-      let k =
-        Remat.Machine.k_for
-          (Remat.Machine.make ~name:"tiny" ~k_int:6 ~k_float:4)
+      let k = Remat.Machine.k_for tiny in
+      (* The structured reference: dense rows over the routine itself. *)
+      let a =
+        graph_fingerprint
+          (Remat.Interference.build ~k cfg (Dataflow.Liveness.compute cfg))
       in
-      let a = graph_fingerprint (Remat.Interference.build_flat ~k fl dense) in
       let b =
         graph_fingerprint
           (Remat.Interference.build_flat_boundary ~k regs fl bound)
@@ -404,9 +395,7 @@ let batched_vs_incremental cfg =
   let fl = Flat.of_routine cfg in
   let bound = Dataflow.Liveness.Boundary.compute fl in
   let regs = Dataflow.Reg_index.of_flat fl in
-  let k =
-    Remat.Machine.k_for (Remat.Machine.make ~name:"tiny" ~k_int:6 ~k_float:4)
-  in
+  let k = Remat.Machine.k_for tiny in
   let a =
     graph_fingerprint
       (Remat.Interference.build_flat_boundary ~batch:false ~k regs fl bound)
@@ -449,82 +438,188 @@ let test_batched_over_limit () =
   if not (String.equal a b) then
     Alcotest.fail "batched graph differs beyond dense_node_limit"
 
-(* --- allocator A/B: flat vs structured must be byte-identical -------- *)
+(* --- spill splice A/B: flat insertion ≡ structured insertion --------- *)
 
-let alloc_fingerprint ~use_flat ~mode ~machine cfg =
-  let res = Remat.Allocator.allocate ~mode ~machine ~use_flat cfg in
+(* One spill-code insertion on both forms of the same renumbered
+   routine, with the same tags and the same spilled set: the spliced
+   arena must bridge back to exactly the routine the structured rewrite
+   produces, with the same stats, slot counter and registered
+   temporaries.  [pick] selects roughly a third of the live ranges; the
+   renumber mode decides which of them carry rematerialization tags. *)
+let splice_ab_check ~seed ~pick ~mode cfg =
+  let rn = Remat.Renumber.run mode cfg in
+  let spilled =
+    Reg.Set.elements (Cfg.all_regs rn.Remat.Renumber.cfg)
+    |> List.filter (fun r -> Reg.hash r mod 3 = pick)
+  in
+  let side () =
+    (Reg.Tbl.copy rn.Remat.Renumber.tags, Reg.Tbl.create 16, ref (seed mod 5))
+  in
+  let s_tags, s_inf, s_slots = side () in
+  let s_cfg = Cfg.copy rn.Remat.Renumber.cfg in
+  let s =
+    Remat.Spill_code.insert s_cfg ~tags:s_tags ~infinite:s_inf ~spilled
+      ~slot_counter:s_slots
+  in
+  let f_tags, f_inf, f_slots = side () in
+  let f, fl =
+    Remat.Spill_code.insert_flat
+      (Flat.of_routine rn.Remat.Renumber.cfg)
+      ~tags:f_tags ~infinite:f_inf ~spilled ~slot_counter:f_slots
+  in
+  let f_cfg = Flat.to_routine fl in
+  let keys tbl =
+    Reg.Tbl.fold (fun r () acc -> r :: acc) tbl [] |> List.sort Reg.compare
+  in
+  let what = Remat.Mode.to_string mode in
+  if not (Cfg.structural_equal s_cfg f_cfg) then
+    QCheck.Test.fail_reportf "seed %d, %s: spliced routine differs:@.%s@.vs@.%s"
+      seed what (Cfg.to_string s_cfg) (Cfg.to_string f_cfg);
+  if
+    s.Remat.Spill_code.memory_lrs <> f.Remat.Spill_code.memory_lrs
+    || s.Remat.Spill_code.remat_lrs <> f.Remat.Spill_code.remat_lrs
+    || !s_slots <> !f_slots
+  then
+    QCheck.Test.fail_reportf
+      "seed %d, %s: stats differ: mem %d/%d remat %d/%d slots %d/%d" seed what
+      s.Remat.Spill_code.memory_lrs f.Remat.Spill_code.memory_lrs
+      s.Remat.Spill_code.remat_lrs f.Remat.Spill_code.remat_lrs !s_slots
+      !f_slots;
+  if
+    Reg.Supply.last s_cfg.Cfg.supply <> Reg.Supply.last f_cfg.Cfg.supply
+    || tag_list s_tags <> tag_list f_tags
+    || not (List.equal Reg.equal (keys s_inf) (keys f_inf))
+  then
+    QCheck.Test.fail_reportf "seed %d, %s: temporaries registered differently"
+      seed what
+
+let splice_ab_prop (name, config) =
+  QCheck.Test.make ~count:40
+    ~name:(Printf.sprintf "flat spill splice ≡ structured (%s)" name)
+    QCheck.(make Gen.(pair (int_bound 1_000_000) (int_bound 2)))
+    (fun (seed, pick) ->
+      let cfg = Cfg.split_critical_edges (Fuzz.Gen.generate ~config seed) in
+      List.iter
+        (fun mode -> splice_ab_check ~seed ~pick ~mode (Cfg.copy cfg))
+        renumber_modes;
+      true)
+
+(* --- incremental edits: primed flat path ≡ cold allocation ----------- *)
+
+let alloc_fingerprint (res : Remat.Allocator.result) =
   let open Remat.Allocator in
   Printf.sprintf "%s\nrounds=%d mem=%d remat=%d slots=%d coalesced=%d"
     (Cfg.to_string res.cfg) res.rounds res.spilled_memory res.spilled_remat
     res.spill_slots res.coalesced_copies
 
-let ab_check ~what ~mode ~machine cfg =
-  let a = alloc_fingerprint ~use_flat:false ~mode ~machine cfg in
-  let b = alloc_fingerprint ~use_flat:true ~mode ~machine cfg in
-  if not (String.equal a b) then
-    Alcotest.failf "%s: flat allocation differs from structured:@.%s@.vs@.%s"
-      what a b
+let outcome f =
+  match f () with
+  | v -> Ok v
+  | exception (Remat.Allocator.Allocation_error msg
+              | Remat.Spill_code.Pressure_too_high msg) ->
+      Error msg
 
-let ab_machines =
-  [
-    Remat.Machine.make ~name:"tiny" ~k_int:6 ~k_float:4;
-    Remat.Machine.standard;
-  ]
+(* [snapshot base] then [allocate_incremental] of a seeded edit: the
+   result is either a fallback ([None]) or byte-identical to a cold
+   allocation of the edit, and its first round built no graph.  The
+   tiny machine makes routines spill, so later rounds rebuild on
+   the primed context's own arena. *)
+let incremental_edit seed config =
+  let base = Fuzz.Gen.generate ~config seed in
+  let edit = Fuzz.Gen.mutate ~seed:(seed + 1) base in
+  let snap = Remat.Allocator.snapshot ~machine:tiny base in
+  let inc =
+    outcome (fun () -> Remat.Allocator.allocate_incremental snap edit)
+  in
+  let cold = outcome (fun () -> Remat.Allocator.allocate ~machine:tiny edit) in
+  match (inc, cold) with
+  | Ok None, _ -> `Not_reused
+  | Ok (Some (res, _)), Ok cold_res ->
+      let a = alloc_fingerprint res and b = alloc_fingerprint cold_res in
+      if not (String.equal a b) then
+        QCheck.Test.fail_reportf
+          "seed %d: incremental differs from cold:@.%s@.vs@.%s" seed a b;
+      let round1 =
+        Remat.Stats.counter_in_round res.Remat.Allocator.stats ~round:1
+          Remat.Stats.Full_builds
+      in
+      if round1 <> 0 then
+        QCheck.Test.fail_reportf "seed %d: round 1 ran %d full builds" seed
+          round1;
+      `Reused res.Remat.Allocator.rounds
+  | Error a, Error b when String.equal a b -> `Not_reused
+  | Ok (Some _), Error msg ->
+      QCheck.Test.fail_reportf "seed %d: cold failed (%s), incremental not"
+        seed msg
+  | Error msg, _ ->
+      QCheck.Test.fail_reportf "seed %d: incremental failed: %s" seed msg
 
-let test_allocator_ab () =
-  List.iter
-    (fun mode ->
-      List.iter
-        (fun machine ->
-          List.iter
-            (fun seed ->
-              let cfg = Fuzz.Gen.generate ~config:Fuzz.Gen.high_pressure seed in
-              ab_check
-                ~what:
-                  (Printf.sprintf "seed %d, %s, %s" seed
-                     (Remat.Mode.to_string mode)
-                     machine.Remat.Machine.name)
-                ~mode ~machine cfg)
-            [ 11; 42; 1234 ])
-        ab_machines)
-    [ Remat.Mode.Briggs_remat; Remat.Mode.Chaitin_remat; Remat.Mode.No_remat ]
-
-let allocator_ab_prop (name, config) =
+let incremental_edit_prop (name, config) =
   QCheck.Test.make ~count:25
-    ~name:(Printf.sprintf "flat allocation ≡ structured (%s)" name)
+    ~name:(Printf.sprintf "incremental edit ≡ cold allocation (%s)" name)
     QCheck.(make Gen.(int_bound 1_000_000))
     (fun seed ->
-      let cfg = Fuzz.Gen.generate ~config seed in
-      let machine = Remat.Machine.make ~name:"tiny" ~k_int:6 ~k_float:4 in
-      ab_check
-        ~what:(Printf.sprintf "seed %d" seed)
-        ~mode:Remat.Mode.Briggs_remat ~machine cfg;
+      ignore (incremental_edit seed config);
       true)
+
+let test_incremental_spill_rounds () =
+  (* The property above must actually reach the primed path with spill
+     rounds after it, not only fallbacks. *)
+  let multi =
+    List.init 40 Fun.id
+    |> List.filter (fun seed ->
+           match incremental_edit seed Fuzz.Gen.high_pressure with
+           | `Reused rounds -> rounds > 1
+           | `Not_reused -> false)
+  in
+  if multi = [] then
+    Alcotest.fail "no edit reused a snapshot and then spilled"
+
+(* --- lazy pair buffer -------------------------------------------------- *)
+
+let test_pair_buf_lazy () =
+  let ctx_of ?batch_build cfg =
+    let cfg = Cfg.split_critical_edges cfg in
+    let loops =
+      Dataflow.Loops.compute cfg (Dataflow.Dominance.compute cfg)
+    in
+    let rn = Remat.Renumber.run Remat.Mode.Briggs_remat cfg in
+    Remat.Context.create ?batch_build ~mode:Remat.Mode.Briggs_remat
+      ~machine:tiny ~loops ~tags:rn.Remat.Renumber.tags
+      ~split_pairs:rn.Remat.Renumber.split_pairs
+      ~stats:(Remat.Stats.create ()) rn.Remat.Renumber.cfg
+  in
+  let cfg = Fuzz.Gen.generate ~config:Fuzz.Gen.high_pressure 7 in
+  let ctx = ctx_of cfg in
+  let g = Remat.Context.graph ctx in
+  if Remat.Interference.n_nodes g > Remat.Interference.dense_node_limit then
+    Alcotest.fail "routine too large for an incremental build";
+  Alcotest.(check bool)
+    "no pair buffer after an incremental build" true
+    (Option.is_none ctx.Remat.Context.pair_scratch);
+  let ctx = ctx_of ~batch_build:true cfg in
+  ignore (Remat.Context.graph ctx);
+  Alcotest.(check bool)
+    "pair buffer after a forced batched build" true
+    (Option.is_some ctx.Remat.Context.pair_scratch)
 
 (* End-to-end: forcing the batched builder (every round, even under the
    dense threshold where the default is incremental) must leave the
    final allocation byte-identical — graph construction order feeds
    simplify/select tie-breaks, so this exercises the full pipeline's
    sensitivity to neighbor order. *)
-let batched_alloc_fingerprint ~batch ~mode ~machine cfg =
-  let res = Remat.Allocator.allocate ~mode ~machine ~batch_build:batch cfg in
-  let open Remat.Allocator in
-  Printf.sprintf "%s\nrounds=%d mem=%d remat=%d slots=%d coalesced=%d"
-    (Cfg.to_string res.cfg) res.rounds res.spilled_memory res.spilled_remat
-    res.spill_slots res.coalesced_copies
-
 let batched_alloc_prop (name, config) =
   QCheck.Test.make ~count:25
     ~name:(Printf.sprintf "batched allocation ≡ incremental (%s)" name)
     QCheck.(make Gen.(int_bound 1_000_000))
     (fun seed ->
       let cfg = Fuzz.Gen.generate ~config seed in
-      let machine = Remat.Machine.make ~name:"tiny" ~k_int:6 ~k_float:4 in
-      let mode = Remat.Mode.Briggs_remat in
-      let a =
-        batched_alloc_fingerprint ~batch:false ~mode ~machine (Cfg.copy cfg)
+      let run batch cfg =
+        alloc_fingerprint
+          (Remat.Allocator.allocate ~machine:tiny ~batch_build:batch cfg)
       in
-      let b = batched_alloc_fingerprint ~batch:true ~mode ~machine cfg in
+      let a = run false (Cfg.copy cfg) in
+      let b = run true cfg in
       if not (String.equal a b) then
         QCheck.Test.fail_reportf
           "seed %d: batched allocation differs:@.%s@.vs@.%s" seed a b
@@ -547,7 +642,10 @@ let qcheck_cases =
       (fun c -> QCheck_alcotest.to_alcotest (batched_graph_prop c))
       gen_configs
   @ List.map
-      (fun c -> QCheck_alcotest.to_alcotest (allocator_ab_prop c))
+      (fun c -> QCheck_alcotest.to_alcotest (splice_ab_prop c))
+      gen_configs
+  @ List.map
+      (fun c -> QCheck_alcotest.to_alcotest (incremental_edit_prop c))
       gen_configs
   @ List.map
       (fun c -> QCheck_alcotest.to_alcotest (batched_alloc_prop c))
@@ -579,10 +677,12 @@ let () =
           Alcotest.test_case "hash spreads immediates" `Quick
             test_hash_spreads;
         ] );
-      ( "allocator-ab",
+      ( "context",
         [
-          Alcotest.test_case "flat vs structured allocation" `Quick
-            test_allocator_ab;
+          Alcotest.test_case "pair buffer created by the first batched build"
+            `Quick test_pair_buf_lazy;
+          Alcotest.test_case "edits reuse a snapshot across spill rounds"
+            `Quick test_incremental_spill_rounds;
         ] );
       ("roundtrip", qcheck_cases);
     ]

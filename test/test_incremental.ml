@@ -194,7 +194,8 @@ let kernel_tests =
             (fun k ->
               let cfg = Suite.Kernels.cfg_of ~optimize:true k in
               let res =
-                Remat.Allocator.run ~mode ~machine:Remat.Machine.standard cfg
+                Remat.Allocator.allocate ~mode
+                  ~machine:Remat.Machine.standard cfg
               in
               let stats = res.Remat.Allocator.stats in
               let builds =

@@ -480,7 +480,7 @@ let pipeline_alloc_prop =
     (fun cfg ->
       let optimized = Opt.Pipeline.run cfg in
       let res =
-        Remat.Allocator.run ~machine:Remat.Machine.standard optimized
+        Remat.Allocator.allocate ~machine:Remat.Machine.standard optimized
       in
       Sim.Interp.outcome_equal (Sim.Interp.run cfg)
         (Sim.Interp.run res.Remat.Allocator.cfg))

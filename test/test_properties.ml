@@ -17,7 +17,7 @@ let machines =
   ]
 
 let alloc_outcome mode machine cfg =
-  let res = Remat.Allocator.run ~mode ~machine cfg in
+  let res = Remat.Allocator.allocate ~mode ~machine cfg in
   (match Remat.Allocator.check res with
   | Ok () -> ()
   | Error es ->

@@ -189,7 +189,7 @@ let figure_tests =
           (contains (render Suite.Figures.fig4) "dynamic instruction counts"));
     tc "figure 1 spills under its machine" (fun () ->
         let res =
-          Remat.Allocator.run ~mode:Mode.Chaitin_remat
+          Remat.Allocator.allocate ~mode:Mode.Chaitin_remat
             ~machine:Suite.Figures.fig1_machine
             (Suite.Figures.fig1_source ())
         in

@@ -28,7 +28,7 @@ let assert_verified ~what ?machine input output =
         (String.concat "\n" (List.map Verify.Error.to_string es))
 
 let alloc_verified ~what ?mode ?machine input =
-  let res = Remat.Allocator.run ?mode ?machine input in
+  let res = Remat.Allocator.allocate ?mode ?machine input in
   assert_verified ~what ?machine input res.Remat.Allocator.cfg;
   res
 
@@ -307,7 +307,7 @@ let bias_victim ?(n = 14) () =
 let static_only reference cfg machine mode =
   (* Allocate and split the oracle's verdict into its static and dynamic
      halves: returns (static rejection?, dynamic divergence?). *)
-  let res = Remat.Allocator.run ~mode ~machine cfg in
+  let res = Remat.Allocator.allocate ~mode ~machine cfg in
   let out = res.Remat.Allocator.cfg in
   let static =
     match
@@ -332,7 +332,7 @@ let planted_tests =
     tc "reload skew is rejected statically, no simulator" (fun () ->
         let cfg = Testutil.high_pressure () in
         with_fault Remat.Spill_code.fault_reload_skew 1 (fun () ->
-            let res = Remat.Allocator.run ~machine:tiny cfg in
+            let res = Remat.Allocator.allocate ~machine:tiny cfg in
             check Alcotest.bool "scenario spills through memory" true
               (res.Remat.Allocator.spilled_memory > 0);
             match
@@ -491,7 +491,7 @@ let gate_tests =
         let pre =
           Iloc.Parser.routine
             (Iloc.Printer.routine_to_string
-               (let res = Remat.Allocator.run (Testutil.counted_loop ()) in
+               (let res = Remat.Allocator.allocate (Testutil.counted_loop ()) in
                 res.Remat.Allocator.cfg))
         in
         if
