@@ -9,7 +9,8 @@
    outputs are compared exactly, so every benchmark run doubles as a
    differential test; the timing table then shows the asymptotic gap.
    A full Remat.Allocator.allocate per size records end-to-end per-phase
-   seconds and minor-heap words through Stats. *)
+   seconds and minor-heap words through Stats, and Verify.Check proves
+   that allocation faithful to its source. *)
 
 module Cfg = Iloc.Cfg
 module Gen = Fuzz.Gen
@@ -114,6 +115,7 @@ type row = {
   counters : (string * int) list;
       (** graph-build volume counters of the instrumented allocation
           (pairs emitted, duplicates dropped, overlay edges) *)
+  verify_s : float;  (** seconds {!Verify.Check} took to prove it *)
 }
 
 (* At and above [big_threshold] sizes run as this row instead: the flat
@@ -133,6 +135,8 @@ type big_row = {
       (** end-to-end allocation, per-phase (seconds, minor words, major
           words) summed over rounds *)
   bcounters : (string * int) list;  (** see {!row.counters} *)
+  bverify_s : float option;
+      (** see {!row.verify_s}; [None] above [huge_cutoff] *)
 }
 
 exception Divergence of string
@@ -142,6 +146,19 @@ let check_equal what ok =
     raise
       (Divergence
          (Printf.sprintf "scale bench: old and new %s disagree" what))
+
+(* Statically verify an end-to-end allocation of [input]; a rejection
+   fails the run like any divergence.  Returns the checker's seconds. *)
+let verify_alloc input (res : Remat.Allocator.result) =
+  let t0 = Unix.gettimeofday () in
+  let verdict =
+    Verify.Check.routine ~input ~output:res.Remat.Allocator.cfg
+      ~k_int:machine.Remat.Machine.k_int ~k_float:machine.Remat.Machine.k_float
+  in
+  let dt = Unix.gettimeofday () -. t0 in
+  check_equal "routines (Verify.Check rejects the allocation)"
+    (Result.is_ok verdict);
+  dt
 
 (* Per-phase (seconds, minor words, major words) of one instrumented
    allocation, summed over spill rounds, in first-seen phase order. *)
@@ -238,7 +255,9 @@ let measure ~repeats ~target seed =
   in
   (* End-to-end allocation, instrumented: per-phase seconds and heap
      words summed over spill rounds. *)
-  let res = Remat.Allocator.allocate ~mode ~machine (cfg ()) in
+  let input = cfg () in
+  let res = Remat.Allocator.allocate ~mode ~machine input in
+  let verify_s = verify_alloc input res in
   (* Small sizes default to the incremental builder; forcing the batched
      pipeline on the same input must not move a byte of the output. *)
   let res_batched =
@@ -260,6 +279,7 @@ let measure ~repeats ~target seed =
       { simplify = new_simplify; select = new_select; coalesce = new_coalesce };
     alloc;
     counters = build_counters res_batched;
+    verify_s;
   }
 
 (* Sizes above this generate with [big_config] and skip the
@@ -287,22 +307,29 @@ let measure_big ~repeats ~target seed =
   (* End-to-end allocation, instrumented, once (a full run at these
      sizes is minutes of work; phase words don't vary across repeats). *)
   let res = Remat.Allocator.allocate ~mode ~machine cfg in
-  (* Up to the huge cutoff, re-run with the batched builder forced off
-     and byte-compare: the CI smoke size (100k) then proves batched ≡
-     incremental at a five-digit node count on every bench run.  Above
-     the cutoff the incremental rebuild is the minutes-long baseline the
-     batched builder retired, so identity at the top size rests on the
-     one-off A/B recorded in DESIGN.md plus the property tests. *)
-  if target <= huge_cutoff then begin
-    let res_inc =
-      Remat.Allocator.allocate ~mode ~machine ~batch_build:false
-        (Gen.generate ~config:(mk ~stmts) seed)
-    in
-    check_equal "batched vs incremental allocations"
-      (String.equal
-         (Cfg.to_string res.Remat.Allocator.cfg)
-         (Cfg.to_string res_inc.Remat.Allocator.cfg))
-  end;
+  (* Up to the huge cutoff, verify the allocation statically, then
+     re-run with the batched builder forced off and byte-compare: the
+     CI smoke size (100k) then proves the allocation faithful and
+     batched ≡ incremental at a five-digit node count on every bench
+     run.  Above the cutoff the incremental rebuild is the minutes-long
+     baseline the batched builder retired, so identity at the top size
+     rests on the one-off A/B recorded in DESIGN.md plus the property
+     tests. *)
+  let bverify_s =
+    if target > huge_cutoff then None
+    else begin
+      let verify_s = verify_alloc cfg res in
+      let res_inc =
+        Remat.Allocator.allocate ~mode ~machine ~batch_build:false
+          (Gen.generate ~config:(mk ~stmts) seed)
+      in
+      check_equal "batched vs incremental allocations"
+        (String.equal
+           (Cfg.to_string res.Remat.Allocator.cfg)
+           (Cfg.to_string res_inc.Remat.Allocator.cfg));
+      Some verify_s
+    end
+  in
   {
     btarget = target;
     binstrs = instrs;
@@ -312,6 +339,7 @@ let measure_big ~repeats ~target seed =
     bphases = [ ("encode", encode); ("boundary", boundary) ];
     balloc = alloc_stats res;
     bcounters = build_counters res;
+    bverify_s;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -322,7 +350,7 @@ let speedup o n = if n > 0. then o /. n else 0.
 (* One allocation's phase line: seconds with each phase's share of the
    end-to-end total, then heap words — the share is what makes a 1M-row
    readable (a phase at 0.8s means nothing until it says 2% vs 60%). *)
-let pp_alloc ppf alloc counters =
+let pp_alloc ppf alloc counters verify_s =
   let total = List.fold_left (fun a (_, s, _, _) -> a +. s) 0. alloc in
   Format.fprintf ppf " total %.4fs |" total;
   List.iter
@@ -333,7 +361,8 @@ let pp_alloc ppf alloc counters =
         (if total > 0. then 100. *. s /. total else 0.)
         (w /. 1000.) (mj /. 1000.))
     alloc;
-  List.iter (fun (name, v) -> Format.fprintf ppf " %s=%d" name v) counters
+  List.iter (fun (name, v) -> Format.fprintf ppf " %s=%d" name v) counters;
+  Option.iter (Format.fprintf ppf " | verify %.4fs") verify_s
 
 let pp ppf rows =
   Format.fprintf ppf
@@ -356,11 +385,11 @@ let pp ppf rows =
     rows;
   Format.fprintf ppf
     "@.full allocator (new), per-phase seconds (share of total), \
-     minor/major kwords:@.";
+     minor/major kwords, verify seconds:@.";
   List.iter
     (fun r ->
       Format.fprintf ppf "%8d |" r.target;
-      pp_alloc ppf r.alloc r.counters;
+      pp_alloc ppf r.alloc r.counters (Some r.verify_s);
       Format.fprintf ppf "@.")
     rows;
   Format.fprintf ppf "@."
@@ -384,11 +413,11 @@ let pp_big ppf rows =
     rows;
   Format.fprintf ppf
     "@.end-to-end allocation, per-phase seconds (share of total), \
-     minor/major kwords:@.";
+     minor/major kwords, verify seconds:@.";
   List.iter
     (fun r ->
       Format.fprintf ppf "%8d |" r.btarget;
-      pp_alloc ppf r.balloc r.bcounters;
+      pp_alloc ppf r.balloc r.bcounters r.bverify_s;
       Format.fprintf ppf "@.")
     rows;
   Format.fprintf ppf "@."

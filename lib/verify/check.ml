@@ -6,6 +6,7 @@ type report = {
   uses_checked : int;
   remats_checked : int;
   copies_skipped : int;
+  fixpoint_visits : int;
 }
 
 let report_to_string r =
@@ -344,6 +345,41 @@ let spill_gate name cfg =
                op slot);
         ]
 
+(* Reverse postorder of the output CFG from its entry, by an iterative
+   DFS (no recursion: routines reach 10^6 instructions), followed by any
+   blocks the entry does not reach, in id order, so every block that
+   can turn dirty is swept.  The allocator's [Dataflow.Order] computes
+   the same thing, but the checker shares no analysis code with the
+   allocator. *)
+let sweep_order (cfg : Cfg.t) =
+  let n = Cfg.n_blocks cfg in
+  let seen = Array.make n false in
+  let rest = Array.make n [] in
+  let stack = Array.make n 0 in
+  let sp = ref 0 in
+  let post = Array.make n 0 in
+  let k = ref n in
+  let push b =
+    seen.(b) <- true;
+    rest.(b) <- Cfg.succs cfg b;
+    stack.(!sp) <- b;
+    incr sp
+  in
+  push (Cfg.entry_block cfg).Block.id;
+  while !sp > 0 do
+    let b = stack.(!sp - 1) in
+    match rest.(b) with
+    | s :: tl ->
+        rest.(b) <- tl;
+        if not seen.(s) then push s
+    | [] ->
+        decr sp;
+        decr k;
+        post.(!k) <- b
+  done;
+  let unreached = List.filter (fun b -> not seen.(b)) (List.init n Fun.id) in
+  Array.append (Array.sub post !k (n - !k)) (Array.of_list unreached)
+
 let routine ~(input : Cfg.t) ~(output : Cfg.t) ~k_int ~k_float =
   let name = output.Cfg.name in
   match
@@ -401,24 +437,34 @@ let routine ~(input : Cfg.t) ~(output : Cfg.t) ~k_int ~k_float =
     (* Fixpoint: propagate states silently until they stabilise.  The
        meet only shrinks states, so any check that would fail at the
        fixpoint also fails when re-run — errors are gathered in a
-       final, deterministic reporting pass. *)
+       final, deterministic reporting pass.  Dirty blocks are walked in
+       sweeps over the reverse postorder, so a sweep carries each state
+       change forward through the whole routine and only loop back
+       edges wait for the next sweep. *)
     let in_states : State.t option array =
       Array.make (Cfg.n_blocks output) None
     in
     let anchored label = Hashtbl.mem in_labels label in
     let silent = make_ctx (fun _ -> ()) (fresh_stats ()) in
-    let pending = Queue.create () in
+    let dirty = Array.make (Cfg.n_blocks output) false in
+    let n_dirty = ref 0 in
+    let mark id =
+      if not dirty.(id) then begin
+        dirty.(id) <- true;
+        incr n_dirty
+      end
+    in
     let propagate (label, st) =
       let id = (Hashtbl.find out_labels label).Block.id in
       match in_states.(id) with
       | None ->
           in_states.(id) <- Some st;
-          Queue.add id pending
+          mark id
       | Some old ->
           let met = State.meet old st in
           if not (State.equal met old) then begin
             in_states.(id) <- Some met;
-            Queue.add id pending
+            mark id
           end
     in
     if entry_ok then begin
@@ -426,12 +472,22 @@ let routine ~(input : Cfg.t) ~(output : Cfg.t) ~k_int ~k_float =
       if anchored entry.Block.label then
         propagate (entry.Block.label, State.empty)
     end;
-    while not (Queue.is_empty pending) do
-      let id = Queue.pop pending in
-      let ob = Cfg.block output id in
-      match (in_states.(id), Hashtbl.find_opt in_labels ob.Block.label) with
-      | Some st, Some ib -> List.iter propagate (check_block silent st ib ob)
-      | _ -> ()
+    let order = sweep_order output in
+    while !n_dirty > 0 do
+      Array.iter
+        (fun id ->
+          if dirty.(id) then begin
+            dirty.(id) <- false;
+            decr n_dirty;
+            let ob = Cfg.block output id in
+            match
+              (in_states.(id), Hashtbl.find_opt in_labels ob.Block.label)
+            with
+            | Some st, Some ib ->
+                List.iter propagate (check_block silent st ib ob)
+            | _ -> ()
+          end)
+        order
     done;
     (* Reporting pass over the fixpoint states. *)
     let stats = fresh_stats () in
@@ -455,6 +511,7 @@ let routine ~(input : Cfg.t) ~(output : Cfg.t) ~k_int ~k_float =
             uses_checked = stats.uses;
             remats_checked = stats.remats;
             copies_skipped = stats.moves;
+            fixpoint_visits = silent.stats.blocks;
           }
     | errors -> Result.Error errors
   end

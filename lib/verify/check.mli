@@ -20,6 +20,13 @@
       (critical-edge splits), but must reach the same source label the
       source terminator names.
 
+    The fixpoint sweeps the blocks whose entry state changed in reverse
+    postorder of the output CFG until a sweep changes nothing, so a
+    block is walked about twice on typical routines however deeply
+    their loops nest.  Errors come from one reporting pass over the
+    fixpoint states, which is unique, so the schedule decides no
+    verdict.
+
     The checker shares no code with the allocator: it never reads
     {!Core} tags, costs, or interference information, only the two
     routines.  A clean run is a proof relative to the stated abstract
@@ -36,6 +43,9 @@ type report = {
   copies_skipped : int;
       (** allocator-inserted copies/spills/reloads, plus source-only
           copies and never-killed definitions *)
+  fixpoint_visits : int;
+      (** block walks the fixpoint made before the reporting pass; not
+          printed by {!report_to_string} *)
 }
 
 val report_to_string : report -> string

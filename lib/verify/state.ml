@@ -53,14 +53,21 @@ let kill_loc st loc =
   { st with eqs = Loc.Map.remove loc st.eqs; exprs = Loc.Map.remove loc st.exprs }
 
 let kill_vreg st v =
-  let eqs =
-    Loc.Map.filter_map
-      (fun _ s ->
-        let s = Reg.Set.remove v s in
-        if Reg.Set.is_empty s then None else Some s)
-      st.eqs
-  in
-  { st with eqs; consts = Reg.Map.remove v st.consts }
+  (* Most redefinitions hit a register no fact mentions: probe before
+     rebuilding the map. *)
+  let in_eqs = Loc.Map.exists (fun _ s -> Reg.Set.mem v s) st.eqs in
+  if (not in_eqs) && not (Reg.Map.mem v st.consts) then st
+  else
+    let eqs =
+      if not in_eqs then st.eqs
+      else
+        Loc.Map.filter_map
+          (fun _ s ->
+            let s = Reg.Set.remove v s in
+            if Reg.Set.is_empty s then None else Some s)
+          st.eqs
+    in
+    { st with eqs; consts = Reg.Map.remove v st.consts }
 
 let bind_def st ~vreg ~loc =
   let st = kill_vreg st vreg in

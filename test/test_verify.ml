@@ -511,6 +511,128 @@ let gate_tests =
                pre));
   ]
 
+(* --- fixpoint cost --- *)
+
+(* Sweeping in reverse postorder walks each block about twice however
+   the loops nest; a FIFO worklist re-converges every inner loop on each
+   outer trip and walks these routines 4.6-11 times per block.  An exact
+   count, so no timing noise. *)
+let schedule_tests =
+  [
+    tc "fixpoint walks each block at most three times" (fun () ->
+        let machine = Remat.Machine.make ~name:"8+8" ~k_int:8 ~k_float:8 in
+        let config =
+          {
+            Fuzz.Gen.high_pressure with
+            Fuzz.Gen.max_depth = 2;
+            min_stmts = 64;
+            max_stmts = 64;
+          }
+        in
+        for seed = 1 to 40 do
+          let cfg = Fuzz.Gen.generate ~config seed in
+          let out =
+            (Remat.Allocator.allocate ~mode:Remat.Mode.Briggs_remat ~machine
+               cfg)
+              .Remat.Allocator.cfg
+          in
+          match verify ~machine cfg out with
+          | Error _ -> Alcotest.failf "seed %d: allocation rejected" seed
+          | Ok r ->
+              let visits = r.Verify.Check.fixpoint_visits
+              and blocks = Cfg.n_blocks out in
+              if visits > 3 * blocks then
+                Alcotest.failf "seed %d: %d block walks for %d blocks" seed
+                  visits blocks
+        done);
+  ]
+
+(* --- every verdict pinned --- *)
+
+(* The checker's fixpoint schedule must never decide a verdict: the
+   maximal fixpoint is unique, so the full outcome text (report counts,
+   or every error in order) over a fixed corpus is pinned by one digest.
+   The expected digest was recorded before the FIFO worklist gave way to
+   reverse-postorder sweeps; a change to it means a verdict, an error
+   message or a report count moved. *)
+let verdict_digest = "0d0fe30190126be692c58a5eb1b0c647"
+
+let outcome_text input (alloc : unit -> Remat.Allocator.result) ~machine =
+  match alloc () with
+  | exception e -> "raise " ^ Printexc.to_string e
+  | res -> (
+      match verify ~machine input res.Remat.Allocator.cfg with
+      | Ok r -> "ok " ^ Verify.Check.report_to_string r
+      | Error es ->
+          String.concat "\n"
+            ("error" :: List.map Verify.Error.to_string es))
+
+let verdict_corpus () =
+  let b = Buffer.create (1 lsl 16) in
+  let add key text =
+    Buffer.add_string b key;
+    Buffer.add_char b '\n';
+    Buffer.add_string b text;
+    Buffer.add_char b '\n'
+  in
+  let standard = Remat.Machine.standard in
+  List.iter
+    (fun (k : Suite.Kernels.kernel) ->
+      let cfg = Suite.Kernels.cfg_of k in
+      List.iter
+        (fun mode ->
+          add
+            (Printf.sprintf "kernel %s %s" k.Suite.Kernels.name
+               (Remat.Mode.to_string mode))
+            (outcome_text cfg ~machine:standard (fun () ->
+                 Remat.Allocator.allocate ~mode ~machine:standard cfg)))
+        Remat.Mode.[ Briggs_remat; Chaitin_remat; Ssa_remat ])
+    Suite.Kernels.all;
+  let bias = bias_victim () in
+  with_fault Remat.Spill_code.fault_remat_bias 1 (fun () ->
+      add "fault remat_bias"
+        (outcome_text bias ~machine:tiny (fun () ->
+             Remat.Allocator.allocate ~mode:Remat.Mode.Briggs_remat
+               ~machine:tiny bias)));
+  let hp = Testutil.high_pressure () in
+  with_fault Remat.Spill_code.fault_reload_skew 1 (fun () ->
+      add "fault reload_skew"
+        (outcome_text hp ~machine:tiny (fun () ->
+             Remat.Allocator.allocate ~machine:tiny hp)));
+  for seed = 1 to 100 do
+    let cfg = Fuzz.Gen.generate seed in
+    List.iter
+      (fun (c : Fuzz.Oracle.config) ->
+        let prepared = if c.optimize then Opt.Pipeline.run cfg else cfg in
+        add
+          (Printf.sprintf "fuzz %d %s" seed (Fuzz.Oracle.config_name c))
+          (outcome_text prepared ~machine:c.machine (fun () ->
+               Remat.Allocator.allocate ~mode:c.mode ~machine:c.machine
+                 prepared)))
+      Fuzz.Oracle.default_matrix
+  done;
+  Buffer.contents b
+
+let digest_tests =
+  [
+    tc "verdict digest over kernels, planted faults and fuzz seeds"
+      (fun () ->
+        let text = verdict_corpus () in
+        let count prefix =
+          List.length
+            (List.filter
+               (fun l -> String.starts_with ~prefix l)
+               (String.split_on_char '\n' text))
+        in
+        (* Both verdicts must be in the corpus, or the digest pins
+           nothing about one of them. *)
+        check Alcotest.bool "some allocations verify" true (count "ok " > 0);
+        check Alcotest.bool "some allocations are rejected" true
+          (count "error" > 0);
+        check Alcotest.string "digest" verdict_digest
+          (Digest.to_hex (Digest.string text)));
+  ]
+
 let () =
   Alcotest.run "verify"
     [
@@ -518,4 +640,6 @@ let () =
       ("hand", hand_tests);
       ("planted", planted_tests);
       ("gate", gate_tests);
+      ("schedule", schedule_tests);
+      ("digest", digest_tests);
     ]
