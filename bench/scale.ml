@@ -114,7 +114,8 @@ type row = {
           summed over rounds *)
   counters : (string * int) list;
       (** graph-build volume counters of the instrumented allocation
-          (pairs emitted, duplicates dropped, overlay edges) *)
+          (pairs emitted, duplicates dropped, union edges coalescing's
+          merges added) *)
   verify_s : float;  (** seconds {!Verify.Check} took to prove it *)
 }
 
@@ -584,8 +585,8 @@ let check ~baseline rows big_rows ppf =
   in
   (* Build counters are deterministic per (seed, size), so like heap
      words a >2x jump means graph construction changed shape — e.g. the
-     sweep started emitting candidates it used to filter, or coalescing
-     began routing edges through the overlay. *)
+     sweep started emitting candidates it used to filter, or coalescing's
+     merges began adding more union edges. *)
   let check_counters target counters =
     let floor_c = 1_000. in
     List.iter

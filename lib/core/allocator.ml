@@ -39,10 +39,10 @@ let build_coalesce (ctx : Context.t) =
   in
   loop ();
   (* The graph object is this round's build, mutated in place by the
-     sweeps above; how many union edges fell outside a frozen CSR build
-     is this round's overlay pressure. *)
+     sweeps above; the union edges their merges added are this round's
+     growth beyond the build. *)
   Context.count ctx Stats.Build_overlay
-    (Interference.overlay_edges (Context.graph ctx))
+    (Interference.union_edges (Context.graph ctx))
 
 let rewrite_physical (cfg : Cfg.t) (g : Interference.t)
     (colors : int option array) =

@@ -7,37 +7,28 @@ module Reg_index = Dataflow.Reg_index
 module Reg = Iloc.Reg
 module Instr = Iloc.Instr
 
-(* The batched builder's frozen edge set: one sorted CSR adjacency
-   (cols ascending within each row, both directions materialized) built
-   in two passes from the deduplicated pair buffer.  Post-build
-   mutation never reshapes the arrays — removal tombstones the two
-   directed entries in [dead], re-addition of a tombstoned pair clears
-   them again, and a pair the build never saw goes to the [overlay]
-   hash set of triangular indices.  Invariant: a pair present in the
-   CSR (dead or not) is never in the overlay, so membership is one
-   binary search plus, on miss, one overlay probe. *)
-type csr = {
-  row_start : int array;  (* n + 1 *)
-  cols : int array;  (* 2 * n_edges directed entries *)
-  dead : Bitset.t;  (* per directed entry *)
-  overlay : Hash_set.t;
-  mutable overlay_adds : int;  (* total overlay insertions, for stats *)
-}
-
-type edges = Dense of Bitset.t | Sparse of Hash_set.t | Csr of csr
+(* The build-time edge set: the triangular bit matrix, or a set of
+   triangular indices above [dense_node_limit].  It only deduplicates
+   the incremental builders' insertions; once a build returns, the
+   adjacency vectors are the graph and nothing reads or writes a set. *)
+type edges = Dense of Bitset.t | Sparse of Hash_set.t
 
 type t = {
   regs : Reg_index.t;
+  pmap : int array;  (* [Reg_index.packed_map regs]; shared by copies *)
   n : int;
-  edges : edges;
+  matrix : Bitset.t option;  (* the dense build's matrix, for recycling *)
   adj : Int_vec.t array;
   degree : int array;
   alive : bool array;
   forward : int array;
   thresh : int array;
   sig_nb : int array;
+  mutable stamp : int array;  (* [merge]'s epoch marks; never shared *)
+  mutable epoch : int;
   mutable n_edges : int;
   mutable n_alive : int;
+  mutable union_edges : int;
 }
 
 (* Triangular index for an unordered pair (i <> j).  For i, j < n the
@@ -47,103 +38,48 @@ let tri i j =
   let hi, lo = if i > j then (i, j) else (j, i) in
   (hi * (hi - 1) / 2) + lo
 
-(* Index of [j] in row [i] of the CSR, or -1: rows are sorted, so one
-   binary search.  A hit says nothing about liveness — callers check
-   [dead]. *)
-let csr_find c i j =
-  let lo = ref (Array.unsafe_get c.row_start i)
-  and hi = ref (Array.unsafe_get c.row_start (i + 1)) in
-  let res = ref (-1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    let v = Array.unsafe_get c.cols mid in
-    if v = j then begin
-      res := mid;
-      lo := !hi
-    end
-    else if v < j then lo := mid + 1
-    else hi := mid
-  done;
-  !res
-
-let edge_mem t i j =
-  match t.edges with
+let edge_mem edges i j =
+  match edges with
   | Dense m -> Bitset.unsafe_mem m (tri i j)
   | Sparse h -> Hash_set.mem h (tri i j)
-  | Csr c ->
-      let p = csr_find c i j in
-      if p >= 0 then not (Bitset.unsafe_mem c.dead p)
-      else Hash_set.mem c.overlay (tri i j)
 
-(* Only called when the edge is absent ([edge_mem] false). *)
-let edge_add t i j =
-  match t.edges with
+let edge_add edges i j =
+  match edges with
   | Dense m -> Bitset.unsafe_add m (tri i j)
   | Sparse h -> Hash_set.add h (tri i j)
-  | Csr c ->
-      let p = csr_find c i j in
-      if p >= 0 then begin
-        (* Tombstoned in the frozen CSR: resurrect both directions. *)
-        Bitset.unsafe_remove c.dead p;
-        Bitset.unsafe_remove c.dead (csr_find c j i)
-      end
-      else begin
-        Hash_set.add c.overlay (tri i j);
-        c.overlay_adds <- c.overlay_adds + 1
-      end
 
-(* Only called when the edge is present ([edge_mem] true). *)
-let edge_remove t i j =
-  match t.edges with
-  | Dense m -> Bitset.unsafe_remove m (tri i j)
-  | Sparse h -> Hash_set.remove h (tri i j)
-  | Csr c ->
-      let p = csr_find c i j in
-      if p >= 0 && not (Bitset.unsafe_mem c.dead p) then begin
-        Bitset.unsafe_add c.dead p;
-        Bitset.unsafe_add c.dead (csr_find c j i)
-      end
-      else Hash_set.remove c.overlay (tri i j)
-
-let scratch_matrix t =
-  match t.edges with Dense m -> Some m | Sparse _ | Csr _ -> None
-
-let overlay_edges t =
-  match t.edges with Csr c -> c.overlay_adds | Dense _ | Sparse _ -> 0
+let scratch_matrix t = t.matrix
+let union_edges t = t.union_edges
 
 (* Deep copy for snapshot reuse: coalescing mutates the graph in place,
    so a cached build must be copied before each allocation that consumes
-   it.  [regs] is immutable after construction and safely shared. *)
+   it.  [regs] and [pmap] are immutable after construction and safely
+   shared; the copy gets its own merge marks and no matrix to recycle
+   (the buffer stays the original's). *)
 let copy t =
   {
-    regs = t.regs;
-    n = t.n;
-    edges =
-      (match t.edges with
-      | Dense m -> Dense (Bitset.copy m)
-      | Sparse h -> Sparse (Hash_set.copy h)
-      | Csr c ->
-          (* The frozen arrays are immutable after the build; only the
-             mutation state is private to the copy. *)
-          Csr
-            {
-              row_start = c.row_start;
-              cols = c.cols;
-              dead = Bitset.copy c.dead;
-              overlay = Hash_set.copy c.overlay;
-              overlay_adds = c.overlay_adds;
-            });
+    t with
+    matrix = None;
     adj = Array.map Int_vec.copy t.adj;
     degree = Array.copy t.degree;
     alive = Array.copy t.alive;
     forward = Array.copy t.forward;
     thresh = Array.copy t.thresh;
     sig_nb = Array.copy t.sig_nb;
-    n_edges = t.n_edges;
-    n_alive = t.n_alive;
+    stamp = [||];
+    epoch = 0;
   }
 
-let interfere t i j = i <> j && edge_mem t i j
+(* The adjacency vectors are exact for alive nodes (and empty for dead
+   ones), so membership is a scan of the shorter one. *)
+let interfere t i j =
+  i <> j
+  &&
+  let a = t.adj.(i) and b = t.adj.(j) in
+  if Int_vec.length a <= Int_vec.length b then Int_vec.mem a j
+  else Int_vec.mem b i
+
+let packed_map t = t.pmap
 let neighbors t i = Int_vec.to_list t.adj.(i)
 let iter_neighbors f t i = Int_vec.iter f t.adj.(i)
 let fold_neighbors f t i init = Int_vec.fold f t.adj.(i) init
@@ -167,10 +103,10 @@ let rec find t i =
     r
   end
 
-(* The edge-set membership test keeps adjacency vectors deduplicated: an
-   edge is appended to the two vectors exactly once, when its bit first
-   turns on, so [degree] is always the vector's length and [n_edges] can
-   be maintained as a counter instead of a fold over degrees.
+(* Insert an edge known to be absent.  Adjacency vectors stay
+   deduplicated — every caller checks membership first — so [degree] is
+   always the vector's length and [n_edges] can be maintained as a
+   counter instead of a fold over degrees.
 
    [sig_nb] is kept exact under every mutation: inserting or deleting an
    edge adjusts the two endpoints for each other's significance, and an
@@ -178,54 +114,54 @@ let rec find t i =
    propagates the flip to its (other) current neighbors.  Degrees move
    by one per edge operation, so at most one flip per endpoint per
    operation. *)
-let add_edge t i j =
-  if i <> j && not (edge_mem t i j) then begin
-    edge_add t i j;
-    let was_i = significant t i and was_j = significant t j in
-    Int_vec.push t.adj.(i) j;
-    Int_vec.push t.adj.(j) i;
-    t.degree.(i) <- t.degree.(i) + 1;
-    t.degree.(j) <- t.degree.(j) + 1;
-    t.n_edges <- t.n_edges + 1;
-    if (not was_i) && significant t i then
-      Int_vec.iter
-        (fun x -> if x <> j then t.sig_nb.(x) <- t.sig_nb.(x) + 1)
-        t.adj.(i);
-    if (not was_j) && significant t j then
-      Int_vec.iter
-        (fun x -> if x <> i then t.sig_nb.(x) <- t.sig_nb.(x) + 1)
-        t.adj.(j);
-    if significant t j then t.sig_nb.(i) <- t.sig_nb.(i) + 1;
-    if significant t i then t.sig_nb.(j) <- t.sig_nb.(j) + 1
+let push_edge t i j =
+  let was_i = significant t i and was_j = significant t j in
+  Int_vec.push t.adj.(i) j;
+  Int_vec.push t.adj.(j) i;
+  t.degree.(i) <- t.degree.(i) + 1;
+  t.degree.(j) <- t.degree.(j) + 1;
+  t.n_edges <- t.n_edges + 1;
+  if (not was_i) && significant t i then
+    Int_vec.iter
+      (fun x -> if x <> j then t.sig_nb.(x) <- t.sig_nb.(x) + 1)
+      t.adj.(i);
+  if (not was_j) && significant t j then
+    Int_vec.iter
+      (fun x -> if x <> i then t.sig_nb.(x) <- t.sig_nb.(x) + 1)
+      t.adj.(j);
+  if significant t j then t.sig_nb.(i) <- t.sig_nb.(i) + 1;
+  if significant t i then t.sig_nb.(j) <- t.sig_nb.(j) + 1
+
+(* The builders' insertion: deduplicated by the build-time edge set. *)
+let add_built edges t i j =
+  if i <> j && not (edge_mem edges i j) then begin
+    edge_add edges i j;
+    push_edge t i j
   end
 
-let remove_edge t i j =
-  if i <> j && edge_mem t i j then begin
-    edge_remove t i j;
-    let was_i = significant t i and was_j = significant t j in
-    Int_vec.remove_value t.adj.(i) j;
-    Int_vec.remove_value t.adj.(j) i;
-    t.degree.(i) <- t.degree.(i) - 1;
-    t.degree.(j) <- t.degree.(j) - 1;
-    t.n_edges <- t.n_edges - 1;
-    (* The counts held the partner per its pre-removal significance; the
-       flip loops then see adjacency that no longer contains it. *)
-    if was_j then t.sig_nb.(i) <- t.sig_nb.(i) - 1;
-    if was_i then t.sig_nb.(j) <- t.sig_nb.(j) - 1;
-    if was_i && not (significant t i) then
-      Int_vec.iter (fun x -> t.sig_nb.(x) <- t.sig_nb.(x) - 1) t.adj.(i);
-    if was_j && not (significant t j) then
-      Int_vec.iter (fun x -> t.sig_nb.(x) <- t.sig_nb.(x) - 1) t.adj.(j)
-  end
+let add_edge t i j = if i <> j && not (interfere t i j) then push_edge t i j
+
+(* Stamp [i]'s current neighbors with a fresh epoch and return it.  The
+   marks live in the graph, so graphs allocated in parallel domains (and
+   copies of one cached build) never share them. *)
+let stamp_neighbors t i =
+  if Array.length t.stamp < t.n then t.stamp <- Array.make t.n 0;
+  t.epoch <- t.epoch + 1;
+  let e = t.epoch and stamp = t.stamp in
+  Int_vec.iter (fun y -> Array.unsafe_set stamp y e) t.adj.(i);
+  e
 
 let merge t ~keep ~drop =
   if not (t.alive.(keep) && t.alive.(drop)) then
     invalid_arg "Interference.merge: dead node";
   if keep = drop then invalid_arg "Interference.merge: keep = drop";
   (* Chaitin's in-place update: the merged node interferes with the union
-     of the two neighbor sets.  Moving [drop]'s edges through [add_edge]
-     dedups against [keep]'s existing adjacency via the bit matrix.
-     [drop]'s own vector is only read here — [add_edge] touches the
+     of the two neighbor sets.  [keep]'s neighbors are stamped first, so
+     moving [drop]'s edges needs no membership probe: [x] gets an edge to
+     [keep] exactly when it is unstamped.  The edges are visited in
+     [drop]'s vector order and pushed as they come, which is the order
+     an edge-set-deduplicated [add_edge] per neighbor would push them.
+     [drop]'s own vector is only read here — the loop touches the
      vectors of [keep] and [x], never [drop]'s.
 
      [drop]'s degree (hence significance) is frozen during the loop: its
@@ -233,10 +169,11 @@ let merge t ~keep ~drop =
      retired edge by edge, and flips are only processed for the
      surviving side, so [sig_nb] is exact for every alive node when the
      loop ends. *)
+  let e = stamp_neighbors t keep in
+  let stamp = t.stamp in
   let drop_was_sig = significant t drop in
   Int_vec.iter
     (fun x ->
-      edge_remove t drop x;
       Int_vec.remove_value t.adj.(x) drop;
       let was_x = significant t x in
       t.degree.(x) <- t.degree.(x) - 1;
@@ -244,7 +181,10 @@ let merge t ~keep ~drop =
       if drop_was_sig then t.sig_nb.(x) <- t.sig_nb.(x) - 1;
       if was_x && not (significant t x) then
         Int_vec.iter (fun y -> t.sig_nb.(y) <- t.sig_nb.(y) - 1) t.adj.(x);
-      if x <> keep then add_edge t keep x)
+      if x <> keep && Array.unsafe_get stamp x <> e then begin
+        push_edge t keep x;
+        t.union_edges <- t.union_edges + 1
+      end)
     t.adj.(drop);
   Int_vec.clear t.adj.(drop);
   t.degree.(drop) <- 0;
@@ -259,10 +199,17 @@ let merge t ~keep ~drop =
    count stays near-linear in code size, so larger graphs keep their
    edges in an open-addressing set of triangular indices instead.  Both
    representations answer membership identically, so graph construction
-   and coalescing are byte-for-byte unaffected by the switch. *)
+   is byte-for-byte unaffected by the switch. *)
 let dense_node_limit = 32768
 
-let make ?matrix ?k regs n =
+let thresholds ?k regs n =
+  match k with
+  | Some k -> Array.init n (fun i -> k (Reg.cls (Reg_index.reg regs i)))
+  | None -> Array.make n max_int
+
+(* A graph with no edges over [regs], plus the edge set that
+   deduplicates the incremental builders' insertions. *)
+let make ?matrix ?k regs pmap n =
   let edges =
     if n > dense_node_limit then
       (* Size for the suite's ~16 average neighbors (8n edges) at 3/4
@@ -281,39 +228,41 @@ let make ?matrix ?k regs n =
             | None -> Bitset.create bits)
         | None -> Bitset.create bits)
   in
-  let thresh =
-    match k with
-    | Some k -> Array.init n (fun i -> k (Reg.cls (Reg_index.reg regs i)))
-    | None -> Array.make n max_int
+  let t =
+    {
+      regs;
+      pmap;
+      n;
+      matrix = (match edges with Dense m -> Some m | Sparse _ -> None);
+      (* Pre-size for the typical degree so the build loop's pushes rarely
+         grow: allocator graphs on the suite average ~16 neighbors. *)
+      adj = Array.init n (fun _ -> Int_vec.create ~cap:16 ());
+      degree = Array.make n 0;
+      alive = Array.make n true;
+      forward = Array.init n (fun i -> i);
+      thresh = thresholds ?k regs n;
+      sig_nb = Array.make n 0;
+      stamp = [||];
+      epoch = 0;
+      n_edges = 0;
+      n_alive = n;
+      union_edges = 0;
+    }
   in
-  {
-    regs;
-    n;
-    edges;
-    (* Pre-size for the typical degree so the build loop's pushes rarely
-       grow: allocator graphs on the suite average ~16 neighbors. *)
-    adj = Array.init n (fun _ -> Int_vec.create ~cap:16 ());
-    degree = Array.make n 0;
-    alive = Array.make n true;
-    forward = Array.init n (fun i -> i);
-    thresh;
-    sig_nb = Array.make n 0;
-    n_edges = 0;
-    n_alive = n;
-  }
+  (t, edges)
 
 let of_edges ?k n edges =
   let regs =
     Reg_index.of_regs (List.init n (fun i -> Reg.make i Reg.Int))
   in
-  let t = make ?k regs n in
-  List.iter (fun (i, j) -> add_edge t i j) edges;
+  let t, set = make ?k regs (Reg_index.packed_map regs) n in
+  List.iter (fun (i, j) -> add_built set t i j) edges;
   t
 
 let build ?matrix ?k (cfg : Iloc.Cfg.t) (live : Dataflow.Liveness.t) =
   let regs = live.Dataflow.Liveness.regs in
   let n = Reg_index.count regs in
-  let t = make ?matrix ?k regs n in
+  let t, set = make ?matrix ?k regs (Reg_index.packed_map regs) n in
   (* Edges only connect registers of the same class, so instead of a
      class lookup per live bit the defining register's candidates are
      narrowed word-parallel: live_now ∩ class-mask, then the iteration
@@ -346,7 +295,7 @@ let build ?matrix ?k (cfg : Iloc.Cfg.t) (live : Dataflow.Liveness.t) =
                  | Reg.Int -> int_mask
                  | Reg.Float -> float_mask));
             Bitset.iter
-              (fun l -> if l <> di && l <> skip then add_edge t di l)
+              (fun l -> if l <> di && l <> skip then add_built set t di l)
               candidates;
             Bitset.unsafe_remove live_now di
         | None -> ());
@@ -370,12 +319,12 @@ let build ?matrix ?k (cfg : Iloc.Cfg.t) (live : Dataflow.Liveness.t) =
    pass, but keeps live-now in a {!Hier_set} (iteration O(members),
    not O(n/64)) and emits every candidate pair into a {!Pair_buf} with
    no membership check at all.  Phase two sorts the buffer by packed
-   pair key, drops duplicate pairs keeping the first occurrence, and
-   materializes the frozen CSR plus exact degrees and significant-
-   neighbor counts; a final sort by emission sequence number replays
-   the unique pairs in chronological order so every adjacency vector
-   receives its neighbors in exactly the order the incremental
-   builder's [add_edge] would have pushed them.
+   pair key, drops duplicate pairs keeping the first occurrence and
+   counts exact degrees; a final sort by emission sequence number
+   replays the unique pairs in chronological order so every adjacency
+   vector receives its neighbors in exactly the order the incremental
+   builder would have pushed them, and the significant-neighbor counts
+   are read off the replayed vectors.
 
    Ordering argument: the incremental pass inserts an edge (and pushes
    both adjacency entries) at the {e first} emission of its pair, and
@@ -434,8 +383,8 @@ let batched_sweep n pmap (fl : Iloc.Flat.t) buf ~cls ~seed =
   done;
   shift
 
-(* Phase two: sort, dedupe, freeze. *)
-let finish_batched ?on_pairs ?k regs n buf shift =
+(* Phase two: sort, dedupe, replay. *)
+let finish_batched ?on_pairs ?k regs pmap n buf shift =
   Pair_buf.sort_by_key buf;
   let dupes = Pair_buf.dedupe_by_key buf in
   let e = Pair_buf.length buf in
@@ -449,26 +398,6 @@ let finish_batched ?on_pairs ?k regs n buf shift =
     let hi = key lsr shift and lo = key land mask in
     Array.unsafe_set degree hi (Array.unsafe_get degree hi + 1);
     Array.unsafe_set degree lo (Array.unsafe_get degree lo + 1)
-  done;
-  let row_start = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    row_start.(i + 1) <- row_start.(i) + Array.unsafe_get degree i
-  done;
-  (* Filling from the key-sorted pairs leaves every row sorted: node r
-     first receives its lo-partners (keys with hi = r, lo ascending,
-     all < r), then its hi-partners (keys with lo = r, hi ascending,
-     all > r). *)
-  let cursor = Array.sub row_start 0 n in
-  let cols = Array.make (2 * e) 0 in
-  for i = 0 to e - 1 do
-    let key = Pair_buf.unsafe_key buf i in
-    let hi = key lsr shift and lo = key land mask in
-    let ch = Array.unsafe_get cursor hi in
-    Array.unsafe_set cols ch lo;
-    Array.unsafe_set cursor hi (ch + 1);
-    let cl = Array.unsafe_get cursor lo in
-    Array.unsafe_set cols cl hi;
-    Array.unsafe_set cursor lo (cl + 1)
   done;
   (* Chronological replay: adjacency vectors in incremental insertion
      order, each sized exactly. *)
@@ -485,11 +414,7 @@ let finish_batched ?on_pairs ?k regs n buf shift =
     Int_vec.push (Array.unsafe_get adj di) l;
     Int_vec.push (Array.unsafe_get adj l) di
   done;
-  let thresh =
-    match k with
-    | Some k -> Array.init n (fun i -> k (Reg.cls (Reg_index.reg regs i)))
-    | None -> Array.make n max_int
-  in
+  let thresh = thresholds ?k regs n in
   let sig_nb = Array.make n 0 in
   (match k with
   | None -> ()  (* thresholds are max_int: no node is ever significant *)
@@ -500,33 +425,28 @@ let finish_batched ?on_pairs ?k regs n buf shift =
           Bytes.unsafe_set s i '\001'
       done;
       for i = 0 to n - 1 do
-        let acc = ref 0 in
-        for p = Array.unsafe_get row_start i to row_start.(i + 1) - 1 do
-          if Bytes.unsafe_get s (Array.unsafe_get cols p) <> '\000' then
-            incr acc
-        done;
-        Array.unsafe_set sig_nb i !acc
+        Array.unsafe_set sig_nb i
+          (Int_vec.fold
+             (fun x acc ->
+               if Bytes.unsafe_get s x <> '\000' then acc + 1 else acc)
+             (Array.unsafe_get adj i) 0)
       done);
   {
     regs;
+    pmap;
     n;
-    edges =
-      Csr
-        {
-          row_start;
-          cols;
-          dead = Bitset.create (2 * e);
-          overlay = Hash_set.create ();
-          overlay_adds = 0;
-        };
+    matrix = None;
     adj;
     degree;
     alive = Array.make n true;
     forward = Array.init n (fun i -> i);
     thresh;
     sig_nb;
+    stamp = [||];
+    epoch = 0;
     n_edges = e;
     n_alive = n;
+    union_edges = 0;
   }
 
 (* Per-node register class as a byte (the packed encoding's parity),
@@ -563,10 +483,10 @@ let build_flat_boundary ?matrix ?pairs ?batch ?on_pairs ?k regs
         bl.Dataflow.Liveness.Boundary.live_out.(b)
     in
     let shift = batched_sweep n pmap fl buf ~cls:(class_bytes regs n) ~seed in
-    finish_batched ?on_pairs ?k regs n buf shift
+    finish_batched ?on_pairs ?k regs pmap n buf shift
   end
   else begin
-  let t = make ?matrix ?k regs n in
+  let t, set = make ?matrix ?k regs pmap n in
   let emitted = ref 0 in
   let int_mask = Bitset.create n and float_mask = Bitset.create n in
   Reg_index.iter
@@ -615,7 +535,7 @@ let build_flat_boundary ?matrix ?pairs ?batch ?on_pairs ?k regs
           (fun l ->
             if l <> di && l <> skip then begin
               incr emitted;
-              add_edge t di l
+              add_built set t di l
             end)
           candidates;
         Bitset.unsafe_remove live_now di

@@ -1,13 +1,16 @@
 (** The interference graph, in Chaitin's dual representation (§2):
-    an O(1)-membership edge set and adjacency vectors for iteration.
+    adjacency vectors for iteration and, while a build runs, an
+    O(1)-membership edge set to deduplicate its insertions.
 
-    The edge set is the triangular bit matrix while the node count keeps
-    it affordable, and an open-addressing set of triangular indices
-    above {!dense_node_limit} — the matrix is quadratic in the live-range
-    count, the edge count near-linear in code size, so renumbered
-    million-instruction routines (~390k live ranges) would pay gigabytes
-    for matrix bits they never set.  Membership answers are identical
-    either way; nothing downstream can observe the representation.
+    The build-time edge set is the triangular bit matrix while the node
+    count keeps it affordable, and an open-addressing set of triangular
+    indices above {!dense_node_limit} — the matrix is quadratic in the
+    live-range count, the edge count near-linear in code size, so
+    renumbered million-instruction routines (~390k live ranges) would
+    pay gigabytes for matrix bits they never set.  Once a build returns
+    the adjacency vectors are the graph: membership ({!interfere}) scans
+    the shorter of two vectors, and no edge set is read or written
+    again.
 
     Nodes are the live ranges of a renumbered routine (one per register
     name).  An edge joins two live ranges that are simultaneously live at
@@ -22,53 +25,15 @@
     instead of forcing a from-scratch rebuild.  A merged-away node stays
     allocated (indices are stable) but is marked dead; {!find} chases the
     forward pointers left by merges to the current representative.
-    Adjacency vectors are kept deduplicated by the bit matrix, and
-    [n_edges] is maintained as a counter under both {!add_edge} and
-    {!merge}. *)
+    Adjacency vectors are kept deduplicated, and [n_edges] is maintained
+    as a counter under both {!add_edge} and {!merge}. *)
 
-type csr = {
-  row_start : int array;  (** [n + 1] row offsets into [cols] *)
-  cols : int array;
-      (** both directions of every built edge, ascending within a row *)
-  dead : Dataflow.Bitset.t;
-      (** per directed entry; a removed built edge tombstones both of
-          its entries, re-adding it clears them again *)
-  overlay : Dataflow.Hash_set.t;
-      (** triangular indices of post-build additions the frozen arrays
-          never held; disjoint from the CSR by invariant *)
-  mutable overlay_adds : int;  (** see {!overlay_edges} *)
-}
-(** The batched builder's frozen edge set: membership is a binary
-    search of the sorted row plus, on miss, one overlay probe.
-    Coalescing and spill rounds mutate through [dead]/[overlay] only —
-    the arrays themselves are immutable and shared by {!copy}. *)
-
-type edges =
-  | Dense of Dataflow.Bitset.t  (** triangular bit matrix *)
-  | Sparse of Dataflow.Hash_set.t  (** set of triangular indices *)
-  | Csr of csr  (** frozen sorted adjacency, from the batched builder *)
-
-type t = {
-  regs : Dataflow.Reg_index.t;
-  n : int;
-  edges : edges;  (** see {!interfere} *)
-  adj : Dataflow.Int_vec.t array;
-      (** deduplicated; alive neighbors only; unordered *)
-  degree : int array;
-  alive : bool array;  (** false once merged away *)
-  forward : int array;  (** merged-into pointer; see {!find} *)
-  thresh : int array;
-      (** per-node significance threshold: k of the node's class, or
-          [max_int] when the graph was built without [?k] *)
-  sig_nb : int array;  (** see {!sig_neighbors} *)
-  mutable n_edges : int;
-  mutable n_alive : int;
-}
+type t
 
 val dense_node_limit : int
-(** Node count above which {!build} switches the edge set from [Dense]
-    to [Sparse], and {!build_flat_boundary} defaults [?batch] to true
-    (producing [Csr] edges). *)
+(** Node count above which {!build} switches its build-time edge set
+    from the bit matrix to a hash set, and {!build_flat_boundary}
+    defaults [?batch] to true. *)
 
 val build :
   ?matrix:Dataflow.Bitset.t ->
@@ -106,8 +71,9 @@ val build_flat_boundary :
     [batch] (default: node count > {!dense_node_limit}) selects the
     batched two-phase builder: one sweep emits every candidate pair
     into a {!Dataflow.Pair_buf} with no membership checks, then a
-    radix sort + stable first-occurrence dedupe freezes the edge set as
-    [Csr].  The result is byte-identical to the incremental build —
+    radix sort + stable first-occurrence dedupe and a chronological
+    replay fill the adjacency vectors.  The result is byte-identical to
+    the incremental build —
     same edges {e and} same per-node neighbor order — with membership
     probes and O(n/64) live-set scans gone from the sweep.  [pairs]
     supplies a pair buffer to recycle across builds; it is called only
@@ -122,20 +88,28 @@ val of_edges : ?k:(Iloc.Reg.cls -> int) -> int -> (int * int) list -> t
     (self-loops and duplicates ignored) — for tests and experiments. *)
 
 val interfere : t -> int -> int -> bool
+(** Scans the shorter of the two adjacency vectors: O(min degree). *)
+
+val packed_map : t -> int array
+(** {!Dataflow.Reg_index.packed_map} of the node numbering, kept from the build
+    (shared by {!copy}; read-only) so flat-form sweeps over the same
+    routine need not allocate their own. *)
 
 val scratch_matrix : t -> Dataflow.Bitset.t option
-(** The dense bit matrix, for recycling into a later build's [?matrix];
-    [None] when the graph is sparse or frozen CSR. *)
+(** The bit matrix that deduplicated a dense build, for recycling into a
+    later build's [?matrix]; [None] when the build used the hash set or
+    the batched builder.  It is not kept current after the build. *)
 
-val overlay_edges : t -> int
-(** Total number of post-build edge insertions that landed in the
-    [Csr] overlay (0 for the other representations, and for edges that
-    merely resurrected a tombstoned built pair) — the measure of how
-    far coalescing pushed the graph beyond its frozen build. *)
+val union_edges : t -> int
+(** Total number of edges {!merge} has added — the neighbors of a
+    dropped node that the kept node did not already have — since the
+    build (carried over by {!copy}): how far coalescing pushed the graph
+    beyond its build. *)
 
 val copy : t -> t
 (** Independent deep copy: mutating the copy (coalescing, merges) leaves
-    the original untouched.  The immutable node index is shared.  Used
+    the original untouched.  The immutable node index is shared; the
+    copy gets its own merge scratch.  Used
     by the serving layer to hand each request a private graph cloned
     from a cached build. *)
 
@@ -152,8 +126,7 @@ val index_opt : t -> Iloc.Reg.t -> int option
 val n_nodes : t -> int
 
 val n_edges : t -> int
-(** O(1): a counter maintained by {!add_edge}, {!remove_edge} and
-    {!merge}. *)
+(** O(1): a counter maintained by {!add_edge} and {!merge}. *)
 
 val alive : t -> int -> bool
 val n_alive : t -> int
@@ -165,7 +138,7 @@ val significant : t -> int -> bool
 
 val sig_neighbors : t -> int -> int
 (** Number of {e currently significant} neighbors, maintained
-    incrementally (exactly) by {!add_edge}, {!remove_edge} and {!merge}.
+    incrementally (exactly) by {!add_edge} and {!merge}.
     The conservative-coalescing fast path reads this instead of scanning
     adjacency: the union of two neighbor sets has at most
     [sig_neighbors a + sig_neighbors b] significant members. *)
@@ -175,13 +148,17 @@ val find : t -> int -> int
     it was merged into, transitively (with path compression). *)
 
 val add_edge : t -> int -> int -> unit
-val remove_edge : t -> int -> int -> unit
+(** Adds the edge unless it is a self-loop or already present (checked
+    with {!interfere}). *)
 
 val merge : t -> keep:int -> drop:int -> unit
 (** Merge live range [drop] into [keep], in place: [keep]'s neighbor set
     becomes the union of the two, degrees of common neighbors are
     adjusted, [drop] becomes dead with an empty adjacency and a forward
-    pointer to [keep].  Both nodes must be alive and distinct.
+    pointer to [keep].  Both nodes must be alive and distinct.  [keep]'s
+    neighbors are stamped in the graph's own epoch scratch, so each of
+    [drop]'s neighbors costs one swap-removal from its vector and no
+    membership probe; new edges are pushed in [drop]'s vector order.
 
     The union is a {e safe over-approximation} of rebuilding from the
     coalesced routine: it never misses an interference, but it can keep

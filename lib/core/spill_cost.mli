@@ -12,14 +12,17 @@
     iterative color–spill process terminates. *)
 
 val compute :
-  Iloc.Cfg.t ->
+  Iloc.Flat.t ->
   Dataflow.Loops.t ->
   Interference.t ->
   live_in_iter:(int -> (Iloc.Reg.t -> unit) -> unit) ->
   tags:Tag.t Iloc.Reg.Tbl.t ->
   infinite:unit Iloc.Reg.Tbl.t ->
   float array
-(** Cost per interference-graph node.  [live_in_iter b f] must apply [f]
+(** Cost per interference-graph node, read off the arena encoding of the
+    routine the graph describes: one sweep in block then slot order,
+    with node indices through {!Dataflow.Reg_index.packed_map} and the
+    tags resolved once per node.  [live_in_iter b f] must apply [f]
     to every register in block [b]'s live-in set (any order; it only
     feeds crossing-block detection) — dense liveness rows or the
     |U|-compressed boundary rows both qualify.  Two kinds of live range
@@ -31,8 +34,9 @@ val compute :
     guard). *)
 
 val phase : Context.t -> float array
-(** {!compute} on the context's routine, graph and (fresh) boundary
-    liveness, timed as [Costs]. *)
+(** {!compute} on the context's arena, graph and (fresh) boundary
+    liveness, timed as [Costs].  The boundary fetch re-encodes the
+    coalesced routine, so the arena is already there to read. *)
 
 val load_store_cycles : int
 (** Cycles charged per inserted load or store (2, matching §5.1). *)

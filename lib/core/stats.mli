@@ -48,8 +48,9 @@ type counter =
   | Build_dupes
       (** emitted pairs dropped as duplicates of an earlier emission *)
   | Build_overlay
-      (** post-build edge insertions that fell outside a frozen [Csr]
-          build into its overlay set (coalescing's union edges) *)
+      (** edges coalescing's merges added after the round's build: the
+          dropped node's neighbors the kept node did not already have
+          ({!Interference.union_edges}) *)
 
 type row = {
   round : int;

@@ -118,8 +118,5 @@ let clear t =
   t.live <- 0;
   t.used <- 0
 
-let copy t =
-  { slots = Array.copy t.slots; mask = t.mask; live = t.live; used = t.used }
-
 let iter f t =
   Array.iter (fun s -> if s >= 2 then f (s - 2)) t.slots

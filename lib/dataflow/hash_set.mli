@@ -33,10 +33,6 @@ val tombstones : t -> int
 
 val clear : t -> unit
 
-val copy : t -> t
-(** Independent set with the same members (and probe layout, so
-    iteration order matches the original). *)
-
 val iter : (int -> unit) -> t -> unit
 (** Iteration order is the internal table order — deterministic for a
     given insertion/removal history, but not sorted. *)

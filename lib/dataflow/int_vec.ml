@@ -16,12 +16,22 @@ let push t x =
   Array.unsafe_set t.data t.len x;
   t.len <- t.len + 1
 
+(* Index of the first [x], or [len] when absent. *)
+let index t x =
+  let data = t.data and len = t.len in
+  let i = ref 0 in
+  while !i < len && Array.unsafe_get data !i <> x do
+    incr i
+  done;
+  !i
+
+let mem t x = index t x < t.len
+
 let remove_value t x =
-  let rec find i = if i >= t.len then -1 else if t.data.(i) = x then i else find (i + 1) in
-  let i = find 0 in
-  if i >= 0 then begin
+  let i = index t x in
+  if i < t.len then begin
     t.len <- t.len - 1;
-    t.data.(i) <- t.data.(t.len)
+    Array.unsafe_set t.data i (Array.unsafe_get t.data t.len)
   end
 
 let pop t =

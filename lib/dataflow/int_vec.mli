@@ -16,6 +16,9 @@ val get : t -> int -> int
 
 val push : t -> int -> unit
 
+val mem : t -> int -> bool
+(** Linear scan, O(length). *)
+
 val remove_value : t -> int -> unit
 (** Remove the first occurrence of the value, if present, by swapping
     the last element into its slot (order-destroying, O(length)). *)

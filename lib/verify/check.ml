@@ -434,19 +434,22 @@ let routine ~(input : Cfg.t) ~(output : Cfg.t) ~k_int ~k_float =
         out_block = Hashtbl.find_opt out_labels;
       }
     in
-    (* Fixpoint: propagate states silently until they stabilise.  The
-       meet only shrinks states, so any check that would fail at the
-       fixpoint also fails when re-run — errors are gathered in a
-       final, deterministic reporting pass.  Dirty blocks are walked in
-       sweeps over the reverse postorder, so a sweep carries each state
-       change forward through the whole routine and only loop back
-       edges wait for the next sweep. *)
-    let in_states : State.t option array =
-      Array.make (Cfg.n_blocks output) None
-    in
+    (* Fixpoint: propagate states until they stabilise.  Dirty blocks
+       are walked in sweeps over the reverse postorder, so a sweep
+       carries each state change forward through the whole routine and
+       only loop back edges wait for the next sweep.  Every walk writes
+       its block's errors and counters into the block's slot,
+       overwriting the previous walk's: a block is walked again whenever
+       its entry state changes, so at the fixpoint each slot holds the
+       walk from the block's final state — the unique maximal fixpoint,
+       whatever the schedule. *)
+    let n = Cfg.n_blocks output in
+    let in_states : State.t option array = Array.make n None in
+    let slot_errs = Array.make n [] in
+    let slot_stats = Array.init n (fun _ -> fresh_stats ()) in
+    let visits = ref 0 in
     let anchored label = Hashtbl.mem in_labels label in
-    let silent = make_ctx (fun _ -> ()) (fresh_stats ()) in
-    let dirty = Array.make (Cfg.n_blocks output) false in
+    let dirty = Array.make n false in
     let n_dirty = ref 0 in
     let mark id =
       if not dirty.(id) then begin
@@ -484,34 +487,29 @@ let routine ~(input : Cfg.t) ~(output : Cfg.t) ~k_int ~k_float =
               (in_states.(id), Hashtbl.find_opt in_labels ob.Block.label)
             with
             | Some st, Some ib ->
-                List.iter propagate (check_block silent st ib ob)
+                incr visits;
+                let stats = fresh_stats () in
+                slot_stats.(id) <- stats;
+                let errs = ref [] in
+                let ctx = make_ctx (fun e -> errs := e :: !errs) stats in
+                let out = check_block ctx st ib ob in
+                slot_errs.(id) <- List.rev !errs;
+                List.iter propagate out
             | _ -> ()
           end)
         order
     done;
-    (* Reporting pass over the fixpoint states. *)
-    let stats = fresh_stats () in
-    let ctx = make_ctx (fun e -> errs := e :: !errs) stats in
-    Array.iteri
-      (fun id st ->
-        match st with
-        | None -> ()
-        | Some st -> (
-            let ob = Cfg.block output id in
-            match Hashtbl.find_opt in_labels ob.Block.label with
-            | Some ib -> ignore (check_block ctx st ib ob)
-            | None -> ()))
-      in_states;
-    match List.rev !errs with
+    let total f = Array.fold_left (fun acc st -> acc + f st) 0 slot_stats in
+    match List.rev_append !errs (List.concat (Array.to_list slot_errs)) with
     | [] ->
         Result.Ok
           {
-            blocks_checked = stats.blocks;
-            instrs_matched = stats.matched;
-            uses_checked = stats.uses;
-            remats_checked = stats.remats;
-            copies_skipped = stats.moves;
-            fixpoint_visits = silent.stats.blocks;
+            blocks_checked = total (fun st -> st.blocks);
+            instrs_matched = total (fun st -> st.matched);
+            uses_checked = total (fun st -> st.uses);
+            remats_checked = total (fun st -> st.remats);
+            copies_skipped = total (fun st -> st.moves);
+            fixpoint_visits = !visits;
           }
     | errors -> Result.Error errors
   end

@@ -23,9 +23,12 @@
     The fixpoint sweeps the blocks whose entry state changed in reverse
     postorder of the output CFG until a sweep changes nothing, so a
     block is walked about twice on typical routines however deeply
-    their loops nest.  Errors come from one reporting pass over the
-    fixpoint states, which is unique, so the schedule decides no
-    verdict.
+    their loops nest.  Each walk records its block's errors and
+    counters, replacing the block's previous record; a block is walked
+    again whenever its entry state changes, so at the fixpoint every
+    record comes from the block's final state.  The report concatenates
+    them in block order.  The fixpoint is unique, so the schedule
+    decides no verdict.
 
     The checker shares no code with the allocator: it never reads
     {!Core} tags, costs, or interference information, only the two
@@ -44,8 +47,8 @@ type report = {
       (** allocator-inserted copies/spills/reloads, plus source-only
           copies and never-killed definitions *)
   fixpoint_visits : int;
-      (** block walks the fixpoint made before the reporting pass; not
-          printed by {!report_to_string} *)
+      (** block walks the fixpoint made; the other counts are each
+          block's last walk.  Not printed by {!report_to_string} *)
 }
 
 val report_to_string : report -> string

@@ -79,7 +79,39 @@ let scenario = function
         Machine.make ~name:"k8" ~k_int:8 ~k_float:8 )
   | s -> failwith ("unknown scenario: " ^ s)
 
+(* Table 1's raw numbers for all 49 kernels: the spill cycles of the
+   Optimistic (Chaitin) and Remat (Briggs) allocators on the standard
+   machine, then, per instruction category, the spill cycles each
+   allocator spent there — dynamic count minus the huge-machine
+   baseline, two cycles per load or store and one for everything else
+   (§5.1).  Integers, so the golden pins what [pp_table1]'s rounded
+   percentages would hide. *)
+let table1 () =
+  let weight = function
+    | Instr.Cat_load | Instr.Cat_store -> 2
+    | Instr.Cat_copy | Instr.Cat_ldi | Instr.Cat_addi | Instr.Cat_other -> 1
+  in
+  let category_cycles (m : Suite.Report.measurement) c =
+    weight c
+    * (Sim.Counts.get m.Suite.Report.counts c
+      - Sim.Counts.get m.Suite.Report.baseline c)
+  in
+  List.iter
+    (fun (k : Suite.Kernels.kernel) ->
+      let opt = Suite.Report.measure Mode.Chaitin_remat k in
+      let rem = Suite.Report.measure Mode.Briggs_remat k in
+      Printf.printf "%-10s %-10s optimistic %d remat %d\n"
+        k.Suite.Kernels.program k.Suite.Kernels.name opt.Suite.Report.spill_cycles
+        rem.Suite.Report.spill_cycles;
+      List.iter
+        (fun c ->
+          Printf.printf "  %-6s %d %d\n" (Instr.category_to_string c)
+            (category_cycles opt c) (category_cycles rem c))
+        Instr.all_categories)
+    Suite.Kernels.all
+
 let () =
+  if Sys.argv.(1) = "table1" then table1 () else
   let cfg, machine = scenario Sys.argv.(1) in
   List.iter
     (fun mode ->

@@ -265,3 +265,80 @@ module Coalesce = struct
     in
     loop ()
 end
+
+module Spill_cost = struct
+  (* The structured-routine walk: [Instr.defs @ Instr.uses] per
+     instruction, a [List.sort_uniq] of the uses and a [Reg.Tbl] lookup
+     per operand.  The production phase reads the arena instead and must
+     produce the same floats bit for bit. *)
+  let compute (cfg : Iloc.Cfg.t) (loops : Dataflow.Loops.t) (g : Interference.t)
+      ~(live_in_iter : int -> (Reg.t -> unit) -> unit) ~tags ~infinite =
+    let n = Interference.n_nodes g in
+    let costs = Array.make n 0. in
+    let tag_of r = Option.value (Reg.Tbl.find_opt tags r) ~default:Tag.Bottom in
+    (* Futile-spill guard: find ranges confined to a two-instruction window
+       of a single block.  Spilling one would keep a register occupied at
+       every occurrence anyway, so it cannot relieve pressure. *)
+    let first_pos = Array.make n max_int and last_pos = Array.make n min_int in
+    let home_block = Array.make n (-2) in
+    let crosses = Array.make n false in
+    Iloc.Cfg.iter_blocks
+      (fun b ->
+        let pos = ref 0 in
+        Iloc.Block.iter_instrs
+          (fun i ->
+            List.iter
+              (fun r ->
+                let ri = Interference.index g r in
+                if home_block.(ri) = -2 then home_block.(ri) <- b.id
+                else if home_block.(ri) <> b.id then crosses.(ri) <- true;
+                if !pos < first_pos.(ri) then first_pos.(ri) <- !pos;
+                if !pos > last_pos.(ri) then last_pos.(ri) <- !pos)
+              (Instr.defs i @ Instr.uses i);
+            incr pos)
+          b)
+      cfg;
+    for b = 0 to Iloc.Cfg.n_blocks cfg - 1 do
+      live_in_iter b (fun r ->
+          match Interference.index_opt g r with
+          | Some ri -> crosses.(ri) <- true
+          | None -> ())
+    done;
+    let tiny ri =
+      (not crosses.(ri))
+      && home_block.(ri) >= 0
+      && last_pos.(ri) - first_pos.(ri) <= 2
+    in
+    Iloc.Cfg.iter_blocks
+      (fun b ->
+        let w = Dataflow.Loops.weight loops b.id in
+        Iloc.Block.iter_instrs
+          (fun i ->
+            (* One reload (or rematerialization) serves every occurrence of
+               a register within a single instruction. *)
+            let uses = List.sort_uniq Reg.compare (Instr.uses i) in
+            List.iter
+              (fun u ->
+                let ui = Interference.index g u in
+                let per_use =
+                  if Tag.is_inst (tag_of u) then float_of_int Remat.Spill_cost.remat_cycles
+                  else float_of_int Remat.Spill_cost.load_store_cycles
+                in
+                costs.(ui) <- costs.(ui) +. (per_use *. w))
+              uses;
+            List.iter
+              (fun d ->
+                let di = Interference.index g d in
+                (* Rematerializable values are never stored (§3.2). *)
+                if not (Tag.is_inst (tag_of d)) then
+                  costs.(di) <-
+                    costs.(di) +. (float_of_int Remat.Spill_cost.load_store_cycles *. w))
+              (Instr.defs i))
+          b)
+      cfg;
+    for i = 0 to n - 1 do
+      if Reg.Tbl.mem infinite (Interference.reg g i) || tiny i then
+        costs.(i) <- infinity
+    done;
+    costs
+end

@@ -353,6 +353,177 @@ let stats_tests =
           rows);
   ]
 
+(* --- the graph after every round's build–coalesce, pinned --- *)
+
+(* Every node's [alive], [find], [degree], [sig_neighbors] and neighbor
+   list (in iteration order: simplify's trivial queue and the spill
+   victim tie-break both read that order) after each round's
+   build–coalesce loop, over the 49 kernels under Briggs and Chaitin on
+   the standard machine and 50 high-pressure fuzz routines on an 8+8
+   machine with the batched build forced on and off.  The expected
+   digest was generated before coalescing stopped keeping a second edge
+   set next to the adjacency vectors; a change to it means a merge moved
+   a neighbor, a count or a representative. *)
+let shape_digest = "08aa7d9792f6da88bc1d7449c0673bf0"
+
+(* Allocate every routine of the corpus round by round, calling
+   [on_round key ctx] after each round's build–coalesce loop, and check
+   that the rounds add up to [Allocator.allocate]'s result.  [start key]
+   runs before each allocation, [refused key] when the register set is
+   too small for the routine. *)
+let each_round ~start ~refused ~on_round =
+  let run key ?batch_build ~mode ~machine cfg =
+    start key;
+    match
+      Testutil.allocate_by_rounds ?batch_build ~mode ~machine
+        ~on_round:(on_round key) cfg
+    with
+    | exception Remat.Spill_code.Pressure_too_high _ -> refused key
+    | out ->
+        let res = Remat.Allocator.allocate ?batch_build ~mode ~machine cfg in
+        if not (Cfg.structural_equal out res.Remat.Allocator.cfg) then
+          Alcotest.failf "%s: round-by-round allocation differs from allocate"
+            key
+  in
+  List.iter
+    (fun (k : Suite.Kernels.kernel) ->
+      let cfg = Suite.Kernels.cfg_of k in
+      List.iter
+        (fun mode ->
+          run
+            (Printf.sprintf "kernel %s %s" k.Suite.Kernels.name
+               (Remat.Mode.to_string mode))
+            ~mode ~machine:Remat.Machine.standard cfg)
+        Remat.Mode.[ Briggs_remat; Chaitin_remat ])
+    Suite.Kernels.all;
+  let machine = Remat.Machine.make ~name:"scale" ~k_int:8 ~k_float:8 in
+  for seed = 1 to 50 do
+    let cfg = Gen.generate ~config:Gen.high_pressure seed in
+    List.iter
+      (fun batch_build ->
+        run
+          (Printf.sprintf "fuzz %d batch=%b" seed batch_build)
+          ~batch_build ~mode:Remat.Mode.Briggs_remat ~machine cfg)
+      [ false; true ]
+  done
+
+let shape_corpus () =
+  let b = Buffer.create (1 lsl 20) in
+  let on_round _ ctx =
+    let g = Remat.Context.graph ctx in
+    Printf.bprintf b "round %d\n" ctx.Remat.Context.round;
+    for i = 0 to Interference.n_nodes g - 1 do
+      Printf.bprintf b "%d %b %d %d %d:" i (Interference.alive g i)
+        (Interference.find g i) (Interference.degree g i)
+        (Interference.sig_neighbors g i);
+      List.iter (Printf.bprintf b " %d") (Interference.neighbors g i);
+      Buffer.add_char b '\n'
+    done
+  in
+  each_round
+    ~start:(Printf.bprintf b "%s\n")
+    ~refused:(fun _ -> Buffer.add_string b "refused\n")
+    ~on_round;
+  Buffer.contents b
+
+let shape_tests =
+  [
+    test_case "graph shape after every round is pinned" `Quick (fun () ->
+        let text = shape_corpus () in
+        (* Spill rounds must be in the corpus, or the digest pins only
+           first builds. *)
+        check bool "some routines spill" true
+          (List.mem "round 2" (String.split_on_char '\n' text));
+        check string "digest" shape_digest
+          (Digest.to_hex (Digest.string text)));
+    test_case "arena spill costs equal the structured walk, every round"
+      `Quick (fun () ->
+        let rounds = ref 0 in
+        let on_round key ctx =
+          incr rounds;
+          let g = Remat.Context.graph ctx in
+          let bl = Remat.Context.boundary ctx in
+          let uindex = bl.Dataflow.Liveness.Boundary.uindex in
+          let live_in_iter b f =
+            Dataflow.Bitset.iter
+              (fun u -> f (Dataflow.Reg_index.reg uindex u))
+              bl.Dataflow.Liveness.Boundary.live_in.(b)
+          in
+          let expect =
+            Reference.Spill_cost.compute ctx.Remat.Context.cfg
+              ctx.Remat.Context.loops g ~live_in_iter
+              ~tags:ctx.Remat.Context.tags ~infinite:ctx.Remat.Context.infinite
+          in
+          let got = Remat.Spill_cost.phase ctx in
+          Array.iteri
+            (fun i c ->
+              if Int64.bits_of_float c <> Int64.bits_of_float got.(i) then
+                Alcotest.failf "%s round %d node %d: cost %h, expected %h" key
+                  ctx.Remat.Context.round i got.(i) c)
+            expect
+        in
+        each_round ~start:ignore ~refused:ignore ~on_round;
+        check bool "rounds compared" true (!rounds > 0));
+  ]
+
+(* --- merges on random graphs --- *)
+
+(* A random graph, then merges of random live, non-adjacent pairs; after
+   each merge the graph must agree with a pair set kept here: membership,
+   degree = neighbor-list length, and significant-neighbor counts. *)
+let merge_prop =
+  QCheck.Test.make ~count:200 ~name:"merges keep adjacency, degrees and counts exact"
+    QCheck.(
+      make
+        Gen.(
+          int_range 2 40 >>= fun n ->
+          pair (return n)
+            (pair
+               (list_size (int_bound (3 * n)) (pair (int_bound (n - 1)) (int_bound (n - 1))))
+               (list_size (int_bound n) (pair nat nat)))))
+    (fun (n, (edges, picks)) ->
+      let k = 3 in
+      let g = Interference.of_edges ~k:(const_k k) n edges in
+      let key i j = if i < j then (i, j) else (j, i) in
+      let pairs = Hashtbl.create 64 in
+      List.iter (fun (i, j) -> if i <> j then Hashtbl.replace pairs (key i j) ()) edges;
+      let check_all what =
+        for i = 0 to n - 1 do
+          for j = 0 to n - 1 do
+            if Interference.interfere g i j <> Hashtbl.mem pairs (key i j) && i <> j
+            then QCheck.Test.fail_reportf "%s: interfere %d %d disagrees" what i j
+          done;
+          if Interference.degree g i <> List.length (Interference.neighbors g i) then
+            QCheck.Test.fail_reportf "%s: degree of %d" what i
+        done;
+        check_sig_counts what ~k:(const_k k) g
+      in
+      check_all "build";
+      List.iter
+        (fun (a, b) ->
+          let alive = List.filter (Interference.alive g) (List.init n Fun.id) in
+          let m = List.length alive in
+          if m >= 2 then begin
+            let keep = List.nth alive (a mod m) and drop = List.nth alive (b mod m) in
+            if keep <> drop && not (Interference.interfere g keep drop) then begin
+              Interference.merge g ~keep ~drop;
+              let moved =
+                Hashtbl.fold
+                  (fun (i, j) () acc ->
+                    if i = drop then j :: acc else if j = drop then i :: acc else acc)
+                  pairs []
+              in
+              List.iter
+                (fun x ->
+                  Hashtbl.remove pairs (key drop x);
+                  Hashtbl.replace pairs (key keep x) ())
+                moved;
+              check_all (Printf.sprintf "merge %d into %d" drop keep)
+            end
+          end)
+        picks;
+      true)
+
 let () =
   Alcotest.run "coloring"
     [
@@ -362,4 +533,6 @@ let () =
       ("simplify-boundaries", simplify_tests);
       ("significant-degree", sig_tests);
       ("stats", stats_tests);
+      ("graph-shape", shape_tests);
+      ("merge", [ QCheck_alcotest.to_alcotest merge_prop ]);
     ]

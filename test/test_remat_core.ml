@@ -419,7 +419,7 @@ let spill_cost_unit =
         let live = Dataflow.Liveness.compute c in
         let g = Remat.Interference.build c live in
         let costs =
-          Remat.Spill_cost.compute c loops g ~live_in_iter:(dense_live_in_iter live) ~tags:rn.Remat.Renumber.tags
+          Remat.Spill_cost.compute (Iloc.Flat.of_routine c) loops g ~live_in_iter:(dense_live_in_iter live) ~tags:rn.Remat.Renumber.tags
             ~infinite:(Reg.Tbl.create 1)
         in
         (* the accumulator lives in the loop: cost must include 10x
@@ -449,12 +449,12 @@ let spill_cost_unit =
         let live = Dataflow.Liveness.compute c in
         let g = Remat.Interference.build c live in
         let briggs_costs =
-          Remat.Spill_cost.compute c loops g ~live_in_iter:(dense_live_in_iter live) ~tags:rn.Remat.Renumber.tags
+          Remat.Spill_cost.compute (Iloc.Flat.of_routine c) loops g ~live_in_iter:(dense_live_in_iter live) ~tags:rn.Remat.Renumber.tags
             ~infinite:(Reg.Tbl.create 1)
         in
         let bottom_tags = Reg.Tbl.create 8 in
         let no_remat_costs =
-          Remat.Spill_cost.compute c loops g ~live_in_iter:(dense_live_in_iter live) ~tags:bottom_tags
+          Remat.Spill_cost.compute (Iloc.Flat.of_routine c) loops g ~live_in_iter:(dense_live_in_iter live) ~tags:bottom_tags
             ~infinite:(Reg.Tbl.create 1)
         in
         (* Renumber renames registers, so locate the laddr-tagged live
@@ -482,7 +482,7 @@ let spill_cost_unit =
         let infinite = Reg.Tbl.create 4 in
         Reg.Tbl.replace infinite (Reg.make 1 Reg.Int) ();
         let costs =
-          Remat.Spill_cost.compute cfg loops g ~live_in_iter:(dense_live_in_iter live) ~tags:(Reg.Tbl.create 1) ~infinite
+          Remat.Spill_cost.compute (Iloc.Flat.of_routine cfg) loops g ~live_in_iter:(dense_live_in_iter live) ~tags:(Reg.Tbl.create 1) ~infinite
         in
         let i1 = Remat.Interference.index g (Reg.make 1 Reg.Int) in
         check Alcotest.bool "infinite" true (costs.(i1) = infinity));

@@ -191,3 +191,99 @@ module Gen_prog = struct
     QCheck.make gen_cfg ~print:(fun cfg -> Iloc.Printer.routine_to_string cfg)
 end
 
+
+(* ------------------------------------------------------------------ *)
+(* Round-by-round allocation                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The Chaitin–Briggs pipeline of [Remat.Allocator.allocate], spelled
+   out from its public phases so a test can look at the context after
+   each round's build–coalesce loop: [on_round ctx] runs then, before
+   spill costs.  Returns the allocated routine; callers compare it with
+   [Remat.Allocator.allocate]'s to show this loop is the production
+   one.  Raises [Remat.Spill_code.Pressure_too_high] like the
+   allocator does. *)
+let allocate_by_rounds ?batch_build ~mode ~machine ~on_round input =
+  let cfg0 = Cfg.split_critical_edges input in
+  let loops = Dataflow.Loops.compute cfg0 (Dataflow.Dominance.compute cfg0) in
+  let fr = Remat.Renumber.run_flat mode (Iloc.Flat.of_routine cfg0) in
+  let cfg = Iloc.Flat.to_routine fr.Remat.Renumber.fl in
+  let ctx =
+    Remat.Context.create ?batch_build ~mode ~machine ~loops
+      ~tags:fr.Remat.Renumber.f_tags
+      ~split_pairs:fr.Remat.Renumber.f_split_pairs
+      ~stats:(Remat.Stats.create ()) cfg
+  in
+  Remat.Context.set_flat ctx fr.Remat.Renumber.fl;
+  (match Remat.Mode.loop_scheme mode with
+  | Some scheme -> Remat.Splitting.phase scheme ctx
+  | None -> ());
+  let module G = Remat.Interference in
+  let slot_counter = ref 0 in
+  let rec round r =
+    if r > 64 then failwith "allocate_by_rounds: round limit";
+    Remat.Context.set_round ctx r;
+    Remat.Allocator.build_coalesce ctx;
+    on_round ctx;
+    let g = Remat.Context.graph ctx in
+    let costs = Remat.Spill_cost.phase ctx in
+    let order = Remat.Simplify.phase ctx ~costs in
+    let partners = Array.make (G.n_nodes g) [] in
+    List.iter
+      (fun (a, b) ->
+        match (G.index_opt g a, G.index_opt g b) with
+        | Some ia, Some ib ->
+            let ia = G.find g ia and ib = G.find g ib in
+            partners.(ia) <- ib :: partners.(ia);
+            partners.(ib) <- ia :: partners.(ib)
+        | _ -> ())
+      ctx.Remat.Context.split_pairs;
+    let sel = Remat.Select.phase ctx ~order ~partners in
+    match sel.Remat.Select.spilled with
+    | [] -> Remat.Allocator.rewrite_physical cfg g sel.Remat.Select.colors
+    | spilled ->
+        (* The allocator's temporary deferral: spill real ranges when
+           any are uncolored, else evict each stuck temporary's
+           cheapest finite-cost neighbor. *)
+        let infinite = ctx.Remat.Context.infinite in
+        let temps, real =
+          List.partition (fun i -> Reg.Tbl.mem infinite (G.reg g i)) spilled
+        in
+        let spilled =
+          if real <> [] then real
+          else
+            List.filter_map
+              (fun t ->
+                match
+                  List.filter (fun nb -> costs.(nb) < infinity) (G.neighbors g t)
+                with
+                | [] -> None
+                | nb :: nbs ->
+                    Some
+                      (List.fold_left
+                         (fun best c -> if costs.(c) < costs.(best) then c else best)
+                         nb nbs))
+              temps
+            |> List.sort_uniq Int.compare
+        in
+        if spilled = [] then failwith "allocate_by_rounds: irreducible";
+        let _, fl =
+          Remat.Spill_code.insert_flat (Remat.Context.flat ctx)
+            ~tags:ctx.Remat.Context.tags ~infinite
+            ~spilled:(List.map (G.reg g) spilled)
+            ~slot_counter
+        in
+        let ncfg = Iloc.Flat.to_routine fl in
+        Cfg.iter_blocks
+          (fun b ->
+            let nb = Cfg.block ncfg b.Iloc.Block.id in
+            b.Iloc.Block.body <- nb.Iloc.Block.body;
+            b.Iloc.Block.term <- nb.Iloc.Block.term)
+          cfg;
+        Reg.Supply.advance cfg.Cfg.supply fl.Iloc.Flat.supply_last;
+        Remat.Context.invalidate ctx;
+        Remat.Context.set_flat ctx fl;
+        round (r + 1)
+  in
+  round 1;
+  cfg
