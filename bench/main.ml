@@ -93,64 +93,6 @@ let baseline () =
 
 (* --- Bechamel micro-benchmarks: one group per table/figure --- *)
 
-(* Old (byte-at-a-time, Bitset_ref) vs new (word-parallel,
-   Dataflow.Bitset) dataflow kernels on liveness-shaped sets: 512
-   registers, ~1/8 occupancy.  The element lists are deterministic so
-   both implementations chew identical data. *)
-let bitset_tests =
-  let open Bechamel in
-  let cap = 512 in
-  let elems salt =
-    List.init (cap / 8) (fun i -> (i * 8 + ((i * salt) mod 8)) mod cap)
-  in
-  let e1 = elems 3 and e2 = elems 5 in
-  let old1 = Bitset_ref.of_list cap e1 and old2 = Bitset_ref.of_list cap e2 in
-  let new1 = Dataflow.Bitset.of_list cap e1
-  and new2 = Dataflow.Bitset.of_list cap e2 in
-  [
-    Test.make ~name:"bitset/union-old"
-      (Staged.stage (fun () -> ignore (Bitset_ref.union_into ~dst:old1 old2)));
-    Test.make ~name:"bitset/union-new"
-      (Staged.stage (fun () ->
-           ignore (Dataflow.Bitset.union_into ~dst:new1 new2)));
-    Test.make ~name:"bitset/inter-diff-old"
-      (Staged.stage (fun () ->
-           ignore (Bitset_ref.inter_into ~dst:old1 old2);
-           ignore (Bitset_ref.diff_into ~dst:old1 old2)));
-    Test.make ~name:"bitset/inter-diff-new"
-      (Staged.stage (fun () ->
-           ignore (Dataflow.Bitset.inter_into ~dst:new1 new2);
-           ignore (Dataflow.Bitset.diff_into ~dst:new1 new2)));
-    Test.make ~name:"bitset/iter-old"
-      (Staged.stage (fun () ->
-           let n = ref 0 in
-           Bitset_ref.iter (fun i -> n := !n + i) old2;
-           ignore !n));
-    Test.make ~name:"bitset/iter-new"
-      (Staged.stage (fun () ->
-           let n = ref 0 in
-           Dataflow.Bitset.iter (fun i -> n := !n + i) new2;
-           ignore !n));
-    Test.make ~name:"bitset/cardinal-old"
-      (Staged.stage (fun () -> ignore (Bitset_ref.cardinal old2)));
-    Test.make ~name:"bitset/cardinal-new"
-      (Staged.stage (fun () -> ignore (Dataflow.Bitset.cardinal new2)));
-    Test.make ~name:"bitset/add-mem-old"
-      (Staged.stage (fun () ->
-           let s = Bitset_ref.create cap in
-           List.iter (Bitset_ref.add s) e1;
-           let n = ref 0 in
-           List.iter (fun i -> if Bitset_ref.mem s i then incr n) e2;
-           ignore !n));
-    Test.make ~name:"bitset/add-mem-new"
-      (Staged.stage (fun () ->
-           let s = Dataflow.Bitset.create cap in
-           List.iter (Dataflow.Bitset.add s) e1;
-           let n = ref 0 in
-           List.iter (fun i -> if Dataflow.Bitset.mem s i then incr n) e2;
-           ignore !n));
-  ]
-
 let bechamel () =
   let open Bechamel in
   let open Toolkit in
@@ -162,8 +104,7 @@ let bechamel () =
     ignore (Remat.Allocator.allocate ~mode ~machine cfg)
   in
   let tests =
-    bitset_tests
-    @ [
+    [
       (* Table 1 engine: both allocators end to end. *)
       Test.make ~name:"table1/chaitin-tomcatv"
         (Staged.stage

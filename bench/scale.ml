@@ -88,7 +88,9 @@ let fresh_ctx cfg =
   let rn = Remat.Renumber.run mode cfg0 in
   Remat.Context.create ~mode ~machine ~loops ~tags:rn.Remat.Renumber.tags
     ~split_pairs:rn.Remat.Renumber.split_pairs
-    ~stats:(Remat.Stats.create ()) rn.Remat.Renumber.cfg
+    ~stats:(Remat.Stats.create ())
+    ~flat:(Iloc.Flat.of_routine rn.Remat.Renumber.cfg)
+    rn.Remat.Renumber.cfg
 
 let time_min ~repeats f =
   let best = ref infinity in
@@ -215,7 +217,8 @@ let measure ~repeats ~target seed =
   let ctx = fresh_ctx (cfg ()) in
   Remat.Allocator.build_coalesce ctx;
   check_equal "coalesced routines"
-    (Cfg.structural_equal ctx_old.Remat.Context.cfg ctx.Remat.Context.cfg);
+    (Cfg.structural_equal ctx_old.Remat.Context.cfg
+       (Iloc.Flat.to_routine (Remat.Context.flat ctx)));
   (* Simplify and select run read-only on the post-coalesce graph, so
      the same graph serves every repeat of both sides. *)
   let g = Remat.Context.graph ctx in

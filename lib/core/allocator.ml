@@ -23,9 +23,11 @@ type result = {
    graph build per spill round; every coalescing sweep after it updates
    the graph in place (Chaitin's neighbor-set union), so iterating to the
    coalescing fixpoint costs sweeps over the copies, not rebuilds.
-   Unrestricted copies first, then conservative coalescing of splits. *)
+   Unrestricted copies first, then conservative coalescing of splits;
+   the arena is renamed once, after the last sweep. *)
 let build_coalesce (ctx : Context.t) =
   ignore (Context.graph ctx);
+  let before = ctx.Context.coalesced in
   let phase = ref Coalesce.Unrestricted in
   let rec loop () =
     let outcome = Coalesce.pass !phase ctx in
@@ -38,45 +40,29 @@ let build_coalesce (ctx : Context.t) =
       | Coalesce.Unrestricted | Coalesce.Conservative -> ()
   in
   loop ();
+  if ctx.Context.coalesced > before then Coalesce.rewrite ctx;
   (* The graph object is this round's build, mutated in place by the
      sweeps above; the union edges their merges added are this round's
      growth beyond the build. *)
   Context.count ctx Stats.Build_overlay
     (Interference.union_edges (Context.graph ctx))
 
-let rewrite_physical (cfg : Cfg.t) (g : Interference.t)
-    (colors : int option array) =
-  let rename r =
-    match Interference.index_opt g r with
-    | None -> r
-    | Some i -> (
-        match colors.(Interference.find g i) with
-        | Some c -> Reg.make c (Reg.cls r)
-        | None -> assert false)
-  in
-  Cfg.iter_blocks
-    (fun b ->
-      (* Identity copies — split or ordinary copies whose two live ranges
-         received the same color, the situation biased coloring sets up —
-         are deleted at rewrite time (§3.4). *)
-      b.Iloc.Block.body <-
-        List.filter_map
-          (fun i ->
-            let i = Instr.map_regs rename i in
-            match (i.Instr.op, i.Instr.dst) with
-            | Instr.Copy, Some d when Reg.equal d i.Instr.srcs.(0) -> None
-            | _ -> Some i)
-          b.Iloc.Block.body;
-      b.Iloc.Block.term <- Instr.map_regs rename b.Iloc.Block.term)
-    cfg
+(* Identity copies — split or ordinary copies whose two live ranges
+   received the same color, the situation biased coloring sets up — are
+   deleted at rewrite time (§3.4), by the same pass that renames
+   coalesced registers. *)
+let rewrite_physical fl g (colors : int option array) =
+  Coalesce.rename g
+    (fun i -> match colors.(i) with Some c -> c | None -> assert false)
+    fl
 
 (* The spill-round loop, shared by [allocate] (cold, caches empty) and
-   [allocate_incremental] (caches primed from a snapshot).  Colors
-   [ctx.cfg] in place and returns (rounds, spilled_memory, spilled_remat,
-   spill_slots). *)
-let color_rounds ~name ~max_rounds (ctx : Context.t) =
+   [allocate_incremental] (caches primed from a snapshot).  Colors the
+   context's arena and bridges the result to [Cfg.t], the loop's only
+   bridge. *)
+let color_rounds ~name ~max_rounds (fr : Renumber.flat_result)
+    (ctx : Context.t) =
   let machine = ctx.Context.machine in
-  let cfg = ctx.Context.cfg in
   let slot_counter = ref 0 in
   let spilled_memory = ref 0 and spilled_remat = ref 0 in
   let rec round r =
@@ -102,8 +88,8 @@ let color_rounds ~name ~max_rounds (ctx : Context.t) =
     let selection = Select.phase ctx ~order ~partners in
     match selection.Select.spilled with
     | [] ->
-        rewrite_physical cfg g selection.Select.colors;
-        r
+        let fl = rewrite_physical ctx.Context.flat g selection.Select.colors in
+        (Iloc.Flat.to_routine fl, r)
     | spilled_nodes ->
         (* Select's uncolored set can include spill temporaries from an
            earlier round when it colored optimistically-pushed candidates
@@ -156,35 +142,34 @@ let color_rounds ~name ~max_rounds (ctx : Context.t) =
         let fl =
           Context.time ctx Stats.Spill (fun () ->
               let spilled = List.map (Interference.reg g) spilled_nodes in
-              (* Splice spill code into the arena, then write the result
-                 back through the structured view: blocks and edges are
-                 unchanged, only instruction lists move. *)
               let st, fl =
-                Spill_code.insert_flat (Context.flat ctx)
-                  ~tags:ctx.Context.tags ~infinite ~spilled ~slot_counter
+                Spill_code.insert_flat ctx.Context.flat ~tags:ctx.Context.tags
+                  ~infinite ~spilled ~slot_counter
               in
-              let ncfg = Iloc.Flat.to_routine fl in
-              Cfg.iter_blocks
-                (fun b ->
-                  let nb = Cfg.block ncfg b.Iloc.Block.id in
-                  b.Iloc.Block.body <- nb.Iloc.Block.body;
-                  b.Iloc.Block.term <- nb.Iloc.Block.term)
-                cfg;
-              Reg.Supply.advance cfg.Cfg.supply fl.Iloc.Flat.supply_last;
               spilled_memory := !spilled_memory + st.Spill_code.memory_lrs;
               spilled_remat := !spilled_remat + st.Spill_code.remat_lrs;
               fl)
         in
-        (* Spill code changed the routine structurally: both derived
-           structures are rebuilt next round (the round's one build).
-           The spliced arena already equals the written-back routine;
-           keep it so the next round skips one re-encoding. *)
+        (* The spliced arena is the next round's routine: every derived
+           structure is rebuilt from it (the round's one build). *)
         Context.invalidate ctx;
-        Context.set_flat ctx fl;
+        ctx.Context.flat <- fl;
         round (r + 1)
   in
-  let rounds = round 1 in
-  (rounds, !spilled_memory, !spilled_remat, !slot_counter)
+  let cfg, rounds = round 1 in
+  {
+    cfg;
+    mode = ctx.Context.mode;
+    machine;
+    rounds;
+    spilled_memory = !spilled_memory;
+    spilled_remat = !spilled_remat;
+    spill_slots = !slot_counter;
+    n_values = fr.Renumber.f_n_values;
+    n_live_ranges = fr.Renumber.f_n_live_ranges;
+    coalesced_copies = ctx.Context.coalesced;
+    stats = ctx.Context.stats;
+  }
 
 let validate_input input =
   match Iloc.Validate.routine input with
@@ -238,10 +223,9 @@ let allocate_ssa ~verify ~mode ~machine ~max_rounds (input : Cfg.t) =
   }
 
 (* Flat-native renumbering: encode once, rename on the arena, and bridge
-   the result back for the structured consumers (splitting, rewrite,
-   verification, the snapshot's skeleton check).  The renamed arena
-   equals an encode of the bridged routine, so callers prime their
-   context's arena cache with it. *)
+   the result back for the structured consumers (splitting, block order,
+   the snapshot's skeleton check).  The renamed arena equals an encode
+   of the bridged routine; it becomes the context's arena. *)
 let renumber mode (cfg0 : Cfg.t) =
   let fr = Renumber.run_flat mode (Iloc.Flat.of_routine cfg0) in
   (Iloc.Flat.to_routine fr.Renumber.fl, fr)
@@ -251,22 +235,6 @@ let renumber mode (cfg0 : Cfg.t) =
    computed here remain valid throughout allocation. *)
 let loops_of (cfg0 : Cfg.t) =
   Dataflow.Loops.compute cfg0 (Dataflow.Dominance.compute cfg0)
-
-let result_of (fr : Renumber.flat_result) (ctx : Context.t)
-    (rounds, spilled_memory, spilled_remat, spill_slots) =
-  {
-    cfg = ctx.Context.cfg;
-    mode = ctx.Context.mode;
-    machine = ctx.Context.machine;
-    rounds;
-    spilled_memory;
-    spilled_remat;
-    spill_slots;
-    n_values = fr.Renumber.f_n_values;
-    n_live_ranges = fr.Renumber.f_n_live_ranges;
-    coalesced_copies = ctx.Context.coalesced;
-    stats = ctx.Context.stats;
-  }
 
 let allocate ?(verify = false) ?(mode = Mode.Briggs_remat)
     ?(machine = Machine.standard) ?(max_rounds = 64) ?batch_build
@@ -280,20 +248,18 @@ let allocate ?(verify = false) ?(mode = Mode.Briggs_remat)
   let cfg, fr =
     Stats.time stats ~round:0 Stats.Renum (fun () -> renumber mode cfg0)
   in
+  (* §6 loop-boundary splitting schemes, layered after renumber. *)
+  let split_pairs, flat =
+    Splitting.phase mode stats ~tags:fr.Renumber.f_tags
+      ~split_pairs:fr.Renumber.f_split_pairs ~flat:fr.Renumber.fl cfg
+  in
   let ctx =
     Context.create ?batch_build ~mode ~machine ~loops ~tags:fr.Renumber.f_tags
-      ~split_pairs:fr.Renumber.f_split_pairs ~stats cfg
+      ~split_pairs ~stats ~flat cfg
   in
-  (* Splitting schemes invalidate the whole context when they rewrite
-     the routine, so the primed arena cannot outlive them stale. *)
-  Context.set_flat ctx fr.Renumber.fl;
-  (* §6 loop-boundary splitting schemes, layered after renumber. *)
-  (match Mode.loop_scheme mode with
-  | Some scheme -> Splitting.phase scheme ctx
-  | None -> ());
-  let counts = color_rounds ~name:input.Cfg.name ~max_rounds ctx in
-  if verify then verify_output ~input ~output:cfg ~machine;
-  result_of fr ctx counts
+  let res = color_rounds ~name:input.Cfg.name ~max_rounds fr ctx in
+  if verify then verify_output ~input ~output:res.cfg ~machine;
+  res
   end
 
 (* Incremental re-allocation.
@@ -334,13 +300,12 @@ let snapshot ?(mode = Mode.Briggs_remat) ?(machine = Machine.standard)
   let loops = loops_of cfg0 in
   let cfg, fr = renumber mode cfg0 in
   (* A throwaway context forces liveness and the graph through the same
-     code a cold allocation runs; nothing here mutates [cfg], so it is
-     stored pristine. *)
+     code a cold allocation runs. *)
   let ctx =
     Context.create ~mode ~machine ~loops ~tags:fr.Renumber.f_tags
-      ~split_pairs:fr.Renumber.f_split_pairs ~stats:(Stats.create ()) cfg
+      ~split_pairs:fr.Renumber.f_split_pairs ~stats:(Stats.create ())
+      ~flat:fr.Renumber.fl cfg
   in
-  Context.set_flat ctx fr.Renumber.fl;
   let graph = Context.graph ctx in
   {
     snap_mode = mode;
@@ -426,32 +391,29 @@ let allocate_incremental ?(verify = false) ?(max_rounds = 64)
       let ctx =
         Context.create ~mode ~machine ~loops:snap.snap_loops
           ~tags:fr.Renumber.f_tags ~split_pairs:fr.Renumber.f_split_pairs
-          ~stats cfg
+          ~stats ~flat:fr.Renumber.fl cfg
       in
-      (* Prime the caches: the arena is the edited routine's own;
-         boundary liveness is shared read-only (no phase ever writes a
-         row, and the context recycles only rows it computed itself);
-         the graph is deep-copied because coalescing will mutate it.
-         Round 1 then performs no Liveness_runs and no Full_builds — the
-         observable signature of the incremental path. *)
-      Context.set_flat ctx fr.Renumber.fl;
+      (* Prime the caches: boundary liveness is shared read-only (no
+         phase ever writes a row, and the context recycles only rows it
+         computed itself); the graph is deep-copied because coalescing
+         will mutate it.  Round 1 then performs no Liveness_runs and no
+         Full_builds — the observable signature of the incremental
+         path. *)
       ctx.Context.boundary <- Some snap.snap_boundary;
       ctx.Context.graph <- Some (Interference.copy snap.snap_graph);
-      (* Pristine copy of the edited routine's renumbered form, captured
-         before coloring mutates [cfg]: the derived snapshot reuses this
-         run's liveness/graph for the {e edited} routine's future
-         edits. *)
-      let pristine = Cfg.copy cfg in
-      let counts = color_rounds ~name:input.Cfg.name ~max_rounds ctx in
-      if verify then verify_output ~input ~output:cfg ~machine;
+      let res = color_rounds ~name:input.Cfg.name ~max_rounds fr ctx in
+      if verify then verify_output ~input ~output:res.cfg ~machine;
+      (* Coloring never mutates [cfg], the edited routine's renumbered
+         form: the derived snapshot reuses this run's liveness and graph
+         for the {e edited} routine's future edits. *)
       let snap' =
         {
           snap with
-          snap_cfg = pristine;
+          snap_cfg = cfg;
           snap_split_pairs = fr.Renumber.f_split_pairs;
         }
       in
-      Some (result_of fr ctx counts, snap')
+      Some (res, snap')
     end
   end
 

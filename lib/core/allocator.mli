@@ -9,8 +9,10 @@
     {!Machine}, threading a {!Context.t} through the phases so each one
     reads the cached liveness and interference graph instead of
     recomputing them.  Every phase of the Chaitin–Briggs family runs on
-    the flat arena form ({!Iloc.Flat}); the structured routine is the
-    interchange form for splitting, the final rewrite and verification.
+    the flat arena form ({!Iloc.Flat}), from renumbering to the final
+    rewrite to physical registers; the arena is bridged to the
+    structured routine once, after coloring.  The structured form is
+    the interchange form for splitting, the input and the output.
     Per-phase wall times (Table 2) and event counters land in the
     context's {!Stats.t}.  On success the routine's registers have been
     rewritten to physical registers [r0 .. r(k_int-1)] /
@@ -43,14 +45,16 @@ val build_coalesce : Context.t -> unit
     fixpoint — unrestricted copies first, then (in splitting modes)
     conservative coalescing of split copies.  Each sweep updates the
     cached graph in place via {!Interference.merge}; the [Full_builds]
-    counter therefore stays at one per spill round. *)
+    counter therefore stays at one per spill round.  When any sweep
+    merged, {!Coalesce.rewrite} then renames the context's arena once. *)
 
 val rewrite_physical :
-  Iloc.Cfg.t -> Interference.t -> int option array -> unit
-(** Rewrite every register of the routine to its assigned physical
-    register and delete the copies this makes into identities (split or
-    copy instructions whose source and destination received the same
-    color — the deletions biased coloring works for). *)
+  Iloc.Flat.t -> Interference.t -> int option array -> Iloc.Flat.t
+(** The arena with every register rewritten to its node's assigned
+    physical register and the copies this makes into identities deleted
+    (split or copy instructions whose source and destination received
+    the same color — the deletions biased coloring works for): the
+    {!Coalesce.rename} pass, given colors. *)
 
 val allocate :
   ?verify:bool ->

@@ -1,5 +1,5 @@
 module Reg = Iloc.Reg
-module Instr = Iloc.Instr
+module Flat = Iloc.Flat
 
 type phase = Unrestricted | Conservative
 
@@ -28,40 +28,38 @@ let merge_into (ctx : Context.t) g ~keep ~drop =
   if not (Reg.Tbl.mem infinite drop_reg) then Reg.Tbl.remove infinite keep_reg;
   Reg.Tbl.remove infinite drop_reg
 
-(* The copy worklist, harvested once per spill round (spill code can
-   introduce new copies; sweeps cannot): the (dst, src) pair of every
-   copy instruction, in block-and-body order — the order the former
-   whole-CFG rescan visited them in. *)
-let harvest (cfg : Iloc.Cfg.t) =
+(* The copy worklist, harvested from the arena once per spill round
+   (spill code can introduce new copies; sweeps cannot): the (dst, src)
+   pair of every copy record, in block-and-slot order — the order the
+   former whole-routine rescan visited them in. *)
+let harvest (fl : Flat.t) =
   let acc = ref [] in
-  Iloc.Cfg.iter_blocks
-    (fun b ->
-      List.iter
-        (fun (i : Instr.t) ->
-          if Instr.is_copy i then
-            acc := (Option.get i.Instr.dst, i.Instr.srcs.(0)) :: !acc)
-        b.body)
-    cfg;
-  List.rev !acc
+  for slot = Flat.n_instrs fl - 1 downto 0 do
+    if Flat.Tag.is_copy (Flat.tag fl slot) then
+      acc :=
+        ( Flat.reg_of_packed (Flat.dst fl slot),
+          Flat.reg_of_packed (Flat.src fl slot 0) )
+        :: !acc
+  done;
+  !acc
 
 let pass phase (ctx : Context.t) =
   let g = Context.graph ctx in
-  let cfg = ctx.Context.cfg in
   Context.time ctx Stats.Coalesce (fun () ->
       Context.count ctx Stats.Coalesce_sweeps 1;
       let worklist =
         match ctx.Context.copies with
         | Some l -> l
         | None ->
-            let l = harvest cfg in
+            let l = harvest ctx.Context.flat in
             ctx.Context.copies <- Some l;
             l
       in
       (* Canonicalize every entry through [find] before the first merge
-         of this sweep: that is exactly what the end-of-sweep rewrite
-         renamed the copy's text to, and the split-pair test below must
-         see the text as it stood at sweep start, not as mid-sweep
-         merges would rename it. *)
+         of this sweep: the names the copy would carry had the routine
+         been renamed after every earlier sweep.  The split-pair test
+         below must see those names, not the ones mid-sweep merges
+         would give it. *)
       let entries =
         List.map
           (fun ((d0, s0) as e) ->
@@ -119,10 +117,6 @@ let pass phase (ctx : Context.t) =
       let coalesced = ref 0 in
       let interfering = ref 0 in
       let survivors = ref [] in
-      (* Registers merged away by this sweep: the only names [rename]
-         below moves, so the rewrite can skip every instruction that
-         mentions none of them. *)
-      let dropped = Reg.Tbl.create 16 in
       List.iter
         (fun ((d, s) as e) ->
           match (Interference.index_opt g d, Interference.index_opt g s) with
@@ -130,7 +124,7 @@ let pass phase (ctx : Context.t) =
               let di = Interference.find g d0
               and si = Interference.find g s0 in
               if di = si then ()
-                (* became an identity copy: the rewrite deletes it *)
+                (* became an identity copy: [rewrite] deletes it *)
               else if Interference.interfere g di si then
                 (* interference between representatives only grows under
                    merging, so this copy can never be coalesced: retire
@@ -143,7 +137,6 @@ let pass phase (ctx : Context.t) =
                   | Conservative -> is_split d s && briggs_ok di si
                 in
                 if ok then begin
-                  Reg.Tbl.replace dropped (Interference.reg g si) ();
                   merge_into ctx g ~keep:di ~drop:si;
                   incr coalesced
                 end
@@ -162,37 +155,6 @@ let pass phase (ctx : Context.t) =
           | None -> r
           | Some i -> Interference.reg g (Interference.find g i)
         in
-        (* [rename] moves only the registers merged away this sweep: the
-           text entering the sweep names only previous-sweep
-           representatives, and a representative r has [find r <> r]
-           exactly when some merge of this sweep dropped it.  So an
-           instruction mentioning no member of [dropped] maps to itself
-           — skip it (and its block when every instruction is clean)
-           instead of re-allocating the whole routine each sweep. *)
-        let touched (i : Instr.t) =
-          (match i.Instr.dst with
-          | Some d -> Reg.Tbl.mem dropped d
-          | None -> false)
-          || Array.exists (fun s -> Reg.Tbl.mem dropped s) i.Instr.srcs
-        in
-        Iloc.Cfg.iter_blocks
-          (fun b ->
-            if List.exists touched b.Iloc.Block.body then
-              b.Iloc.Block.body <-
-                List.filter_map
-                  (fun i ->
-                    if not (touched i) then Some i
-                    else
-                      let i = Instr.map_regs rename i in
-                      match (i.Instr.op, i.Instr.dst) with
-                      | Instr.Copy, Some d
-                        when Reg.equal d i.Instr.srcs.(0) ->
-                          None
-                      | _ -> Some i)
-                  b.Iloc.Block.body;
-            if touched b.Iloc.Block.term then
-              b.Iloc.Block.term <- Instr.map_regs rename b.Iloc.Block.term)
-          cfg;
         ctx.Context.split_pairs <-
           List.filter_map
             (fun (a, b) ->
@@ -201,8 +163,20 @@ let pass phase (ctx : Context.t) =
             ctx.Context.split_pairs;
         ctx.Context.coalesced <- ctx.Context.coalesced + !coalesced;
         Context.count ctx Stats.Coalesced_copies !coalesced;
-        (* The graph was maintained merge-by-merge; only liveness is now
-           stale (merged ranges, renamed registers). *)
-        Context.invalidate_liveness ctx;
         { changed = true; coalesced = !coalesced }
       end)
+
+let rename g id fl =
+  let pmap = Interference.packed_map g in
+  Flat.rename fl (fun p ->
+      let i = if p < Array.length pmap then pmap.(p) else -1 in
+      if i < 0 then p else (2 * id (Interference.find g i)) + (p land 1))
+
+let rewrite (ctx : Context.t) =
+  let g = Context.graph ctx in
+  Context.time ctx Stats.Coalesce (fun () ->
+      ctx.Context.flat <-
+        rename g (fun i -> Reg.id (Interference.reg g i)) ctx.Context.flat);
+  (* The graph was maintained merge by merge; only liveness is now
+     stale (merged ranges, renamed registers). *)
+  Context.invalidate_liveness ctx

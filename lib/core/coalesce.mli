@@ -14,10 +14,9 @@
     rebuild — the change that caps the build–coalesce loop at one full
     {!Interference.build_flat_boundary} per spill round.  Because the
     graph is current after every merge, both regimes may perform many
-    merges per sweep; a sweep that merged anything ends with one rewrite
-    of the routine (renaming coalesced registers, deleting the
-    now-identity copies), remaps the context's split pairs, and
-    invalidates only the liveness cache. *)
+    merges per sweep.  Sweeps never read the routine's text; it changes
+    once per round, when {!rewrite} renames the arena after the last
+    sweep. *)
 
 type phase = Unrestricted | Conservative
 
@@ -34,9 +33,20 @@ val pass : phase -> Context.t -> outcome
     becomes an identity, or its live ranges are found to interfere —
     interference between representatives only grows under merging, so
     such a copy can never become coalescable again.  Entry registers are
-    canonicalized through {!Interference.find} at sweep start, which is
-    exactly the rename the previous sweep's rewrite applied to the text.
+    canonicalized through {!Interference.find} at sweep start: the names
+    the copy would carry had the text been renamed after every earlier
+    sweep.
 
-    Mutates the context's routine, graph, tag table, infinite-cost table
-    and split pairs as described above, and records [Coalesce] time plus
+    Mutates the context's graph, tag table, infinite-cost table and
+    split pairs (not its arena), and records [Coalesce] time plus
     sweep/merge/Briggs counters in the context's stats. *)
+
+val rewrite : Context.t -> unit
+(** After sweeps that merged: {!rename} the context's arena to live-range
+    representatives (identity copies drop out) and invalidate liveness.
+    Timed as [Coalesce]. *)
+
+val rename : Interference.t -> (int -> int) -> Iloc.Flat.t -> Iloc.Flat.t
+(** [rename g id fl]: {!Iloc.Flat.rename} taking each register of node
+    [n] of [g] to number [id (find n)] of its class; other registers
+    stay. *)

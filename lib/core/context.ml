@@ -19,7 +19,7 @@ type t = {
   mutable graph : Interference.t option;
   mutable matrix_scratch : Dataflow.Bitset.t option;
   mutable copies : (Reg.t * Reg.t) list option;
-  mutable flat : Iloc.Flat.t option;
+  mutable flat : Iloc.Flat.t;
   mutable mark : int array;
   mutable mark_epoch : int;
   (* Cross-round scratch for the per-round recomputations: the batched
@@ -33,7 +33,8 @@ type t = {
   mutable boundary_scratch : Dataflow.Liveness.Boundary.scratch option;
 }
 
-let create ?batch_build ~mode ~machine ~loops ~tags ~split_pairs ~stats cfg =
+let create ?batch_build ~mode ~machine ~loops ~tags ~split_pairs ~stats ~flat
+    cfg =
   {
     cfg;
     mode;
@@ -53,7 +54,7 @@ let create ?batch_build ~mode ~machine ~loops ~tags ~split_pairs ~stats cfg =
     graph = None;
     matrix_scratch = None;
     copies = None;
-    flat = None;
+    flat;
     mark = [||];
     mark_epoch = 0;
     pair_scratch = None;
@@ -72,22 +73,14 @@ let block_order t =
       t.order <- Some o;
       o
 
-let flat t =
-  match t.flat with
-  | Some f -> f
-  | None ->
-      let f = Iloc.Flat.of_routine t.cfg in
-      t.flat <- Some f;
-      f
-
-let set_flat t f = t.flat <- Some f
+let flat t = t.flat
 
 let boundary t =
   match t.boundary with
   | Some bl -> bl
   | None ->
       let order = block_order t in
-      let fl = flat t in
+      let fl = t.flat in
       let scratch =
         match t.boundary_scratch with
         | Some s -> s
@@ -112,7 +105,7 @@ let lr_index t =
          id space (live-range representatives survive unioning), so the
          coloring pipeline indexes nodes through this dense live-range
          numbering rather than anything id-width. *)
-      let ri = Dataflow.Reg_index.of_flat (flat t) in
+      let ri = Dataflow.Reg_index.of_flat t.flat in
       t.lr_index <- Some ri;
       ri
 
@@ -124,7 +117,7 @@ let graph t =
          wide as the live-range count, per block) is never
          materialized. *)
       let regs = lr_index t in
-      let fl = flat t in
+      let fl = t.flat in
       let bl = boundary t in
       let pairs () =
         match t.pair_scratch with
@@ -156,10 +149,8 @@ let graph t =
 
 let invalidate_liveness t =
   t.boundary <- None;
-  (* Coalescing rewrote instructions in place; the arena is a copy of
-     instruction contents, so it staled with liveness — and with it the
-     live-range numbering (merged ranges drop out of the code). *)
-  t.flat <- None;
+  (* Merged ranges drop out of the renamed arena, and with them out of
+     the live-range numbering. *)
   t.lr_index <- None
 
 let invalidate t =
@@ -167,7 +158,6 @@ let invalidate t =
   t.graph <- None;
   t.order <- None;
   t.copies <- None;
-  t.flat <- None;
   t.lr_index <- None
 
 (* Epoch-stamped scratch: "clearing" is an epoch bump, so phases that

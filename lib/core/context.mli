@@ -1,20 +1,25 @@
 (** The allocation context: one record threading everything the
-    allocator's phases share — the routine under allocation, the machine
-    and mode, the tag and infinite-cost tables, the split-pair list, the
-    per-phase {!Stats} — plus {e caches} for the derived structures:
-    the block postorder, the flat arena encoding, boundary liveness, the
+    allocator's phases share — the routine under allocation as a flat
+    arena, the machine and mode, the tag and infinite-cost tables, the
+    split-pair list, the per-phase {!Stats} — plus {e caches} for the
+    derived structures: the block postorder, boundary liveness, the
     live-range numbering and the interference graph.
+
+    The arena ([flat]) is the routine's only mutable form from
+    renumbering to the final rewrite: coalescing and spill code replace
+    it, and the allocator bridges it to {!Iloc.Cfg.t} once, after
+    coloring.  [cfg], the renumbered routine the context was created
+    with, is never mutated.
 
     The caches carry the incremental-update invariant of the
     build–coalesce loop: {!graph} performs a from-scratch
     {!Interference.build_flat_boundary} only when no graph is cached,
     and coalescing keeps the cached graph current in place
     ({!Interference.merge}), so a spill round triggers at most one full
-    build.  Phases that mutate the
-    routine declare what they stale: coalescing calls
-    {!invalidate_liveness} (the graph it maintains itself; the block
-    order survives, since coalescing rewrites instructions but never
-    edges); spill-code insertion calls {!invalidate} (everything).
+    build.  Phases that replace the arena declare what they stale:
+    coalescing calls {!invalidate_liveness} (the graph it maintains
+    itself; the block order survives, since no phase adds or removes
+    blocks); spill-code insertion calls {!invalidate} (every cache).
 
     Rebuilds also recycle storage: the triangular bit matrix of the
     previous round's graph (when it was dense) is kept as a scratch
@@ -25,7 +30,7 @@
     which stamp the context's current round. *)
 
 type t = {
-  cfg : Iloc.Cfg.t;
+  cfg : Iloc.Cfg.t;  (** never mutated; its blocks are the arena's *)
   mode : Mode.t;
   machine : Machine.t;
   k : Iloc.Reg.cls -> int;
@@ -49,11 +54,10 @@ type t = {
   mutable matrix_scratch : Dataflow.Bitset.t option;
       (** the last dense graph's bit matrix, recycled across rebuilds *)
   mutable copies : (Iloc.Reg.t * Iloc.Reg.t) list option;
-      (** coalescing's copy worklist, harvested once per spill round;
-          dropped by {!invalidate} (spill code can introduce new copies) *)
-  mutable flat : Iloc.Flat.t option;
-      (** cached flat encoding of [cfg]; dropped by {e both} invalidation
-          entry points (any instruction rewrite stales it) *)
+      (** coalescing's copy worklist, harvested from the arena once per
+          spill round; dropped by {!invalidate} (spill code can
+          introduce new copies) *)
+  mutable flat : Iloc.Flat.t;  (** the routine under allocation *)
   mutable mark : int array;  (** see {!fresh_marks} *)
   mutable mark_epoch : int;
   mutable pair_scratch : Dataflow.Pair_buf.t option;
@@ -72,26 +76,20 @@ val create :
   tags:Tag.t Iloc.Reg.Tbl.t ->
   split_pairs:(Iloc.Reg.t * Iloc.Reg.t) list ->
   stats:Stats.t ->
+  flat:Iloc.Flat.t ->
   Iloc.Cfg.t ->
   t
+(** [flat] must encode [cfg]. *)
 
 val set_round : t -> int -> unit
 val time : t -> Stats.phase -> (unit -> 'a) -> 'a
 val count : t -> Stats.counter -> int -> unit
 
 val block_order : t -> int array
-(** Cached {!Dataflow.Order.postorder} of [cfg].  Valid as long as the
-    CFG's shape is unchanged — coalescing only rewrites instructions in
-    place, so only {!invalidate} (spill insertion) drops it. *)
+(** Cached {!Dataflow.Order.postorder} of [cfg] (every arena shares its
+    blocks and edges). *)
 
 val flat : t -> Iloc.Flat.t
-(** Cached {!Iloc.Flat.of_routine} of [cfg], encoded on demand.  Current
-    by construction: both invalidation entry points drop it. *)
-
-val set_flat : t -> Iloc.Flat.t -> unit
-(** Prime the cache with an arena known to equal the current [cfg] —
-    the renamed arena renumbering produced, or the spliced result of
-    flat spill insertion after its write-back. *)
 
 val boundary : t -> Dataflow.Liveness.Boundary.t
 (** Cached global liveness of the arena, as
@@ -112,11 +110,11 @@ val graph : t -> Interference.t
     absent. *)
 
 val invalidate_liveness : t -> unit
-(** The routine changed in a way the graph tracks incrementally but
+(** The arena was renamed in a way the graph tracks incrementally but
     liveness does not (coalescing).  The block order stays valid. *)
 
 val invalidate : t -> unit
-(** The routine changed structurally (spill code): every cache drops. *)
+(** The arena was replaced by spill code: every cache drops. *)
 
 val fresh_marks : t -> int -> (int array * int)
 (** [fresh_marks t n] returns a scratch array of length ≥ [n] together

@@ -91,8 +91,7 @@ let phase (ctx : Context.t) =
   (* Fetched after coalescing: the context recomputes liveness when the
      coalescer invalidated it, so crossing-block detection sees the
      merged live ranges.  Crossing only asks for set membership, so the
-     |U|-compressed boundary rows answer it exactly.  The boundary fetch
-     encodes the coalesced routine into the arena the costs then read. *)
+     |U|-compressed boundary rows answer it exactly. *)
   let bl = Context.boundary ctx in
   let fl = Context.flat ctx in
   let uindex = bl.Dataflow.Liveness.Boundary.uindex in

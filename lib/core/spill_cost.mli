@@ -35,8 +35,8 @@ val compute :
 
 val phase : Context.t -> float array
 (** {!compute} on the context's arena, graph and (fresh) boundary
-    liveness, timed as [Costs].  The boundary fetch re-encodes the
-    coalesced routine, so the arena is already there to read. *)
+    liveness, timed as [Costs].  The arena is the coalesced routine:
+    coalescing renamed it before the fetch. *)
 
 val load_store_cycles : int
 (** Cycles charged per inserted load or store (2, matching §5.1). *)

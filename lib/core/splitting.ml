@@ -127,10 +127,10 @@ let run (scheme : scheme) (cfg : Cfg.t) ~tags =
     chosen;
   !pairs
 
-let phase scheme (ctx : Context.t) =
-  let pairs =
-    Context.time ctx Stats.Splitting (fun () ->
-        run scheme ctx.Context.cfg ~tags:ctx.Context.tags)
-  in
-  ctx.Context.split_pairs <- ctx.Context.split_pairs @ pairs;
-  Context.invalidate ctx
+let phase mode stats ~tags ~split_pairs ~flat cfg =
+  match Mode.loop_scheme mode with
+  | None -> (split_pairs, flat)
+  | Some scheme ->
+      Stats.time stats ~round:0 Stats.Splitting (fun () ->
+          let pairs = run scheme cfg ~tags in
+          (split_pairs @ pairs, Iloc.Flat.of_routine cfg))

@@ -35,7 +35,15 @@ val run :
   (Iloc.Reg.t * Iloc.Reg.t) list
 (** Returns the split pairs inserted (to be appended to renumber's). *)
 
-val phase : scheme -> Context.t -> unit
-(** {!run} on the context's routine and tags, timed as [Splitting]; the
-    new pairs are appended to the context's split pairs and the derived
-    caches are invalidated. *)
+val phase :
+  Mode.t ->
+  Stats.t ->
+  tags:Tag.t Iloc.Reg.Tbl.t ->
+  split_pairs:(Iloc.Reg.t * Iloc.Reg.t) list ->
+  flat:Iloc.Flat.t ->
+  Iloc.Cfg.t ->
+  (Iloc.Reg.t * Iloc.Reg.t) list * Iloc.Flat.t
+(** Before the {!Context} exists: {!run} the mode's loop scheme, if
+    any, on the renumbered [cfg] (arena [flat]) and return [split_pairs]
+    with the new pairs appended and the split routine's arena, timed as
+    [Splitting] in round 0. *)

@@ -431,6 +431,40 @@ let to_routine t =
   }
 
 (* ------------------------------------------------------------------ *)
+(* Renaming                                                            *)
+
+(* Two passes over the records: one counts the survivors, so the new
+   code array is allocated once at its final size, the other writes
+   them with their registers mapped.  Blocks, edges and pools are
+   shared with the source ([ex] never names a register). *)
+let rename t f =
+  let map p = if p < 0 then p else f p in
+  let kept slot =
+    not (Tag.is_copy (tag t slot) && map (dst t slot) = map (src t slot 0))
+  in
+  let n = ref 0 in
+  for slot = 0 to n_instrs t - 1 do
+    if kept slot then incr n
+  done;
+  let code = Array.make (!n * stride) none in
+  let block_start = Array.make (n_blocks t + 1) 0 in
+  let w = ref 0 in
+  for b = 0 to n_blocks t - 1 do
+    for slot = block_first t b to block_term t b do
+      if kept slot then begin
+        let o = !w in
+        Array.blit t.code (slot * stride) code o stride;
+        for k = o + f_dst to o + f_s2 do
+          code.(k) <- map code.(k)
+        done;
+        w := o + stride
+      end
+    done;
+    block_start.(b + 1) <- !w / stride
+  done;
+  { t with code; block_start }
+
+(* ------------------------------------------------------------------ *)
 (* Splicing                                                            *)
 
 module Splice = struct

@@ -143,6 +143,12 @@ val decode_op : t -> int -> Instr.op
 val to_instr : t -> int -> Instr.t
 (** Decode one slot to a structured instruction. *)
 
+val rename : t -> (int -> int) -> t
+(** [rename t f] replaces every register operand [p] (packed) by [f p]
+    and deletes each copy whose destination and source this makes the
+    same register.  Blocks, edges, pools and the supply watermark are
+    shared with [t]. *)
+
 (** Rebuilding the code arena with spill code spliced in.  Blocks and
     labels are shared with the source arena — spill insertion never adds
     any — and the constant pools are shared too until a

@@ -39,8 +39,6 @@ module Supply = struct
     t.next <- t.next + 1;
     make t.next cls
 
-  let advance t n = if n > t.next then t.next <- n
-
   (* silence unused-type warning for the destructive substitution alias *)
   let _ = fun (r : reg) -> r
 end

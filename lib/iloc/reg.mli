@@ -51,11 +51,6 @@ module Supply : sig
   val last : t -> int
 
   val fresh : t -> cls -> reg
-
-  (** Raise the watermark to [n] (no-op if already past it) — used to
-      resynchronize a supply with registers created outside it, e.g. by
-      a flat-arena splice that numbered its own temporaries. *)
-  val advance : t -> int -> unit
 end
 
 module Set : Set.S with type elt = t

@@ -162,7 +162,10 @@ module Coalesce = struct
     Reg.Tbl.remove infinite drop_reg
 
   (* Whole-CFG rescan per sweep; allocating Briggs test (neighbor-list
-     append, sort_uniq, filter). *)
+     append, sort_uniq, filter).  Renames the context's structured [cfg]
+     in place after every sweep that merged; the production coalescer
+     renames the arena once per round instead, and callers compare the
+     two texts. *)
   let pass phase (ctx : Context.t) =
     let g = Context.graph ctx in
     let cfg = ctx.Context.cfg in

@@ -26,7 +26,9 @@ let fresh_ctx ~mode ~machine cfg =
   let rn = Remat.Renumber.run mode cfg0 in
   Remat.Context.create ~mode ~machine ~loops ~tags:rn.Remat.Renumber.tags
     ~split_pairs:rn.Remat.Renumber.split_pairs
-    ~stats:(Remat.Stats.create ()) rn.Remat.Renumber.cfg
+    ~stats:(Remat.Stats.create ())
+    ~flat:(Iloc.Flat.of_routine rn.Remat.Renumber.cfg)
+    rn.Remat.Renumber.cfg
 
 let partners_of ctx g =
   let partners = Array.make (Interference.n_nodes g) [] in
@@ -73,7 +75,8 @@ let check_seed ~config ~machine seed =
   Remat.Allocator.build_coalesce ctx;
   if
     not
-      (Cfg.structural_equal ctx_old.Remat.Context.cfg ctx.Remat.Context.cfg)
+      (Cfg.structural_equal ctx_old.Remat.Context.cfg
+         (Iloc.Flat.to_routine (Remat.Context.flat ctx)))
   then
     QCheck.Test.fail_reportf "seed %d on %s: coalesced routines differ" seed
       machine.Remat.Machine.name;
@@ -366,6 +369,14 @@ let stats_tests =
    a neighbor, a count or a representative. *)
 let shape_digest = "08aa7d9792f6da88bc1d7449c0673bf0"
 
+(* The routine under allocation after every round's build–coalesce
+   loop, printed from the context's arena, over the same corpus.  The
+   expected digest was generated while coalescing still rewrote the
+   structured routine sweep by sweep and the arena was re-encoded from
+   it; a change to it means the renaming or the copies coalescing
+   deletes moved. *)
+let arena_digest = "37f41b80ce8d78f49c702ab5536782a8"
+
 (* Allocate every routine of the corpus round by round, calling
    [on_round key ctx] after each round's build–coalesce loop, and check
    that the rounds add up to [Allocator.allocate]'s result.  [start key]
@@ -436,6 +447,20 @@ let shape_tests =
           (List.mem "round 2" (String.split_on_char '\n' text));
         check string "digest" shape_digest
           (Digest.to_hex (Digest.string text)));
+    test_case "arena after every round is pinned" `Quick (fun () ->
+        let b = Buffer.create (1 lsl 20) in
+        let on_round _ ctx =
+          Printf.bprintf b "round %d\n" ctx.Remat.Context.round;
+          Buffer.add_string b
+            (Iloc.Printer.routine_to_string
+               (Iloc.Flat.to_routine (Remat.Context.flat ctx)))
+        in
+        each_round
+          ~start:(Printf.bprintf b "%s\n")
+          ~refused:(fun _ -> Buffer.add_string b "refused\n")
+          ~on_round;
+        check string "digest" arena_digest
+          (Digest.to_hex (Digest.string (Buffer.contents b))));
     test_case "arena spill costs equal the structured walk, every round"
       `Quick (fun () ->
         let rounds = ref 0 in
@@ -450,7 +475,8 @@ let shape_tests =
               bl.Dataflow.Liveness.Boundary.live_in.(b)
           in
           let expect =
-            Reference.Spill_cost.compute ctx.Remat.Context.cfg
+            Reference.Spill_cost.compute
+              (Iloc.Flat.to_routine (Remat.Context.flat ctx))
               ctx.Remat.Context.loops g ~live_in_iter
               ~tags:ctx.Remat.Context.tags ~infinite:ctx.Remat.Context.infinite
           in

@@ -193,7 +193,7 @@ let ctx_of ?(split_pairs = []) cfg =
   Remat.Context.create ~mode:Remat.Mode.Briggs_remat
     ~machine:(Remat.Machine.make ~name:"test4" ~k_int:4 ~k_float:4)
     ~loops ~tags:(Reg.Tbl.create 4) ~split_pairs
-    ~stats:(Remat.Stats.create ()) cfg
+    ~stats:(Remat.Stats.create ()) ~flat:(Iloc.Flat.of_routine cfg) cfg
 
 let coalesce_tests =
   [
@@ -228,10 +228,11 @@ let coalesce_tests =
         check Alcotest.int "one coalesce" 1 o.Remat.Coalesce.coalesced;
         check Alcotest.int "pair dropped" 0
           (List.length ctx.Remat.Context.split_pairs);
+        Remat.Coalesce.rewrite ctx;
         let copies = ref 0 in
         Cfg.iter_instrs
           (fun _ i -> if Instr.is_copy i then incr copies)
-          cfg;
+          (Iloc.Flat.to_routine (Remat.Context.flat ctx));
         check Alcotest.int "copy removed" 0 !copies);
     tc "interfering copy is never coalesced" (fun () ->
         (* r1 still used after r2 is redefined-from... here r1 and r2 are

@@ -587,7 +587,9 @@ let test_pair_buf_lazy () =
     Remat.Context.create ?batch_build ~mode:Remat.Mode.Briggs_remat
       ~machine:tiny ~loops ~tags:rn.Remat.Renumber.tags
       ~split_pairs:rn.Remat.Renumber.split_pairs
-      ~stats:(Remat.Stats.create ()) rn.Remat.Renumber.cfg
+      ~stats:(Remat.Stats.create ())
+      ~flat:(Flat.of_routine rn.Remat.Renumber.cfg)
+      rn.Remat.Renumber.cfg
   in
   let cfg = Fuzz.Gen.generate ~config:Fuzz.Gen.high_pressure 7 in
   let ctx = ctx_of cfg in

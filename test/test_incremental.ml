@@ -22,7 +22,9 @@ let coalesced_context mode cfg0 =
   let ctx =
     Remat.Context.create ~mode ~machine:Remat.Machine.standard ~loops
       ~tags:rn.Remat.Renumber.tags ~split_pairs:rn.Remat.Renumber.split_pairs
-      ~stats:(Remat.Stats.create ()) rn.Remat.Renumber.cfg
+      ~stats:(Remat.Stats.create ())
+      ~flat:(Iloc.Flat.of_routine rn.Remat.Renumber.cfg)
+      rn.Remat.Renumber.cfg
   in
   Remat.Context.set_round ctx 1;
   Remat.Allocator.build_coalesce ctx;
@@ -50,8 +52,9 @@ let coalesced_context mode cfg0 =
      with the matrix (sum of alive degrees = 2 * n_edges). *)
 let matches_rebuild (ctx : Remat.Context.t) =
   let g = Remat.Context.graph ctx in
-  let live = Dataflow.Liveness.compute ctx.Remat.Context.cfg in
-  let fresh = Remat.Interference.build ctx.Remat.Context.cfg live in
+  let coalesced = Iloc.Flat.to_routine (Remat.Context.flat ctx) in
+  let live = Dataflow.Liveness.compute coalesced in
+  let fresh = Remat.Interference.build coalesced live in
   let n = Remat.Interference.n_nodes g in
   let alive =
     List.filter (Remat.Interference.alive g) (List.init n Fun.id)
@@ -75,7 +78,7 @@ let matches_rebuild (ctx : Remat.Context.t) =
                 Hashtbl.replace copy_pairs (min di si, max di si) ()
             | _ -> ())
         | _ -> ())
-    ctx.Remat.Context.cfg;
+    coalesced;
   let absorbed = Array.make n false in
   List.iter
     (fun i ->
@@ -145,7 +148,11 @@ let rewrite_tests =
         (* r1 and r2 do not interfere (copy source dies at the copy), so
            both may receive color 0 — the copy becomes r0 <- copy r0. *)
         let colors = Array.make (Remat.Interference.n_nodes g) (Some 0) in
-        Remat.Allocator.rewrite_physical cfg g colors;
+        let cfg =
+          Iloc.Flat.to_routine
+            (Remat.Allocator.rewrite_physical (Iloc.Flat.of_routine cfg) g
+               colors)
+        in
         let copies = ref 0 and instrs = ref 0 in
         Cfg.iter_instrs
           (fun _ i ->
@@ -173,7 +180,11 @@ let rewrite_tests =
         let colors =
           Array.init (Remat.Interference.n_nodes g) (fun i -> Some i)
         in
-        Remat.Allocator.rewrite_physical cfg g colors;
+        let cfg =
+          Iloc.Flat.to_routine
+            (Remat.Allocator.rewrite_physical (Iloc.Flat.of_routine cfg) g
+               colors)
+        in
         let copies = ref 0 in
         Cfg.iter_instrs (fun _ i -> if Instr.is_copy i then incr copies) cfg;
         check Alcotest.int "copy kept" 1 !copies);

@@ -208,16 +208,16 @@ let allocate_by_rounds ?batch_build ~mode ~machine ~on_round input =
   let loops = Dataflow.Loops.compute cfg0 (Dataflow.Dominance.compute cfg0) in
   let fr = Remat.Renumber.run_flat mode (Iloc.Flat.of_routine cfg0) in
   let cfg = Iloc.Flat.to_routine fr.Remat.Renumber.fl in
+  let stats = Remat.Stats.create () in
+  let split_pairs, flat =
+    Remat.Splitting.phase mode stats ~tags:fr.Remat.Renumber.f_tags
+      ~split_pairs:fr.Remat.Renumber.f_split_pairs ~flat:fr.Remat.Renumber.fl
+      cfg
+  in
   let ctx =
     Remat.Context.create ?batch_build ~mode ~machine ~loops
-      ~tags:fr.Remat.Renumber.f_tags
-      ~split_pairs:fr.Remat.Renumber.f_split_pairs
-      ~stats:(Remat.Stats.create ()) cfg
+      ~tags:fr.Remat.Renumber.f_tags ~split_pairs ~stats ~flat cfg
   in
-  Remat.Context.set_flat ctx fr.Remat.Renumber.fl;
-  (match Remat.Mode.loop_scheme mode with
-  | Some scheme -> Remat.Splitting.phase scheme ctx
-  | None -> ());
   let module G = Remat.Interference in
   let slot_counter = ref 0 in
   let rec round r =
@@ -240,7 +240,10 @@ let allocate_by_rounds ?batch_build ~mode ~machine ~on_round input =
       ctx.Remat.Context.split_pairs;
     let sel = Remat.Select.phase ctx ~order ~partners in
     match sel.Remat.Select.spilled with
-    | [] -> Remat.Allocator.rewrite_physical cfg g sel.Remat.Select.colors
+    | [] ->
+        Iloc.Flat.to_routine
+          (Remat.Allocator.rewrite_physical (Remat.Context.flat ctx) g
+             sel.Remat.Select.colors)
     | spilled ->
         (* The allocator's temporary deferral: spill real ranges when
            any are uncolored, else evict each stuck temporary's
@@ -273,17 +276,8 @@ let allocate_by_rounds ?batch_build ~mode ~machine ~on_round input =
             ~spilled:(List.map (G.reg g) spilled)
             ~slot_counter
         in
-        let ncfg = Iloc.Flat.to_routine fl in
-        Cfg.iter_blocks
-          (fun b ->
-            let nb = Cfg.block ncfg b.Iloc.Block.id in
-            b.Iloc.Block.body <- nb.Iloc.Block.body;
-            b.Iloc.Block.term <- nb.Iloc.Block.term)
-          cfg;
-        Reg.Supply.advance cfg.Cfg.supply fl.Iloc.Flat.supply_last;
         Remat.Context.invalidate ctx;
-        Remat.Context.set_flat ctx fl;
+        ctx.Remat.Context.flat <- fl;
         round (r + 1)
   in
-  round 1;
-  cfg
+  round 1
