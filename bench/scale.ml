@@ -80,17 +80,19 @@ let stmts_for ?(mk = config) ~target seed =
   end
 
 (* The allocator's own preprocessing, up to the first build–coalesce:
-   critical-edge splitting, loop analysis, renumbering. *)
+   critical-edge splitting, loop analysis, renumbering.  Returns the
+   renumbered routine beside the context, for the reference coalescer,
+   which renames it in place. *)
 let fresh_ctx cfg =
   let cfg0 = Cfg.split_critical_edges cfg in
   let dom = Dataflow.Dominance.compute cfg0 in
   let loops = Dataflow.Loops.compute cfg0 dom in
   let rn = Remat.Renumber.run mode cfg0 in
-  Remat.Context.create ~mode ~machine ~loops ~tags:rn.Remat.Renumber.tags
-    ~split_pairs:rn.Remat.Renumber.split_pairs
-    ~stats:(Remat.Stats.create ())
-    ~flat:(Iloc.Flat.of_routine rn.Remat.Renumber.cfg)
-    rn.Remat.Renumber.cfg
+  ( Remat.Context.create ~mode ~machine ~loops ~tags:rn.Remat.Renumber.tags
+      ~split_pairs:rn.Remat.Renumber.split_pairs
+      ~stats:(Remat.Stats.create ())
+      (Iloc.Flat.of_routine rn.Remat.Renumber.cfg),
+    rn.Remat.Renumber.cfg )
 
 let time_min ~repeats f =
   let best = ref infinity in
@@ -202,22 +204,24 @@ let measure ~repeats ~target seed =
   let time_coalesce runner =
     let best = ref infinity in
     for _ = 1 to repeats do
-      let ctx = fresh_ctx (cfg ()) in
+      let ctx, rcfg = fresh_ctx (cfg ()) in
       let t0 = Unix.gettimeofday () in
-      runner ctx;
+      runner ctx rcfg;
       let dt = Unix.gettimeofday () -. t0 in
       if dt < !best then best := dt
     done;
     !best
   in
   let old_coalesce = time_coalesce Reference.Coalesce.fixpoint in
-  let new_coalesce = time_coalesce Remat.Allocator.build_coalesce in
-  let ctx_old = fresh_ctx (cfg ()) in
-  Reference.Coalesce.fixpoint ctx_old;
-  let ctx = fresh_ctx (cfg ()) in
+  let new_coalesce =
+    time_coalesce (fun ctx _ -> Remat.Allocator.build_coalesce ctx)
+  in
+  let ctx_old, cfg_old = fresh_ctx (cfg ()) in
+  Reference.Coalesce.fixpoint ctx_old cfg_old;
+  let ctx, _ = fresh_ctx (cfg ()) in
   Remat.Allocator.build_coalesce ctx;
   check_equal "coalesced routines"
-    (Cfg.structural_equal ctx_old.Remat.Context.cfg
+    (Cfg.structural_equal cfg_old
        (Iloc.Flat.to_routine (Remat.Context.flat ctx)));
   (* Simplify and select run read-only on the post-coalesce graph, so
      the same graph serves every repeat of both sides. *)

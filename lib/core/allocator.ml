@@ -15,6 +15,7 @@ type result = {
   spill_slots : int;
   n_values : int;
   n_live_ranges : int;
+  n_splits : int;
   coalesced_copies : int;
   stats : Stats.t;
 }
@@ -59,10 +60,11 @@ let rewrite_physical fl g (colors : int option array) =
 (* The spill-round loop, shared by [allocate] (cold, caches empty) and
    [allocate_incremental] (caches primed from a snapshot).  Colors the
    context's arena and bridges the result to [Cfg.t], the loop's only
-   bridge. *)
-let color_rounds ~name ~max_rounds (fr : Renumber.flat_result)
-    (ctx : Context.t) =
+   bridge.  Of renumbering's result it takes only the two counts it
+   reports, so the round-0 arena is not kept alive through the rounds. *)
+let color_rounds ~name ~max_rounds ~n_values ~n_live_ranges (ctx : Context.t) =
   let machine = ctx.Context.machine in
+  let n_splits = List.length ctx.Context.split_pairs in
   let slot_counter = ref 0 in
   let spilled_memory = ref 0 and spilled_remat = ref 0 in
   let rec round r =
@@ -165,8 +167,9 @@ let color_rounds ~name ~max_rounds (fr : Renumber.flat_result)
     spilled_memory = !spilled_memory;
     spilled_remat = !spilled_remat;
     spill_slots = !slot_counter;
-    n_values = fr.Renumber.f_n_values;
-    n_live_ranges = fr.Renumber.f_n_live_ranges;
+    n_values;
+    n_live_ranges;
+    n_splits;
     coalesced_copies = ctx.Context.coalesced;
     stats = ctx.Context.stats;
   }
@@ -218,14 +221,14 @@ let allocate_ssa ~verify ~mode ~machine ~max_rounds (input : Cfg.t) =
     (* SSA values are never coarsened into live ranges — each value is
        its own coloring unit. *)
     n_live_ranges = r.Ssa_alloc.n_values;
+    n_splits = 0;
     coalesced_copies = r.Ssa_alloc.coalesced;
     stats;
   }
 
-(* Flat-native renumbering: encode once, rename on the arena, and bridge
-   the result back for the structured consumers (splitting, block order,
-   the snapshot's skeleton check).  The renamed arena equals an encode
-   of the bridged routine; it becomes the context's arena. *)
+(* Flat-native renumbering, bridged back for the snapshot's skeleton
+   check: the one consumer that reads the renumbered routine as a
+   [Cfg.t].  A cold allocation calls [Renumber.run_flat] alone. *)
 let renumber mode (cfg0 : Cfg.t) =
   let fr = Renumber.run_flat mode (Iloc.Flat.of_routine cfg0) in
   (Iloc.Flat.to_routine fr.Renumber.fl, fr)
@@ -245,19 +248,24 @@ let allocate ?(verify = false) ?(mode = Mode.Briggs_remat)
   let stats = Stats.create () in
   let cfg0 = Cfg.split_critical_edges input in
   let loops = Stats.time stats ~round:0 Stats.Cfa (fun () -> loops_of cfg0) in
-  let cfg, fr =
-    Stats.time stats ~round:0 Stats.Renum (fun () -> renumber mode cfg0)
+  let fr =
+    Stats.time stats ~round:0 Stats.Renum (fun () ->
+        Renumber.run_flat mode (Iloc.Flat.of_routine cfg0))
   in
   (* §6 loop-boundary splitting schemes, layered after renumber. *)
   let split_pairs, flat =
     Splitting.phase mode stats ~tags:fr.Renumber.f_tags
-      ~split_pairs:fr.Renumber.f_split_pairs ~flat:fr.Renumber.fl cfg
+      ~split_pairs:fr.Renumber.f_split_pairs fr.Renumber.fl
   in
   let ctx =
     Context.create ?batch_build ~mode ~machine ~loops ~tags:fr.Renumber.f_tags
-      ~split_pairs ~stats ~flat cfg
+      ~split_pairs ~stats flat
   in
-  let res = color_rounds ~name:input.Cfg.name ~max_rounds fr ctx in
+  let res =
+    color_rounds ~name:input.Cfg.name ~max_rounds
+      ~n_values:fr.Renumber.f_n_values
+      ~n_live_ranges:fr.Renumber.f_n_live_ranges ctx
+  in
   if verify then verify_output ~input ~output:res.cfg ~machine;
   res
   end
@@ -304,7 +312,7 @@ let snapshot ?(mode = Mode.Briggs_remat) ?(machine = Machine.standard)
   let ctx =
     Context.create ~mode ~machine ~loops ~tags:fr.Renumber.f_tags
       ~split_pairs:fr.Renumber.f_split_pairs ~stats:(Stats.create ())
-      ~flat:fr.Renumber.fl cfg
+      fr.Renumber.fl
   in
   let graph = Context.graph ctx in
   {
@@ -391,7 +399,7 @@ let allocate_incremental ?(verify = false) ?(max_rounds = 64)
       let ctx =
         Context.create ~mode ~machine ~loops:snap.snap_loops
           ~tags:fr.Renumber.f_tags ~split_pairs:fr.Renumber.f_split_pairs
-          ~stats ~flat:fr.Renumber.fl cfg
+          ~stats fr.Renumber.fl
       in
       (* Prime the caches: boundary liveness is shared read-only (no
          phase ever writes a row, and the context recycles only rows it
@@ -401,7 +409,11 @@ let allocate_incremental ?(verify = false) ?(max_rounds = 64)
          path. *)
       ctx.Context.boundary <- Some snap.snap_boundary;
       ctx.Context.graph <- Some (Interference.copy snap.snap_graph);
-      let res = color_rounds ~name:input.Cfg.name ~max_rounds fr ctx in
+      let res =
+        color_rounds ~name:input.Cfg.name ~max_rounds
+          ~n_values:fr.Renumber.f_n_values
+          ~n_live_ranges:fr.Renumber.f_n_live_ranges ctx
+      in
       if verify then verify_output ~input ~output:res.cfg ~machine;
       (* Coloring never mutates [cfg], the edited routine's renumbered
          form: the derived snapshot reuses this run's liveness and graph

@@ -35,6 +35,9 @@ type result = {
   spill_slots : int;  (** frame slots used *)
   n_values : int;  (** SSA values found by renumber *)
   n_live_ranges : int;  (** live ranges after renumber *)
+  n_splits : int;
+      (** split pairs handed to coloring: renumber's splits plus the
+          §6 loop scheme's (0 for the SSA pipeline) *)
   coalesced_copies : int;  (** copies removed by coalescing, total *)
   stats : Stats.t;
 }

@@ -1,7 +1,6 @@
 module Reg = Iloc.Reg
 
 type t = {
-  cfg : Iloc.Cfg.t;
   mode : Mode.t;
   machine : Machine.t;
   k : Iloc.Reg.cls -> int;
@@ -17,26 +16,20 @@ type t = {
   mutable boundary : Dataflow.Liveness.Boundary.t option;
   mutable lr_index : Dataflow.Reg_index.t option;
   mutable graph : Interference.t option;
-  mutable matrix_scratch : Dataflow.Bitset.t option;
   mutable copies : (Reg.t * Reg.t) list option;
   mutable flat : Iloc.Flat.t;
   mutable mark : int array;
   mutable mark_epoch : int;
-  (* Cross-round scratch for the per-round recomputations: the batched
-     build's pair buffer and the boundary solver's working buffers.
-     Both survive every invalidation — their previous contents are dead
-     by then.  The pair buffer is created by the first batched build:
-     its radix histogram alone is 64k words, which a routine below
-     [Interference.dense_node_limit] would pay on every allocation for
-     a builder that never runs. *)
-  mutable pair_scratch : Dataflow.Pair_buf.t option;
+  (* Cross-round scratch for the per-round recomputations: the graph
+     builds' matrix and emission buffer, and the boundary solver's
+     working buffers.  Both survive every invalidation — their previous
+     contents are dead by then. *)
+  build_scratch : Interference.scratch;
   mutable boundary_scratch : Dataflow.Liveness.Boundary.scratch option;
 }
 
-let create ?batch_build ~mode ~machine ~loops ~tags ~split_pairs ~stats ~flat
-    cfg =
+let create ?batch_build ~mode ~machine ~loops ~tags ~split_pairs ~stats flat =
   {
-    cfg;
     mode;
     machine;
     k = Machine.k_for machine;
@@ -52,12 +45,11 @@ let create ?batch_build ~mode ~machine ~loops ~tags ~split_pairs ~stats ~flat
     boundary = None;
     lr_index = None;
     graph = None;
-    matrix_scratch = None;
     copies = None;
     flat;
     mark = [||];
     mark_epoch = 0;
-    pair_scratch = None;
+    build_scratch = Interference.create_scratch ();
     boundary_scratch = None;
   }
 
@@ -69,7 +61,7 @@ let block_order t =
   match t.order with
   | Some o -> o
   | None ->
-      let o = Dataflow.Order.postorder t.cfg in
+      let o = Dataflow.Order.postorder_flat t.flat in
       t.order <- Some o;
       o
 
@@ -119,32 +111,17 @@ let graph t =
       let regs = lr_index t in
       let fl = t.flat in
       let bl = boundary t in
-      let pairs () =
-        match t.pair_scratch with
-        | Some b -> b
-        | None ->
-            let b = Dataflow.Pair_buf.create () in
-            t.pair_scratch <- Some b;
-            b
-      in
       let on_pairs ~emitted ~dropped =
         count t Stats.Build_pairs emitted;
         count t Stats.Build_dupes dropped
       in
       let g =
         time t Stats.Build (fun () ->
-            Interference.build_flat_boundary ?matrix:t.matrix_scratch ~pairs
+            Interference.build_flat_boundary ~scratch:t.build_scratch
               ?batch:t.batch_build ~on_pairs ~k:t.k regs fl bl)
       in
       count t Stats.Full_builds 1;
       t.graph <- Some g;
-      (* Keep the (possibly freshly grown) matrix for the next round's
-         rebuild; the node count only grows as spill code adds
-         temporaries, so the newest matrix is always the largest.  A
-         sparse graph has no matrix to harvest — keep the old scratch. *)
-      (match Interference.scratch_matrix g with
-      | Some m -> t.matrix_scratch <- Some m
-      | None -> ());
       g
 
 let invalidate_liveness t =

@@ -5,11 +5,11 @@
     derived structures: the block postorder, boundary liveness, the
     live-range numbering and the interference graph.
 
-    The arena ([flat]) is the routine's only mutable form from
-    renumbering to the final rewrite: coalescing and spill code replace
-    it, and the allocator bridges it to {!Iloc.Cfg.t} once, after
-    coloring.  [cfg], the renumbered routine the context was created
-    with, is never mutated.
+    The arena ([flat]) is the routine's only form from renumbering to
+    the final rewrite: coalescing and spill code replace it, and the
+    allocator bridges it to {!Iloc.Cfg.t} once, after coloring.  The
+    context holds no structured routine; callers that compare against
+    one (the reference coalescer in the tests) keep their own.
 
     The caches carry the incremental-update invariant of the
     build–coalesce loop: {!graph} performs a from-scratch
@@ -21,16 +21,16 @@
     itself; the block order survives, since no phase adds or removes
     blocks); spill-code insertion calls {!invalidate} (every cache).
 
-    Rebuilds also recycle storage: the triangular bit matrix of the
-    previous round's graph (when it was dense) is kept as a scratch
-    buffer and handed back to the next build, so a spill round reuses
-    the n(n−1)/2 bits instead of reallocating them.
+    Rebuilds also recycle storage through one {!Interference.scratch}:
+    the triangular bit matrix of the previous round's dense build, or
+    the batched build's emission buffer (one word per candidate pair,
+    created by the first batched build), is handed back to the next
+    build, so a spill round reuses it instead of reallocating.
 
     All timing and event counting goes through {!time} and {!count},
     which stamp the context's current round. *)
 
 type t = {
-  cfg : Iloc.Cfg.t;  (** never mutated; its blocks are the arena's *)
   mode : Mode.t;
   machine : Machine.t;
   k : Iloc.Reg.cls -> int;
@@ -51,8 +51,6 @@ type t = {
   mutable lr_index : Dataflow.Reg_index.t option;
       (** dense live-range numbering cache; see {!lr_index} *)
   mutable graph : Interference.t option;  (** cache; kept current *)
-  mutable matrix_scratch : Dataflow.Bitset.t option;
-      (** the last dense graph's bit matrix, recycled across rebuilds *)
   mutable copies : (Iloc.Reg.t * Iloc.Reg.t) list option;
       (** coalescing's copy worklist, harvested from the arena once per
           spill round; dropped by {!invalidate} (spill code can
@@ -60,10 +58,11 @@ type t = {
   mutable flat : Iloc.Flat.t;  (** the routine under allocation *)
   mutable mark : int array;  (** see {!fresh_marks} *)
   mutable mark_epoch : int;
-  mutable pair_scratch : Dataflow.Pair_buf.t option;
-      (** the batched build's pair buffer, recycled across rounds;
-          created by the first build that takes the batched path, so a
-          context whose builds all stay incremental never holds one *)
+  build_scratch : Interference.scratch;
+      (** the builds' bit matrix and emission buffer, recycled across
+          rounds; the emission buffer is created by the first build
+          that takes the batched path, so a context whose builds all
+          stay incremental never holds one *)
   mutable boundary_scratch : Dataflow.Liveness.Boundary.scratch option;
       (** boundary liveness working buffers, recycled across rounds *)
 }
@@ -76,18 +75,19 @@ val create :
   tags:Tag.t Iloc.Reg.Tbl.t ->
   split_pairs:(Iloc.Reg.t * Iloc.Reg.t) list ->
   stats:Stats.t ->
-  flat:Iloc.Flat.t ->
-  Iloc.Cfg.t ->
+  Iloc.Flat.t ->
   t
-(** [flat] must encode [cfg]. *)
+(** A context allocating the given arena: a renumbered, φ-free
+    routine with split critical edges. *)
 
 val set_round : t -> int -> unit
 val time : t -> Stats.phase -> (unit -> 'a) -> 'a
 val count : t -> Stats.counter -> int -> unit
 
 val block_order : t -> int array
-(** Cached {!Dataflow.Order.postorder} of [cfg] (every arena shares its
-    blocks and edges). *)
+(** Cached {!Dataflow.Order.postorder_flat} of the arena.  No phase adds
+    or removes blocks or edges, so coalescing keeps it; {!invalidate}
+    recomputes it from the spliced arena all the same. *)
 
 val flat : t -> Iloc.Flat.t
 
@@ -106,7 +106,7 @@ val lr_index : t -> Dataflow.Reg_index.t
 
 val graph : t -> Interference.t
 (** Cached interference graph; built from scratch (timed and counted as
-    a [Full_builds] event, recycling the scratch matrix) only when
+    a [Full_builds] event, recycling [build_scratch]) only when
     absent. *)
 
 val invalidate_liveness : t -> unit

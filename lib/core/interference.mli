@@ -30,28 +30,35 @@
 
 type t
 
+type scratch = {
+  mutable matrix : Dataflow.Bitset.t option;
+      (** the last dense build's triangular bit matrix *)
+  mutable emitted : int array;
+      (** the batched build's emission buffer, one word per candidate
+          pair; [[||]] until a batched build has run *)
+}
+(** Storage one build leaves for the next.  {!build_flat_boundary}
+    clears and reuses whatever it finds here when it is large enough,
+    and stores back the newest (largest) buffer.  The allocation
+    context keeps one across its spill rounds; the graph an earlier
+    build returned never reads it again. *)
+
+val create_scratch : unit -> scratch
+(** Empty: no matrix, no emission buffer. *)
+
 val dense_node_limit : int
 (** Node count above which {!build} switches its build-time edge set
     from the bit matrix to a hash set, and {!build_flat_boundary}
     defaults [?batch] to true. *)
 
 val build :
-  ?matrix:Dataflow.Bitset.t ->
-  ?k:(Iloc.Reg.cls -> int) ->
-  Iloc.Cfg.t ->
-  Dataflow.Liveness.t ->
-  t
+  ?k:(Iloc.Reg.cls -> int) -> Iloc.Cfg.t -> Dataflow.Liveness.t -> t
 (** One backward pass per block, seeded with the block's live-out set.
-    [matrix], when given, is a scratch buffer from an earlier build: if
-    the graph is dense and the buffer's storage can hold the n(n−1)/2
-    triangular bits it is cleared and recycled (via
-    {!Dataflow.Bitset.view}) instead of allocating fresh — the earlier
-    graph must no longer be in use.  The structured reference build:
-    the allocator itself builds with {!build_flat_boundary}. *)
+    The structured reference build: the allocator itself builds with
+    {!build_flat_boundary}. *)
 
 val build_flat_boundary :
-  ?matrix:Dataflow.Bitset.t ->
-  ?pairs:(unit -> Dataflow.Pair_buf.t) ->
+  ?scratch:scratch ->
   ?batch:bool ->
   ?on_pairs:(emitted:int -> dropped:int -> unit) ->
   ?k:(Iloc.Reg.cls -> int) ->
@@ -69,19 +76,21 @@ val build_flat_boundary :
     of the bridged routine with its dense {!Dataflow.Liveness.compute}.
 
     [batch] (default: node count > {!dense_node_limit}) selects the
-    batched two-phase builder: one sweep emits every candidate pair
-    into a {!Dataflow.Pair_buf} with no membership checks, then a
-    radix sort + stable first-occurrence dedupe and a chronological
-    replay fill the adjacency vectors.  The result is byte-identical to
-    the incremental build —
-    same edges {e and} same per-node neighbor order — with membership
-    probes and O(n/64) live-set scans gone from the sweep.  [pairs]
-    supplies a pair buffer to recycle across builds; it is called only
-    when the batched builder runs, so a caller can create the buffer on
-    first demand.  [matrix] is recycled as in {!build}; the allocation
-    context threads its previous matrix through here on every
-    spill-round rebuild.  [on_pairs] reports how many candidate pairs the sweep emitted and
-    how many were duplicates (both paths report it). *)
+    batched two-phase builder: one sweep appends every candidate pair,
+    with no membership check, as one word to a flat emission buffer;
+    then a counting scatter fills a transient CSR row per node in
+    emission order (each pair lands in both endpoints' rows), each row
+    keeps the first occurrence of every neighbor, and is copied into an
+    exactly sized adjacency vector.  The result is byte-identical to
+    the incremental build — same edges {e and} same per-node neighbor
+    order — with membership probes and O(n/64) live-set scans gone from
+    the sweep.  The emission buffer is one word per emitted pair and is
+    taken from, and left in, [scratch]; so is the dense build's bit
+    matrix (cleared and recycled via {!Dataflow.Bitset.view} when it
+    can hold the n(n−1)/2 triangular bits).  A build without [scratch]
+    allocates both fresh.  [on_pairs] reports how many candidate pairs
+    the sweep emitted and how many were duplicates (both paths report
+    it). *)
 
 val of_edges : ?k:(Iloc.Reg.cls -> int) -> int -> (int * int) list -> t
 (** A graph over [n] fresh integer-class nodes with the given edges
@@ -94,11 +103,6 @@ val packed_map : t -> int array
 (** {!Dataflow.Reg_index.packed_map} of the node numbering, kept from the build
     (shared by {!copy}; read-only) so flat-form sweeps over the same
     routine need not allocate their own. *)
-
-val scratch_matrix : t -> Dataflow.Bitset.t option
-(** The bit matrix that deduplicated a dense build, for recycling into a
-    later build's [?matrix]; [None] when the build used the hash set or
-    the batched builder.  It is not kept current after the build. *)
 
 val union_edges : t -> int
 (** Total number of edges {!merge} has added — the neighbors of a

@@ -127,10 +127,11 @@ let run (scheme : scheme) (cfg : Cfg.t) ~tags =
     chosen;
   !pairs
 
-let phase mode stats ~tags ~split_pairs ~flat cfg =
+let phase mode stats ~tags ~split_pairs flat =
   match Mode.loop_scheme mode with
   | None -> (split_pairs, flat)
   | Some scheme ->
       Stats.time stats ~round:0 Stats.Splitting (fun () ->
+          let cfg = Iloc.Flat.to_routine flat in
           let pairs = run scheme cfg ~tags in
           (split_pairs @ pairs, Iloc.Flat.of_routine cfg))

@@ -40,10 +40,10 @@ val phase :
   Stats.t ->
   tags:Tag.t Iloc.Reg.Tbl.t ->
   split_pairs:(Iloc.Reg.t * Iloc.Reg.t) list ->
-  flat:Iloc.Flat.t ->
-  Iloc.Cfg.t ->
+  Iloc.Flat.t ->
   (Iloc.Reg.t * Iloc.Reg.t) list * Iloc.Flat.t
 (** Before the {!Context} exists: {!run} the mode's loop scheme, if
-    any, on the renumbered [cfg] (arena [flat]) and return [split_pairs]
-    with the new pairs appended and the split routine's arena, timed as
-    [Splitting] in round 0. *)
+    any, on the renumbered arena and return [split_pairs] with the new
+    pairs appended and the split routine's arena, timed as [Splitting]
+    in round 0.  Only a mode with a loop scheme bridges the arena to a
+    {!Iloc.Cfg.t} (and back); every other mode returns it untouched. *)

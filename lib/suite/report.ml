@@ -42,7 +42,11 @@ let table1_row ?machine kernel =
   let optimistic = opt.spill_cycles and remat = rem.spill_cycles in
   (* Contribution of category c: cycles attributable to c in the
      optimistic allocation minus the same in the rematerializing one, as
-     a percentage of the optimistic spill cost. *)
+     a percentage of the optimistic spill cost's magnitude.  Spill cost
+     is a difference of two allocations and can be negative; dividing
+     by its magnitude keeps a positive percentage meaning "Remat saved
+     cycles". *)
+  let base = abs optimistic in
   let categories =
     [ Instr.Cat_load; Instr.Cat_store; Instr.Cat_copy; Instr.Cat_ldi;
       Instr.Cat_addi; Instr.Cat_other ]
@@ -59,16 +63,15 @@ let table1_row ?machine kernel =
         in
         let saved = opt_c - rem_c in
         let pct =
-          if optimistic = 0 then 0.
-          else 100. *. float_of_int saved /. float_of_int optimistic
+          if base = 0 then 0.
+          else 100. *. float_of_int saved /. float_of_int base
         in
         (c, pct))
       categories
   in
   let total_pct =
-    if optimistic = 0 then 0.
-    else
-      100. *. float_of_int (optimistic - remat) /. float_of_int optimistic
+    if base = 0 then 0.
+    else 100. *. float_of_int (optimistic - remat) /. float_of_int base
   in
   { t1_kernel = kernel; optimistic; remat; contributions; total_pct }
 
@@ -335,10 +338,8 @@ let table2_json cols =
   Buffer.add_string b "]}";
   Buffer.contents b
 
-type ablation_row = {
-  ab_kernel : Kernels.kernel;
-  per_mode : (Remat.Mode.t * int) list;
-}
+type ablation_cell = { ab_mode : Remat.Mode.t; ab_cycles : int; ab_splits : int }
+type ablation_row = { ab_kernel : Kernels.kernel; per_mode : ablation_cell list }
 
 let ablation ?machine ?(modes = Mode.all) () =
   List.map
@@ -347,7 +348,13 @@ let ablation ?machine ?(modes = Mode.all) () =
         ab_kernel = kernel;
         per_mode =
           List.map
-            (fun mode -> (mode, (measure ?machine mode kernel).spill_cycles))
+            (fun mode ->
+              let m = measure ?machine mode kernel in
+              {
+                ab_mode = mode;
+                ab_cycles = m.spill_cycles;
+                ab_splits = m.result.Remat.Allocator.n_splits;
+              })
             modes;
       })
     Kernels.all
@@ -358,14 +365,14 @@ let pp_ablation ppf rows =
   | first :: _ ->
       Format.fprintf ppf "%-12s" "routine";
       List.iter
-        (fun (m, _) -> Format.fprintf ppf " %18s" (Mode.to_string m))
+        (fun c -> Format.fprintf ppf " %18s" (Mode.to_string c.ab_mode))
         first.per_mode;
       Format.fprintf ppf "@.%s@."
         (String.make (12 + (19 * List.length first.per_mode)) '-');
       List.iter
         (fun r ->
           Format.fprintf ppf "%-12s" r.ab_kernel.Kernels.name;
-          List.iter (fun (_, c) -> Format.fprintf ppf " %18d" c) r.per_mode;
+          List.iter (fun c -> Format.fprintf ppf " %18d" c.ab_cycles) r.per_mode;
           Format.fprintf ppf "@.")
         rows
 

@@ -80,11 +80,14 @@ val table2_json : table2_column list -> string
     [bench/main.exe table2] writes this to [BENCH_alloc.json] for
     cross-revision trajectory tracking. *)
 
-(** §6 ablation: spill cycles per mode per kernel. *)
-type ablation_row = {
-  ab_kernel : Kernels.kernel;
-  per_mode : (Remat.Mode.t * int) list;
+(** §6 ablation: spill cycles and splits per mode per kernel. *)
+type ablation_cell = {
+  ab_mode : Remat.Mode.t;
+  ab_cycles : int;  (** spill cycles, as {!measurement.spill_cycles} *)
+  ab_splits : int;  (** {!Remat.Allocator.result.n_splits} *)
 }
+
+type ablation_row = { ab_kernel : Kernels.kernel; per_mode : ablation_cell list }
 
 val ablation : ?machine:Remat.Machine.t -> ?modes:Remat.Mode.t list -> unit -> ablation_row list
 val pp_ablation : Format.formatter -> ablation_row list -> unit

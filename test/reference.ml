@@ -162,13 +162,12 @@ module Coalesce = struct
     Reg.Tbl.remove infinite drop_reg
 
   (* Whole-CFG rescan per sweep; allocating Briggs test (neighbor-list
-     append, sort_uniq, filter).  Renames the context's structured [cfg]
-     in place after every sweep that merged; the production coalescer
-     renames the arena once per round instead, and callers compare the
-     two texts. *)
-  let pass phase (ctx : Context.t) =
+     append, sort_uniq, filter).  Renames [cfg], the structured form of
+     the context's arena that the caller keeps, in place after every
+     sweep that merged; the production coalescer renames the arena once
+     per round instead, and callers compare the two texts. *)
+  let pass phase (ctx : Context.t) (cfg : Iloc.Cfg.t) =
     let g = Context.graph ctx in
-    let cfg = ctx.Context.cfg in
     Context.count ctx Stats.Coalesce_sweeps 1;
     let split_set = Hashtbl.create 16 in
     List.iter
@@ -253,11 +252,11 @@ module Coalesce = struct
 
   (* The allocator's build_coalesce regime: unrestricted to a fixpoint,
      then (for splitting modes) conservative to a fixpoint. *)
-  let fixpoint (ctx : Context.t) =
+  let fixpoint (ctx : Context.t) cfg =
     ignore (Context.graph ctx);
     let phase = ref Unrestricted in
     let rec loop () =
-      let outcome = pass !phase ctx in
+      let outcome = pass !phase ctx cfg in
       if outcome.changed then loop ()
       else
         match !phase with

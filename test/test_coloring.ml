@@ -19,16 +19,18 @@ let machines =
     Remat.Machine.make ~name:"scale" ~k_int:8 ~k_float:8;
   ]
 
+(* A context over the renumbered routine, and that routine: the
+   reference coalescer renames the structured form in place. *)
 let fresh_ctx ~mode ~machine cfg =
   let cfg0 = Cfg.split_critical_edges cfg in
   let dom = Dataflow.Dominance.compute cfg0 in
   let loops = Dataflow.Loops.compute cfg0 dom in
   let rn = Remat.Renumber.run mode cfg0 in
-  Remat.Context.create ~mode ~machine ~loops ~tags:rn.Remat.Renumber.tags
-    ~split_pairs:rn.Remat.Renumber.split_pairs
-    ~stats:(Remat.Stats.create ())
-    ~flat:(Iloc.Flat.of_routine rn.Remat.Renumber.cfg)
-    rn.Remat.Renumber.cfg
+  ( Remat.Context.create ~mode ~machine ~loops ~tags:rn.Remat.Renumber.tags
+      ~split_pairs:rn.Remat.Renumber.split_pairs
+      ~stats:(Remat.Stats.create ())
+      (Iloc.Flat.of_routine rn.Remat.Renumber.cfg),
+    rn.Remat.Renumber.cfg )
 
 let partners_of ctx g =
   let partners = Array.make (Interference.n_nodes g) [] in
@@ -69,13 +71,13 @@ let check_sig_counts what ~k g =
 let check_seed ~config ~machine seed =
   let mode = Remat.Mode.Briggs_remat in
   let cfg () = Gen.generate ~config seed in
-  let ctx_old = fresh_ctx ~mode ~machine (cfg ()) in
-  Reference.Coalesce.fixpoint ctx_old;
-  let ctx = fresh_ctx ~mode ~machine (cfg ()) in
+  let ctx_old, cfg_old = fresh_ctx ~mode ~machine (cfg ()) in
+  Reference.Coalesce.fixpoint ctx_old cfg_old;
+  let ctx, _ = fresh_ctx ~mode ~machine (cfg ()) in
   Remat.Allocator.build_coalesce ctx;
   if
     not
-      (Cfg.structural_equal ctx_old.Remat.Context.cfg
+      (Cfg.structural_equal cfg_old
          (Iloc.Flat.to_routine (Remat.Context.flat ctx)))
   then
     QCheck.Test.fail_reportf "seed %d on %s: coalesced routines differ" seed

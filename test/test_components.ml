@@ -193,7 +193,7 @@ let ctx_of ?(split_pairs = []) cfg =
   Remat.Context.create ~mode:Remat.Mode.Briggs_remat
     ~machine:(Remat.Machine.make ~name:"test4" ~k_int:4 ~k_float:4)
     ~loops ~tags:(Reg.Tbl.create 4) ~split_pairs
-    ~stats:(Remat.Stats.create ()) ~flat:(Iloc.Flat.of_routine cfg) cfg
+    ~stats:(Remat.Stats.create ()) (Iloc.Flat.of_routine cfg)
 
 let coalesce_tests =
   [

@@ -387,7 +387,7 @@ let graph_boundary_prop (name, config) =
 (* --- batched graph build ≡ incremental ------------------------------- *)
 
 (* Same flat routine, same boundary liveness, two construction
-   strategies: the pair-buffer radix pipeline must reproduce the
+   strategies: the counting-scatter pipeline must reproduce the
    incremental builder's graph {e including} per-node neighbor vector
    order (the fingerprint prints adjacency in vector order, so any
    reordering — not just a set difference — fails). *)
@@ -419,9 +419,8 @@ let batched_graph_prop (name, config) =
       else true)
 
 let test_batched_over_limit () =
-  (* Cross [dense_node_limit], so both strategies run on the sparse edge
-     representations (Hash_set incremental vs Csr batched) rather than
-     the shared dense bit matrix.  A window-8 dependence chain keeps the
+  (* Cross [dense_node_limit], so the incremental reference runs on the
+     hash-set edge representation rather than the bit matrix.  A window-8 dependence chain keeps the
      edge count linear in n, so the incremental reference stays fast. *)
   let n = Remat.Interference.dense_node_limit + 300 in
   let r i = ri (i + 1) in
@@ -575,35 +574,52 @@ let test_incremental_spill_rounds () =
   if multi = [] then
     Alcotest.fail "no edit reused a snapshot and then spilled"
 
-(* --- lazy pair buffer -------------------------------------------------- *)
+(* --- the batched build's emission buffer ------------------------------ *)
 
-let test_pair_buf_lazy () =
-  let ctx_of ?batch_build cfg =
-    let cfg = Cfg.split_critical_edges cfg in
-    let loops =
-      Dataflow.Loops.compute cfg (Dataflow.Dominance.compute cfg)
-    in
-    let rn = Remat.Renumber.run Remat.Mode.Briggs_remat cfg in
-    Remat.Context.create ?batch_build ~mode:Remat.Mode.Briggs_remat
-      ~machine:tiny ~loops ~tags:rn.Remat.Renumber.tags
-      ~split_pairs:rn.Remat.Renumber.split_pairs
-      ~stats:(Remat.Stats.create ())
-      ~flat:(Flat.of_routine rn.Remat.Renumber.cfg)
-      rn.Remat.Renumber.cfg
-  in
+(* A multi-round allocation spelled out round by round, so each round's
+   context can be inspected: the emission buffer of the batched build
+   exists only once a batched build has run, and later rounds' builds
+   write into the same array unless they emit more pairs than it
+   holds. *)
+let test_emission_buffer_kept () =
   let cfg = Fuzz.Gen.generate ~config:Fuzz.Gen.high_pressure 7 in
-  let ctx = ctx_of cfg in
-  let g = Remat.Context.graph ctx in
-  if Remat.Interference.n_nodes g > Remat.Interference.dense_node_limit then
-    Alcotest.fail "routine too large for an incremental build";
-  Alcotest.(check bool)
-    "no pair buffer after an incremental build" true
-    (Option.is_none ctx.Remat.Context.pair_scratch);
-  let ctx = ctx_of ~batch_build:true cfg in
-  ignore (Remat.Context.graph ctx);
-  Alcotest.(check bool)
-    "pair buffer after a forced batched build" true
-    (Option.is_some ctx.Remat.Context.pair_scratch)
+  let emitted ctx = ctx.Remat.Context.build_scratch.Remat.Interference.emitted in
+  let mode = Remat.Mode.Briggs_remat in
+  let dense_rounds = ref 0 in
+  ignore
+    (Testutil.allocate_by_rounds ~mode ~machine:tiny
+       ~on_round:(fun ctx ->
+         incr dense_rounds;
+         let g = Remat.Context.graph ctx in
+         if Remat.Interference.n_nodes g > Remat.Interference.dense_node_limit
+         then Alcotest.fail "routine too large for an incremental build";
+         Alcotest.(check int)
+           "no emission buffer after dense builds" 0
+           (Array.length (emitted ctx)))
+       (Cfg.copy cfg));
+  if !dense_rounds < 2 then Alcotest.fail "allocation did not spill";
+  let prev = ref [||] and reused = ref 0 in
+  ignore
+    (Testutil.allocate_by_rounds ~batch_build:true ~mode ~machine:tiny
+       ~on_round:(fun ctx ->
+         let buf = emitted ctx in
+         let round = ctx.Remat.Context.round in
+         let pairs =
+           Remat.Stats.counter_in_round ctx.Remat.Context.stats ~round
+             Remat.Stats.Build_pairs
+         in
+         if pairs = 0 || Array.length buf < pairs then
+           Alcotest.failf "round %d: %d pairs, buffer of %d" round pairs
+             (Array.length buf);
+         if round > 1 && pairs <= Array.length !prev then begin
+           if buf != !prev then
+             Alcotest.failf "round %d: buffer reallocated for %d pairs" round
+               pairs;
+           incr reused
+         end;
+         prev := buf)
+       cfg);
+  if !reused = 0 then Alcotest.fail "no round reused the emission buffer"
 
 (* End-to-end: forcing the batched builder (every round, even under the
    dense threshold where the default is incremental) must leave the
@@ -681,8 +697,8 @@ let () =
         ] );
       ( "context",
         [
-          Alcotest.test_case "pair buffer created by the first batched build"
-            `Quick test_pair_buf_lazy;
+          Alcotest.test_case "emission buffer kept across batched rounds"
+            `Quick test_emission_buffer_kept;
           Alcotest.test_case "edits reuse a snapshot across spill rounds"
             `Quick test_incremental_spill_rounds;
         ] );

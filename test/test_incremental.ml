@@ -23,8 +23,7 @@ let coalesced_context mode cfg0 =
     Remat.Context.create ~mode ~machine:Remat.Machine.standard ~loops
       ~tags:rn.Remat.Renumber.tags ~split_pairs:rn.Remat.Renumber.split_pairs
       ~stats:(Remat.Stats.create ())
-      ~flat:(Iloc.Flat.of_routine rn.Remat.Renumber.cfg)
-      rn.Remat.Renumber.cfg
+      (Iloc.Flat.of_routine rn.Remat.Renumber.cfg)
   in
   Remat.Context.set_round ctx 1;
   Remat.Allocator.build_coalesce ctx;

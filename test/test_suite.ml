@@ -198,6 +198,25 @@ let figure_tests =
           || res.Remat.Allocator.spilled_remat > 0));
   ]
 
+let table_tests =
+  [
+    tc "table 1 total is positive exactly when Remat saves cycles" (fun () ->
+        (* Spill cost can be negative (the 16+16 allocation beating the
+           128+128 baseline), so the sign of the percentage must come
+           from the saving alone. *)
+        List.iter
+          (fun k ->
+            let r = Suite.Report.table1_row k in
+            let name = k.Suite.Kernels.name in
+            check Alcotest.bool
+              (Printf.sprintf "%s: %d -> %d, total %.1f%%" name
+                 r.Suite.Report.optimistic r.Suite.Report.remat
+                 r.Suite.Report.total_pct)
+              (r.Suite.Report.remat < r.Suite.Report.optimistic)
+              (r.Suite.Report.total_pct > 0.))
+          kernels);
+  ]
+
 let () =
   Alcotest.run "suite"
     [
@@ -205,4 +224,5 @@ let () =
       ("reference", reference_tests);
       ("allocation", allocation_tests);
       ("figures", figure_tests);
+      ("tables", table_tests);
     ]

@@ -207,16 +207,14 @@ let allocate_by_rounds ?batch_build ~mode ~machine ~on_round input =
   let cfg0 = Cfg.split_critical_edges input in
   let loops = Dataflow.Loops.compute cfg0 (Dataflow.Dominance.compute cfg0) in
   let fr = Remat.Renumber.run_flat mode (Iloc.Flat.of_routine cfg0) in
-  let cfg = Iloc.Flat.to_routine fr.Remat.Renumber.fl in
   let stats = Remat.Stats.create () in
   let split_pairs, flat =
     Remat.Splitting.phase mode stats ~tags:fr.Remat.Renumber.f_tags
-      ~split_pairs:fr.Remat.Renumber.f_split_pairs ~flat:fr.Remat.Renumber.fl
-      cfg
+      ~split_pairs:fr.Remat.Renumber.f_split_pairs fr.Remat.Renumber.fl
   in
   let ctx =
     Remat.Context.create ?batch_build ~mode ~machine ~loops
-      ~tags:fr.Remat.Renumber.f_tags ~split_pairs ~stats ~flat cfg
+      ~tags:fr.Remat.Renumber.f_tags ~split_pairs ~stats flat
   in
   let module G = Remat.Interference in
   let slot_counter = ref 0 in
