@@ -509,6 +509,34 @@ let determinism_tests =
         check Alcotest.int "hits agree" a.Loadgen.s_hits b.Loadgen.s_hits;
         check Alcotest.bool "cache does something" true
           (a.Loadgen.s_hit_rate > 0.));
+    (* The serve contract BENCH_serve.json records: the response bytes
+       (every source label, stats line and allocated body) of the
+       1000-request stream, and the counts that say which path each
+       request took.  A change that moves work between the cold,
+       incremental and hit paths must leave every figure here as it
+       is. *)
+    tc "BENCH_serve stream: digest and response mix are pinned" (fun () ->
+        let s =
+          Loadgen.run
+            {
+              Loadgen.default with
+              requests = 1000;
+              distinct = 32;
+              edit_rate = 0.3;
+              seed = 42;
+              wave = 32;
+            }
+        in
+        check Alcotest.string "output digest"
+          "afd48b1280dbc1a755bd9b6ff2886eaf" s.Loadgen.s_output_digest;
+        check Alcotest.int "cold" 91 s.Loadgen.s_cold;
+        check Alcotest.int "hit" 669 s.Loadgen.s_hit_responses;
+        check Alcotest.int "incremental" 240 s.Loadgen.s_incremental;
+        check Alcotest.int "errors" 0 s.Loadgen.s_errors;
+        check Alcotest.int "edits" 341 s.Loadgen.s_edits;
+        check Alcotest.int "fallbacks" 59 s.Loadgen.s_edit_fallbacks;
+        check Alcotest.int "incremental rebuilds" 0
+          s.Loadgen.s_incremental_rebuilds);
   ]
 
 (* --- a live conversation over pipes --- *)
