@@ -757,8 +757,9 @@ let serve_cmd =
       value & flag
       & info [ "no-snapshots" ]
           ~doc:
-            "Do not capture allocator snapshots on cold allocations; edit \
-             requests then always re-allocate from scratch.")
+            "Do not keep allocator snapshots: cold allocations skip the \
+             copy of their first round's interference graph and liveness, \
+             and edit requests always re-allocate from scratch.")
   in
   let max_frame =
     Arg.(

@@ -84,44 +84,62 @@ val allocate :
     to judge (kind [Unsupported] — e.g. an input that already contains
     spill code) pass silently. *)
 
-type snapshot
-(** Everything a small edit of a routine leaves valid: the pristine
-    renumbered code, boundary liveness ({!Dataflow.Liveness.Boundary}),
-    and a freshly built interference graph — all produced by the same
-    flat-arena code a cold {!allocate} runs.  Liveness and the graph see only def/use registers, copies
-    and terminator targets — never immediate payloads or source-operand
-    order — so an edit preserving that skeleton reuses both.  A snapshot
-    is immutable once built: concurrent {!allocate_incremental} calls
-    may share one (each takes a private graph copy and shares the
-    liveness rows read-only). *)
+type snapshot = private {
+  snap_mode : Mode.t;
+  snap_machine : Machine.t;
+  snap_loops : Dataflow.Loops.t;
+  snap_flat : Iloc.Flat.t;
+      (** the pristine renumbered arena, before any coalescing *)
+  snap_split_pairs : (Iloc.Reg.t * Iloc.Reg.t) list;
+  snap_boundary : Dataflow.Liveness.Boundary.t;
+      (** boundary liveness of [snap_flat]; the rows are the snapshot's
+          own, never recycled by a later round *)
+  snap_graph : Interference.t;  (** the graph built from [snap_flat] *)
+}
+(** Everything a small edit of a routine leaves valid: the front half
+    of an allocation's first round — the renumbered arena, boundary
+    liveness ({!Dataflow.Liveness.Boundary}) and the interference
+    graph, as built, before the first coalescing sweep.  Liveness and
+    the graph see only def/use registers, copies and terminator
+    targets — never immediate payloads or source-operand order — so an
+    edit preserving that skeleton reuses both.  A snapshot is immutable:
+    concurrent {!allocate_incremental} calls may share one (each takes a
+    private graph copy and shares the liveness rows read-only). *)
 
-val snapshot :
-  ?mode:Mode.t -> ?machine:Machine.t -> Iloc.Cfg.t -> snapshot
-(** Renumber the routine and force liveness + graph construction,
-    capturing all three for later {!allocate_incremental} calls.  Costs
-    roughly the pre-coloring front half of an allocation.  The input
-    must pass {!Iloc.Validate.routine}. *)
+val allocate_snapshot :
+  ?mode:Mode.t -> ?machine:Machine.t -> Iloc.Cfg.t -> result * snapshot option
+(** {!allocate} with its defaults, also capturing the snapshot for later
+    {!allocate_incremental} calls.  The snapshot is taken from round
+    1's own context — the front half runs once — at the cost of a graph
+    copy; the result is byte-identical to {!allocate}'s, counters
+    included.  No snapshot is taken for modes with a §6 loop-splitting
+    scheme (splitting rewrites the routine after renumber) or for the
+    SSA pipeline (which builds no interference graph): their edits
+    always allocate cold. *)
+
+type path =
+  | Incremental  (** the skeleton matched: round 1 reused the snapshot *)
+  | Cold  (** the skeleton differed: the edit was allocated cold *)
 
 val allocate_incremental :
   ?verify:bool ->
   ?max_rounds:int ->
   snapshot ->
   Iloc.Cfg.t ->
-  (result * snapshot) option
-(** Allocate an edited variant of the snapshotted routine, skipping the
-    first round's from-scratch liveness and graph build by priming the
-    context from the snapshot.  The edited routine is still renumbered
-    (tag unioning can change under payload edits); if its live-range
-    skeleton diverges from the snapshot's, [None] is returned and the
-    caller must fall back to a cold {!allocate} — reuse only happens
-    when it is provably sound, so the returned allocation is always
-    byte-identical to a cold allocation of the same routine.  On success
-    the first round performs no [Full_builds] and no [Liveness_runs]
-    (observable in [result.stats]: [Full_builds] = rounds − 1 instead of
-    rounds), and a new snapshot for the {e edited} routine is returned,
-    sharing the cached liveness/graph.  Returns [None] for modes with a
-    loop-splitting scheme (splitting rewrites the routine after
-    renumber). *)
+  path * result * snapshot
+(** Allocate an edited variant of the snapshotted routine with the
+    snapshot's mode and machine.  The edited routine is always
+    renumbered (tag unioning can change under payload edits).  If its
+    live-range skeleton matches the snapshot's, the first round skips
+    the from-scratch liveness and graph build by priming the context
+    from the snapshot: it performs no [Full_builds] and no
+    [Liveness_runs] (observable in [result.stats]: [Full_builds] =
+    rounds − 1 instead of rounds), and the returned snapshot describes
+    the edited routine, sharing the base's liveness and graph.
+    Otherwise the edit continues cold from the arena just renumbered —
+    renumbering still runs once — and returns the fresh snapshot its
+    first round captured.  Either way the allocation is byte-identical
+    to a cold {!allocate} of the same routine. *)
 
 val check : result -> (unit, string list) Result.t
 (** Post-allocation sanity check: the code is valid ILOC and every

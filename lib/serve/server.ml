@@ -14,8 +14,14 @@
       persistent {!Suite.Pool}.  Items are independent by construction —
       every item owns its parsed routine, and the only shared structure
       is an immutable {!Remat.Allocator.snapshot} (incremental items
-      deep-copy its graph before mutating).  Each item catches its own
-      exceptions into a per-item [Error].
+      deep-copy its graph before mutating).  Each item makes one
+      allocator call, so the front half (renumber, liveness, build)
+      runs once per item: an edit with a cached base snapshot calls
+      [allocate_incremental], which continues cold when the skeleton
+      check fails; any other item calls [allocate_snapshot], whose
+      snapshot is its own first round's, or plain [allocate] when
+      snapshots are off.  Each item catches its own exceptions into a
+      per-item [Error].
 
    C. {e Replay} (sequential, in request order): perform every cache
       read and write, count hits/misses/evictions, and assemble
@@ -34,7 +40,7 @@ module Stats = Remat.Stats
 type config = {
   jobs : int;
   cache_capacity : int;
-  snapshots : bool;  (* capture snapshots for incremental edits *)
+  snapshots : bool;  (* keep cold allocations' snapshots for edits *)
   max_frame : int;
   batch_limit : int;  (* max requests per wave *)
 }
@@ -127,23 +133,19 @@ let run_work ~snapshots (w : work) :
       },
       source )
   in
-  let cold () =
-    let res = Allocator.allocate ~mode ~machine w.w_cfg in
-    let snap =
-      if snapshots then Some (Allocator.snapshot ~mode ~machine w.w_cfg)
-      else None
-    in
-    finish res snap Protocol.Cold
-  in
   match
     match w.w_base with
-    | Some base -> (
-        match Allocator.allocate_incremental base w.w_cfg with
-        | Some (res, snap') ->
-            finish res (if snapshots then Some snap' else None)
-              Protocol.Incremental
-        | None -> cold ())
-    | None -> cold ()
+    | Some base ->
+        let path, res, snap = Allocator.allocate_incremental base w.w_cfg in
+        finish res (Some snap)
+          (match path with
+          | Allocator.Incremental -> Protocol.Incremental
+          | Allocator.Cold -> Protocol.Cold)
+    | None when snapshots ->
+        let res, snap = Allocator.allocate_snapshot ~mode ~machine w.w_cfg in
+        finish res snap Protocol.Cold
+    | None ->
+        finish (Allocator.allocate ~mode ~machine w.w_cfg) None Protocol.Cold
   with
   | v -> Ok v
   | exception e -> Error (exn_to_err e)

@@ -13,8 +13,9 @@ type config = {
   jobs : int;  (** pool width; 1 = everything in the serving domain *)
   cache_capacity : int;  (** LRU bound (entries) *)
   snapshots : bool;
-      (** capture {!Remat.Allocator.snapshot}s on cold allocations so
-          [Edit] requests can take the incremental path *)
+      (** cold allocations keep their first round's
+          {!Remat.Allocator.snapshot} in the cache entry, so [Edit]
+          requests can take the incremental path *)
   max_frame : int;  (** reject larger frames as corrupt *)
   batch_limit : int;  (** max requests drained into one wave *)
 }

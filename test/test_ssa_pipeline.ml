@@ -141,12 +141,21 @@ let directed =
         in
         check Alcotest.int "remat spills" 0 r.Remat.Ssa_alloc.spilled_remat);
     tc "incremental allocation declines SSA modes" (fun () ->
+        (* The SSA pipeline builds no interference graph: an allocation
+           that would feed edits returns no snapshot, and its output is
+           the plain allocation's. *)
         let cfg = Testutil.counted_loop () in
-        let snap =
-          Remat.Allocator.snapshot ~mode:Remat.Mode.Ssa_remat cfg
-        in
-        check Alcotest.bool "no incremental path" true
-          (Remat.Allocator.allocate_incremental snap cfg = None));
+        List.iter
+          (fun mode ->
+            let res, snap = Remat.Allocator.allocate_snapshot ~mode cfg in
+            check Alcotest.bool
+              (Remat.Mode.to_string mode ^ ": no snapshot")
+              true (Option.is_none snap);
+            check Alcotest.string
+              (Remat.Mode.to_string mode ^ ": plain output")
+              (Iloc.Cfg.to_string (Remat.Allocator.allocate ~mode cfg).cfg)
+              (Iloc.Cfg.to_string res.Remat.Allocator.cfg))
+          Remat.Mode.[ Ssa_remat; Ssa_no_remat ]);
   ]
 
 let () =
