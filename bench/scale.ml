@@ -1,13 +1,12 @@
 (* Scale benchmark: the coloring-core phases (simplify, select, the
    coalescing fixpoint) on Fuzz.Gen high-pressure routines of growing
-   size, old implementation vs new.
+   size.
 
-   "Old" is the retained pre-optimization code (the [Reference] library:
+   Each phase of lib/core is timed, and its output is compared exactly
+   with the retained pre-optimization code (the [Reference] library:
    whole-graph rescan per spill candidate, forbidden-color lists,
-   whole-CFG coalescing sweeps with an allocating Briggs test); "new" is
-   lib/core as built.  Both sides run on identical inputs and their
-   outputs are compared exactly, so every benchmark run doubles as a
-   differential test; the timing table then shows the asymptotic gap.
+   whole-CFG coalescing sweeps with an allocating Briggs test) on the
+   same input, so every benchmark run doubles as a differential test.
    A full Remat.Allocator.allocate per size records end-to-end per-phase
    seconds and minor-heap words through Stats, and Verify.Check proves
    that allocation faithful to its source. *)
@@ -36,7 +35,7 @@ let config ~stmts =
   }
 
 (* Sizes at or above this run the flat-substrate tier instead of the
-   old-vs-new coloring comparison: the Reference implementations (and
+   reference coloring comparison: the Reference implementations (and
    dense per-register rows) were never meant for 10^5-10^6
    instructions. *)
 let big_threshold = 50_000
@@ -111,8 +110,7 @@ type row = {
   instrs : int;
   nodes : int;
   edges : int;
-  old_t : phase_times;
-  new_t : phase_times;
+  times : phase_times;
   alloc : (Remat.Stats.phase * float * float * float) list;
       (** full-allocator per-phase (seconds, minor words, major words),
           summed over rounds *)
@@ -150,7 +148,7 @@ let check_equal what ok =
   if not ok then
     raise
       (Divergence
-         (Printf.sprintf "scale bench: old and new %s disagree" what))
+         (Printf.sprintf "scale bench: reference and new %s disagree" what))
 
 (* Statically verify an end-to-end allocation of [input]; a rejection
    fails the run like any divergence.  Returns the checker's seconds. *)
@@ -185,7 +183,7 @@ let alloc_stats (res : Remat.Allocator.result) =
       (p, s, w, mj))
     !order
 
-(* The batched graph build's volume counters — deterministic per input,
+(* The graph build's volume counters — deterministic per input,
    so the --check gate can treat them like heap words. *)
 let build_counters (res : Remat.Allocator.result) =
   List.map
@@ -201,20 +199,16 @@ let measure ~repeats ~target seed =
   let instrs = n_instrs (cfg ()) in
   (* Coalesce: the whole unrestricted+conservative fixpoint, fresh
      context per repeat (it mutates the routine and the graph). *)
-  let time_coalesce runner =
+  let coalesce =
     let best = ref infinity in
     for _ = 1 to repeats do
-      let ctx, rcfg = fresh_ctx (cfg ()) in
+      let ctx, _ = fresh_ctx (cfg ()) in
       let t0 = Unix.gettimeofday () in
-      runner ctx rcfg;
+      Remat.Allocator.build_coalesce ctx;
       let dt = Unix.gettimeofday () -. t0 in
       if dt < !best then best := dt
     done;
     !best
-  in
-  let old_coalesce = time_coalesce Reference.Coalesce.fixpoint in
-  let new_coalesce =
-    time_coalesce (fun ctx _ -> Remat.Allocator.build_coalesce ctx)
   in
   let ctx_old, cfg_old = fresh_ctx (cfg ()) in
   Reference.Coalesce.fixpoint ctx_old cfg_old;
@@ -224,17 +218,14 @@ let measure ~repeats ~target seed =
     (Cfg.structural_equal cfg_old
        (Iloc.Flat.to_routine (Remat.Context.flat ctx)));
   (* Simplify and select run read-only on the post-coalesce graph, so
-     the same graph serves every repeat of both sides. *)
+     the same graph serves the reference run and every repeat. *)
   let g = Remat.Context.graph ctx in
   let costs = Remat.Spill_cost.phase ctx in
   let k = ctx.Remat.Context.k in
   let old_stack = Reference.Simplify.run g ~k ~costs in
   let new_stack = Remat.Simplify.run g ~k ~costs in
   check_equal "simplify stacks" (old_stack = new_stack);
-  let old_simplify =
-    time_min ~repeats (fun () -> ignore (Reference.Simplify.run g ~k ~costs))
-  in
-  let new_simplify =
+  let simplify =
     time_min ~repeats (fun () -> ignore (Remat.Simplify.run g ~k ~costs))
   in
   let order = new_stack in
@@ -253,11 +244,7 @@ let measure ~repeats ~target seed =
   check_equal "select colorings"
     (old_sel.Reference.Select.colors = new_sel.Remat.Select.colors
     && old_sel.Reference.Select.spilled = new_sel.Remat.Select.spilled);
-  let old_select =
-    time_min ~repeats (fun () ->
-        ignore (Reference.Select.run g ~k ~order ~partners))
-  in
-  let new_select =
+  let select =
     time_min ~repeats (fun () ->
         ignore (Remat.Select.run g ~k ~order ~partners))
   in
@@ -266,33 +253,20 @@ let measure ~repeats ~target seed =
   let input = cfg () in
   let res = Remat.Allocator.allocate ~mode ~machine input in
   let verify_s = verify_alloc input res in
-  (* Small sizes default to the incremental builder; forcing the batched
-     pipeline on the same input must not move a byte of the output. *)
-  let res_batched =
-    Remat.Allocator.allocate ~mode ~machine ~batch_build:true (cfg ())
-  in
-  check_equal "batched vs incremental allocations"
-    (String.equal
-       (Cfg.to_string res.Remat.Allocator.cfg)
-       (Cfg.to_string res_batched.Remat.Allocator.cfg));
   let alloc = alloc_stats res in
   {
     target;
     instrs;
     nodes = Interference.n_nodes g;
     edges = Interference.n_edges g;
-    old_t =
-      { simplify = old_simplify; select = old_select; coalesce = old_coalesce };
-    new_t =
-      { simplify = new_simplify; select = new_select; coalesce = new_coalesce };
+    times = { simplify; select; coalesce };
     alloc;
-    counters = build_counters res_batched;
+    counters = build_counters res;
     verify_s;
   }
 
-(* Sizes above this generate with [big_config] and skip the
-   batched-vs-incremental byte-compare in [measure_big]: the incremental
-   rebuild there is minutes of work. *)
+(* Sizes above this generate with [big_config] and skip the static
+   verification in [measure_big]. *)
 let huge_cutoff = 200_000
 
 let measure_big ~repeats ~target seed =
@@ -315,28 +289,11 @@ let measure_big ~repeats ~target seed =
   (* End-to-end allocation, instrumented, once (a full run at these
      sizes is minutes of work; phase words don't vary across repeats). *)
   let res = Remat.Allocator.allocate ~mode ~machine cfg in
-  (* Up to the huge cutoff, verify the allocation statically, then
-     re-run with the batched builder forced off and byte-compare: the
-     CI smoke size (100k) then proves the allocation faithful and
-     batched ≡ incremental at a five-digit node count on every bench
-     run.  Above the cutoff the incremental rebuild is the minutes-long
-     baseline the batched builder retired, so identity at the top size
-     rests on the one-off A/B recorded in DESIGN.md plus the property
-     tests. *)
+  (* Up to the huge cutoff, verify the allocation statically: the CI
+     smoke size (100k) then proves it faithful at a five-digit node
+     count on every bench run. *)
   let bverify_s =
-    if target > huge_cutoff then None
-    else begin
-      let verify_s = verify_alloc cfg res in
-      let res_inc =
-        Remat.Allocator.allocate ~mode ~machine ~batch_build:false
-          (Gen.generate ~config:(mk ~stmts) seed)
-      in
-      check_equal "batched vs incremental allocations"
-        (String.equal
-           (Cfg.to_string res.Remat.Allocator.cfg)
-           (Cfg.to_string res_inc.Remat.Allocator.cfg));
-      Some verify_s
-    end
+    if target > huge_cutoff then None else Some (verify_alloc cfg res)
   in
   {
     btarget = target;
@@ -352,8 +309,6 @@ let measure_big ~repeats ~target seed =
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)
-
-let speedup o n = if n > 0. then o /. n else 0.
 
 (* One allocation's phase line: seconds with each phase's share of the
    end-to-end total, then heap words — the share is what makes a 1M-row
@@ -374,25 +329,22 @@ let pp_alloc ppf alloc counters verify_s =
 
 let pp ppf rows =
   Format.fprintf ppf
-    "=== Scale benchmark: coloring core, old vs new ===@.\
+    "=== Scale benchmark: coloring core ===@.\
      (Fuzz.Gen high-pressure routines on an %d+%d-register machine;@.\
-    \ seconds are the best of the repeats; outputs byte-compared)@.@."
+    \ seconds are the best of the repeats; outputs byte-compared@.\
+    \ with the reference implementation)@.@."
     machine.Remat.Machine.k_int machine.Remat.Machine.k_float;
-  Format.fprintf ppf "%8s %8s %8s %9s | %23s | %23s | %23s@." "target"
-    "instrs" "nodes" "edges" "simplify old/new" "select old/new"
-    "coalesce old/new";
-  Format.fprintf ppf "%s@." (String.make 114 '-');
+  Format.fprintf ppf "%8s %8s %8s %9s | %9s | %9s | %9s@." "target" "instrs"
+    "nodes" "edges" "simplify" "select" "coalesce";
+  Format.fprintf ppf "%s@." (String.make 72 '-');
   List.iter
     (fun r ->
-      let cell o n = Printf.sprintf "%9.6f/%9.6f %4.1fx" o n (speedup o n) in
-      Format.fprintf ppf "%8d %8d %8d %9d | %s | %s | %s@." r.target r.instrs
-        r.nodes r.edges
-        (cell r.old_t.simplify r.new_t.simplify)
-        (cell r.old_t.select r.new_t.select)
-        (cell r.old_t.coalesce r.new_t.coalesce))
+      Format.fprintf ppf "%8d %8d %8d %9d | %9.6f | %9.6f | %9.6f@." r.target
+        r.instrs r.nodes r.edges r.times.simplify r.times.select
+        r.times.coalesce)
     rows;
   Format.fprintf ppf
-    "@.full allocator (new), per-phase seconds (share of total), \
+    "@.full allocator, per-phase seconds (share of total), \
      minor/major kwords, verify seconds:@.";
   List.iter
     (fun r ->
@@ -466,11 +418,8 @@ let json ~repeats rows big_rows =
       in
       Buffer.add_string b
         (Printf.sprintf
-           "{\"target\":%d,\"instrs\":%d,\"nodes\":%d,\"edges\":%d,\"old\":%s,\"new\":%s,\"speedup\":{\"simplify\":%.2f,\"select\":%.2f,\"coalesce\":%.2f},\"alloc\":["
-           r.target r.instrs r.nodes r.edges (side r.old_t) (side r.new_t)
-           (speedup r.old_t.simplify r.new_t.simplify)
-           (speedup r.old_t.select r.new_t.select)
-           (speedup r.old_t.coalesce r.new_t.coalesce));
+           "{\"target\":%d,\"instrs\":%d,\"nodes\":%d,\"edges\":%d,\"new\":%s,\"alloc\":["
+           r.target r.instrs r.nodes r.edges (side r.times));
       alloc_json b r.alloc;
       Buffer.add_char b ']';
       counters_json b r.counters;
@@ -642,9 +591,9 @@ let check ~baseline rows big_rows ppf =
     (fun r ->
       List.iter (check_one r.target)
         [
-          ("simplify", r.new_t.simplify);
-          ("select", r.new_t.select);
-          ("coalesce", r.new_t.coalesce);
+          ("simplify", r.times.simplify);
+          ("select", r.times.select);
+          ("coalesce", r.times.coalesce);
         ];
       check_alloc r.target r.alloc;
       check_counters r.target r.counters)
@@ -662,8 +611,9 @@ let check ~baseline rows big_rows ppf =
 let default_sizes = [ 1000; 5000; 20000; 100_000; 1_000_000 ]
 
 (* Entry point shared by bench/main.exe and `ralloc bench scale`.
-   Returns the process exit code: 0 clean, 1 on an old/new divergence, a
-   batched-vs-incremental mismatch, or a --check regression. *)
+   Returns the process exit code: 0 clean, 1 on a divergence from the
+   reference outputs or a failed static verification, or a --check
+   regression. *)
 let run ?(sizes = default_sizes) ?(repeats = 3) ?(seed = 42) ?out ?check_file
     ppf =
   let small_sizes, big_sizes =

@@ -396,13 +396,20 @@ let dot_cmd =
     or_die (fun () ->
         let cfg = prepare src opt_flag in
         if interference then begin
-          let rn = Remat.Renumber.run Remat.Mode.Briggs_remat
-              (Iloc.Cfg.split_critical_edges cfg) in
-          let live = Dataflow.Liveness.compute rn.Remat.Renumber.cfg in
-          let g = Remat.Interference.build rn.Remat.Renumber.cfg live in
+          (* The allocator's own front half, on the arena. *)
+          let fr =
+            Remat.Renumber.run_flat Remat.Mode.Briggs_remat
+              (Iloc.Flat.of_routine (Iloc.Cfg.split_critical_edges cfg))
+          in
+          let fl = fr.Remat.Renumber.fl in
+          let g =
+            Remat.Interference.build_flat_boundary
+              (Dataflow.Reg_index.of_flat fl) fl
+              (Dataflow.Liveness.Boundary.compute fl)
+          in
           print_string
             (Remat.Dump.interference_to_string
-               ~split_pairs:rn.Remat.Renumber.split_pairs g)
+               ~split_pairs:fr.Remat.Renumber.f_split_pairs g)
         end
         else print_string (Iloc.Dot.cfg_to_string cfg))
   in
@@ -599,8 +606,8 @@ let bench_cmd =
       & info [] ~docv:"BENCH"
           ~doc:
             "scale: coloring-core phases on generated routines of growing \
-             size, retained old implementation vs current, outputs \
-             byte-compared.  serve: replay a deterministic request stream \
+             size, outputs byte-compared with the retained reference \
+             implementation.  serve: replay a deterministic request stream \
              (repeats plus seeded edits) through the allocation server, \
              reporting latency, throughput and cache hit rate.  race: \
              Chaitin\226\128\147Briggs vs the decoupled SSA pipeline on the \
@@ -688,8 +695,8 @@ let bench_cmd =
   let doc =
     "Run a performance benchmark.  $(b,scale) times simplify, select and \
      the coalescing fixpoint on high-pressure generated routines at each \
-     requested size, old implementation against new, verifying outputs \
-     match; exits non-zero on divergence or (with --check) regression.  \
+     requested size, verifying outputs match the reference implementation; \
+     exits non-zero on divergence or (with --check) regression.  \
      $(b,serve) drives the allocation server with a deterministic mix of \
      repeated and edited routines and writes latency percentiles, \
      throughput and cache counters to BENCH_serve.json; exits non-zero on \

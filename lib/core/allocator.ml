@@ -258,7 +258,7 @@ let color_rounds ~capture ~verify ~max_rounds ~n_values ~n_live_ranges
 
 (* The decoupled SSA pipeline (§ Ssa_alloc): spill to MaxLive ≤ k on SSA
    form, color the chordal graph greedily, destruct on colored code.
-   The flat-arena and batched-build machinery is specific to the
+   The flat-arena and counting-scatter machinery is specific to the
    interference-graph pipeline and does not apply here. *)
 let allocate_ssa ~verify ~mode ~machine ~max_rounds (input : Cfg.t) =
   let stats = Stats.create () in
@@ -295,8 +295,7 @@ let loops_of (cfg0 : Cfg.t) =
 (* The cold path.  A §6 loop scheme rewrites the routine after renumber,
    so its first round's front half describes no routine an edit can
    renumber to: no snapshot is taken. *)
-let allocate_cold ~capture ~verify ~mode ~machine ~max_rounds ?batch_build
-    (input : Cfg.t) =
+let allocate_cold ~capture ~verify ~mode ~machine ~max_rounds (input : Cfg.t) =
   validate_input input;
   if Mode.is_ssa mode then
     (allocate_ssa ~verify ~mode ~machine ~max_rounds input, None)
@@ -314,7 +313,7 @@ let allocate_cold ~capture ~verify ~mode ~machine ~max_rounds ?batch_build
         ~split_pairs:fr.Renumber.f_split_pairs fr.Renumber.fl
     in
     let ctx =
-      Context.create ?batch_build ~mode ~machine ~loops
+      Context.create ~mode ~machine ~loops
         ~tags:fr.Renumber.f_tags ~split_pairs ~stats flat
     in
     color_rounds
@@ -324,10 +323,8 @@ let allocate_cold ~capture ~verify ~mode ~machine ~max_rounds ?batch_build
   end
 
 let allocate ?(verify = false) ?(mode = Mode.Briggs_remat)
-    ?(machine = Machine.standard) ?(max_rounds = 64) ?batch_build input =
-  fst
-    (allocate_cold ~capture:false ~verify ~mode ~machine ~max_rounds
-       ?batch_build input)
+    ?(machine = Machine.standard) ?(max_rounds = 64) input =
+  fst (allocate_cold ~capture:false ~verify ~mode ~machine ~max_rounds input)
 
 let allocate_snapshot ?(mode = Mode.Briggs_remat) ?(machine = Machine.standard)
     input =

@@ -64,14 +64,10 @@ val allocate :
   ?mode:Mode.t ->
   ?machine:Machine.t ->
   ?max_rounds:int ->
-  ?batch_build:bool ->
   Iloc.Cfg.t ->
   result
 (** [mode] defaults to {!Mode.Briggs_remat}, [machine] to
-    {!Machine.standard}, [max_rounds] to 64.  [batch_build] forces the
-    graph construction strategy (batched vs. incremental — see
-    {!Interference.build_flat_boundary}); unset, the node count decides.
-    Output is byte-identical either way.  The input routine must pass
+    {!Machine.standard}, [max_rounds] to 64.  The input routine must pass
     {!Iloc.Validate.routine}; it is not mutated (allocation works on a
     critical-edge-split copy).  Raises {!Allocation_error} when the input
     is invalid or the round limit is hit, and

@@ -8,7 +8,6 @@ type t = {
   infinite : unit Reg.Tbl.t;
   loops : Dataflow.Loops.t;
   stats : Stats.t;
-  batch_build : bool option;  (* force the build strategy; None = auto *)
   mutable round : int;
   mutable split_pairs : (Reg.t * Reg.t) list;
   mutable coalesced : int;
@@ -21,14 +20,14 @@ type t = {
   mutable mark : int array;
   mutable mark_epoch : int;
   (* Cross-round scratch for the per-round recomputations: the graph
-     builds' matrix and emission buffer, and the boundary solver's
+     builds' emission buffer and the boundary solver's
      working buffers.  Both survive every invalidation — their previous
      contents are dead by then. *)
   build_scratch : Interference.scratch;
   mutable boundary_scratch : Dataflow.Liveness.Boundary.scratch option;
 }
 
-let create ?batch_build ~mode ~machine ~loops ~tags ~split_pairs ~stats flat =
+let create ~mode ~machine ~loops ~tags ~split_pairs ~stats flat =
   {
     mode;
     machine;
@@ -37,7 +36,6 @@ let create ?batch_build ~mode ~machine ~loops ~tags ~split_pairs ~stats flat =
     infinite = Reg.Tbl.create 16;
     loops;
     stats;
-    batch_build;
     round = 0;
     split_pairs;
     coalesced = 0;
@@ -118,7 +116,7 @@ let graph t =
       let g =
         time t Stats.Build (fun () ->
             Interference.build_flat_boundary ~scratch:t.build_scratch
-              ?batch:t.batch_build ~on_pairs ~k:t.k regs fl bl)
+              ~on_pairs ~k:t.k regs fl bl)
       in
       count t Stats.Full_builds 1;
       t.graph <- Some g;

@@ -22,10 +22,9 @@
     blocks); spill-code insertion calls {!invalidate} (every cache).
 
     Rebuilds also recycle storage through one {!Interference.scratch}:
-    the triangular bit matrix of the previous round's dense build, or
-    the batched build's emission buffer (one word per candidate pair,
-    created by the first batched build), is handed back to the next
-    build, so a spill round reuses it instead of reallocating.
+    the previous round's emission buffer (one word per candidate pair)
+    is handed back to the next build, so a spill round reuses it
+    instead of reallocating.
 
     All timing and event counting goes through {!time} and {!count},
     which stamp the context's current round. *)
@@ -39,9 +38,6 @@ type t = {
       (** spill temporaries from earlier rounds (never re-spilled) *)
   loops : Dataflow.Loops.t;
   stats : Stats.t;
-  batch_build : bool option;
-      (** forces {!Interference.build_flat_boundary}'s [?batch] choice;
-          [None] (the default) lets the node count decide *)
   mutable round : int;
   mutable split_pairs : (Iloc.Reg.t * Iloc.Reg.t) list;
   mutable coalesced : int;  (** copies removed by coalescing, total *)
@@ -59,16 +55,12 @@ type t = {
   mutable mark : int array;  (** see {!fresh_marks} *)
   mutable mark_epoch : int;
   build_scratch : Interference.scratch;
-      (** the builds' bit matrix and emission buffer, recycled across
-          rounds; the emission buffer is created by the first build
-          that takes the batched path, so a context whose builds all
-          stay incremental never holds one *)
+      (** the builds' emission buffer, recycled across rounds *)
   mutable boundary_scratch : Dataflow.Liveness.Boundary.scratch option;
       (** boundary liveness working buffers, recycled across rounds *)
 }
 
 val create :
-  ?batch_build:bool ->
   mode:Mode.t ->
   machine:Machine.t ->
   loops:Dataflow.Loops.t ->

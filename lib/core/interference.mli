@@ -1,22 +1,16 @@
-(** The interference graph, in Chaitin's dual representation (§2):
-    adjacency vectors for iteration and, while a build runs, an
-    O(1)-membership edge set to deduplicate its insertions.
-
-    The build-time edge set is the triangular bit matrix while the node
-    count keeps it affordable, and an open-addressing set of triangular
-    indices above {!dense_node_limit} — the matrix is quadratic in the
-    live-range count, the edge count near-linear in code size, so
-    renumbered million-instruction routines (~390k live ranges) would
-    pay gigabytes for matrix bits they never set.  Once a build returns
-    the adjacency vectors are the graph: membership ({!interfere}) scans
-    the shorter of two vectors, and no edge set is read or written
-    again.
+(** The interference graph (§2).  Chaitin keeps two representations: a
+    bit matrix for membership and adjacency vectors for iteration.  Here
+    the adjacency vectors are the whole graph: membership
+    ({!interfere}) scans the shorter of two vectors, and no edge set is
+    kept, not even while a build runs.  The arena build
+    ({!build_flat_boundary}) deduplicates by a counting scatter, the
+    structured reference ({!build}) and {!add_edge} by that scan.
 
     Nodes are the live ranges of a renumbered routine (one per register
     name).  An edge joins two live ranges that are simultaneously live at
     some definition point {e and belong to the same register class} — the
     paper's machine colors integer and floating registers from disjoint
-    palettes, so cross-class edges would only waste matrix bits.
+    palettes, so cross-class edges would only waste adjacency space.
     Following Chaitin, the destination of a copy does not interfere with
     the copy's source.
 
@@ -31,70 +25,67 @@
 type t
 
 type scratch = {
-  mutable matrix : Dataflow.Bitset.t option;
-      (** the last dense build's triangular bit matrix *)
-  mutable emitted : int array;
-      (** the batched build's emission buffer, one word per candidate
-          pair; [[||]] until a batched build has run *)
+  mutable emitted : int array array;
+      (** the build's emission buffer, one word per candidate pair, in
+          256-word chunks (small enough for the minor heap); chunks no
+          build has reached yet are [[||]] *)
 }
 (** Storage one build leaves for the next.  {!build_flat_boundary}
-    clears and reuses whatever it finds here when it is large enough,
-    and stores back the newest (largest) buffer.  The allocation
+    writes over the chunks it finds here, adds the ones it needs beyond
+    them, and leaves them all for the next build.  The allocation
     context keeps one across its spill rounds; the graph an earlier
     build returned never reads it again. *)
 
 val create_scratch : unit -> scratch
-(** Empty: no matrix, no emission buffer. *)
+(** Empty: no emission buffer. *)
 
 val dense_node_limit : int
-(** Node count above which {!build} switches its build-time edge set
-    from the bit matrix to a hash set, and {!build_flat_boundary}
-    defaults [?batch] to true. *)
+(** 32768: the node count at which Chaitin's triangular bit matrix
+    would take 64 MB.  A scale marker only — no build branches on it;
+    benchmarks use it to tell a routine past the matrix's reach. *)
 
 val build :
   ?k:(Iloc.Reg.cls -> int) -> Iloc.Cfg.t -> Dataflow.Liveness.t -> t
-(** One backward pass per block, seeded with the block's live-out set.
-    The structured reference build: the allocator itself builds with
-    {!build_flat_boundary}. *)
+(** One backward pass per block, seeded with the block's live-out set,
+    each edge pushed at its pair's first emission and deduplicated by
+    {!add_edge}.  The structured reference build: the allocator itself
+    builds with {!build_flat_boundary}. *)
 
 val build_flat_boundary :
   ?scratch:scratch ->
-  ?batch:bool ->
   ?on_pairs:(emitted:int -> dropped:int -> unit) ->
   ?k:(Iloc.Reg.cls -> int) ->
   Dataflow.Reg_index.t ->
   Iloc.Flat.t ->
   Dataflow.Liveness.Boundary.t ->
   t
-(** The flat pass fed by |U|-compressed boundary liveness instead of
-    dense rows: per block, the live-now set is seeded from the boundary
-    live-out (translated u-index → node index), so no structure wider
-    than [|U|] per block is ever materialized.  The node index must be
-    [Dataflow.Reg_index.of_flat] of the same arena and the boundary must
-    come from {!Dataflow.Liveness.Boundary.compute} on it; the graph is
-    then identical, node numbering and edge order included, to {!build}
-    of the bridged routine with its dense {!Dataflow.Liveness.compute}.
+(** The allocator's build, on the arena and fed by |U|-compressed
+    boundary liveness instead of dense rows: per block, the live-now set
+    is seeded from the boundary live-out (translated u-index → node
+    index), so no structure wider than [|U|] per block is ever
+    materialized.  The node index must be [Dataflow.Reg_index.of_flat]
+    of the same arena and the boundary must come from
+    {!Dataflow.Liveness.Boundary.compute} on it; the graph is then
+    identical, node numbering and per-node neighbor order included, to
+    {!build} of the bridged routine with its dense
+    {!Dataflow.Liveness.compute}.
 
-    [batch] (default: node count > {!dense_node_limit}) selects the
-    batched two-phase builder: one sweep appends every candidate pair,
-    with no membership check, as one word to a flat emission buffer;
-    then a counting scatter fills a transient CSR row per node in
-    emission order (each pair lands in both endpoints' rows), each row
-    keeps the first occurrence of every neighbor, and is copied into an
-    exactly sized adjacency vector.  The result is byte-identical to
-    the incremental build — same edges {e and} same per-node neighbor
-    order — with membership probes and O(n/64) live-set scans gone from
-    the sweep.  The emission buffer is one word per emitted pair and is
-    taken from, and left in, [scratch]; so is the dense build's bit
-    matrix (cleared and recycled via {!Dataflow.Bitset.view} when it
-    can hold the n(n−1)/2 triangular bits).  A build without [scratch]
-    allocates both fresh.  [on_pairs] reports how many candidate pairs
-    the sweep emitted and how many were duplicates (both paths report
-    it). *)
+    Two phases.  One sweep appends every candidate pair, with no
+    membership check, as one word to an emission buffer.  Then a
+    counting scatter sizes one array per node from its emission count,
+    drops each pair into both endpoints' arrays in emission order,
+    deduplicates each array in place keeping the first occurrence of
+    every neighbor, and adopts it as the node's adjacency vector: the
+    duplicates' slots stay behind as spare capacity, which {!copy}
+    trims.  The emission buffer is taken from, and left in, [scratch];
+    a build without [scratch] allocates it fresh.  [on_pairs] reports
+    how many candidate pairs the sweep emitted and how many were
+    duplicates. *)
 
 val of_edges : ?k:(Iloc.Reg.cls -> int) -> int -> (int * int) list -> t
-(** A graph over [n] fresh integer-class nodes with the given edges
-    (self-loops and duplicates ignored) — for tests and experiments. *)
+(** A graph over [n] fresh integer-class nodes with the given edges,
+    added in order by {!add_edge} (self-loops and duplicates ignored) —
+    for tests and experiments. *)
 
 val interfere : t -> int -> int -> bool
 (** Scans the shorter of the two adjacency vectors: O(min degree). *)
@@ -113,7 +104,8 @@ val union_edges : t -> int
 val copy : t -> t
 (** Independent deep copy: mutating the copy (coalescing, merges) leaves
     the original untouched.  The immutable node index is shared; the
-    copy gets its own merge scratch.  Used
+    copy gets its own merge scratch, and its adjacency vectors are
+    exactly sized (a build's spare capacity is not copied).  Used
     by the serving layer to hand each request a private graph cloned
     from a cached build. *)
 

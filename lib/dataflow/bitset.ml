@@ -9,7 +9,7 @@
    lsb extraction, instead of testing all 8 positions of every byte.
 
    Representation invariant: every bit at index >= capacity is zero.
-   [create] and [view] establish it; [add] is range-checked; the binops
+   [create] and [slab] establish it; [add] is range-checked; the binops
    preserve it because both operands satisfy it (for [diff_into],
    [lnot src] has ones in the padding but [dst] has zeros there).  The
    invariant is what lets [equal], [cardinal] and [is_empty] work on
@@ -25,8 +25,8 @@ external unsafe_set_64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 type t = { words : Bytes.t; off : int; capacity : int }
 
 (* Number of bytes of [t.words] actually used for [capacity] bits; a
-   [view] may sit in a larger buffer, so loops must bound themselves by
-   this, never by [Bytes.length]. *)
+   [slab] row may sit in a larger buffer, so loops must bound themselves
+   by this, never by [Bytes.length]. *)
 let used_bytes capacity = ((capacity + 63) lsr 6) * 8
 
 let create capacity =
@@ -58,15 +58,6 @@ let slab ?buf ~rows ~capacity () =
   Array.init rows (fun r -> { words; off = r * nb; capacity })
 
 let capacity t = t.capacity
-
-let view buf capacity =
-  if capacity < 0 then invalid_arg "Bitset.view";
-  let nb = used_bytes capacity in
-  if buf.off <> 0 || nb > Bytes.length buf.words then None
-  else begin
-    Bytes.fill buf.words 0 nb '\000';
-    Some { words = buf.words; off = 0; capacity }
-  end
 
 let check t i =
   if i < 0 || i >= t.capacity then

@@ -28,13 +28,6 @@ val slab : ?buf:t array -> rows:int -> capacity:int -> unit -> t array
 
 val capacity : t -> int
 
-val view : t -> int -> t option
-(** [view buf c] is a cleared bitset of capacity [c] {e sharing [buf]'s
-    storage}, or [None] when [buf]'s storage holds fewer than [c] bits.
-    Mutating the view mutates [buf] and vice versa — use it to recycle a
-    large scratch buffer (the allocator's triangular matrix) across
-    from-scratch rebuilds instead of reallocating. *)
-
 val add : t -> int -> unit
 val remove : t -> int -> unit
 val mem : t -> int -> bool
@@ -42,9 +35,8 @@ val mem : t -> int -> bool
 val unsafe_add : t -> int -> unit
 (** No bounds check: the caller must guarantee [0 <= i < capacity t].
     The allocator's hot paths use these with indices produced by
-    {!Reg_index} or by the validated triangular-pair mapping, which are
-    in range by construction; everything else should use the checked
-    operations. *)
+    {!Reg_index}, which are in range by construction; everything else
+    should use the checked operations. *)
 
 val unsafe_remove : t -> int -> unit
 (** Same contract as {!unsafe_add}. *)

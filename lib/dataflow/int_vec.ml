@@ -1,6 +1,11 @@
 type t = { mutable data : int array; mutable len : int }
 
 let create ?(cap = 0) () = { data = Array.make (max cap 0) 0; len = 0 }
+
+let of_prefix data len =
+  if len < 0 || len > Array.length data then invalid_arg "Int_vec.of_prefix";
+  { data; len }
+
 let length t = t.len
 
 let get t i =

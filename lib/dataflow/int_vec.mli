@@ -9,6 +9,13 @@
 type t
 
 val create : ?cap:int -> unit -> t
+
+val of_prefix : int array -> int -> t
+(** [of_prefix data len] adopts [data] as the vector's storage: its
+    first [len] elements are the contents, the rest spare capacity.
+    [data] is not copied, so the caller must not touch it afterwards.
+    Raises [Invalid_argument] unless [0 <= len <= Array.length data]. *)
+
 val length : t -> int
 
 val get : t -> int -> int

@@ -2,8 +2,7 @@
    kept verbatim as an executable specification.  Property tests assert
    the production phases produce byte-identical results (same simplify
    stack, same colors, same coalesced routine), and the scale benchmark
-   measures these as its "old" side — so the asymptotic claim is made
-   against the real former code, not a reconstruction.
+   byte-compares its small tier's phases against them.
 
    Deliberately not kept in sync stylistically with lib/core: this code
    must stay what it is. *)

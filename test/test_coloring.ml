@@ -365,19 +365,18 @@ let stats_tests =
    victim tie-break both read that order) after each round's
    build–coalesce loop, over the 49 kernels under Briggs and Chaitin on
    the standard machine and 50 high-pressure fuzz routines on an 8+8
-   machine with the batched build forced on and off.  The expected
-   digest was generated before coalescing stopped keeping a second edge
-   set next to the adjacency vectors; a change to it means a merge moved
-   a neighbor, a count or a representative. *)
-let shape_digest = "08aa7d9792f6da88bc1d7449c0673bf0"
+   machine.  The expected digest was generated while the graph still
+   had two builders, the edge-set-deduplicated one below 32768 nodes
+   and the counting scatter; a change to it means a build or a merge
+   moved a neighbor, a count or a representative. *)
+let shape_digest = "32ec32cfe43f97b4f0d6515f7199c345"
 
 (* The routine under allocation after every round's build–coalesce
    loop, printed from the context's arena, over the same corpus.  The
-   expected digest was generated while coalescing still rewrote the
-   structured routine sweep by sweep and the arena was re-encoded from
-   it; a change to it means the renaming or the copies coalescing
-   deletes moved. *)
-let arena_digest = "37f41b80ce8d78f49c702ab5536782a8"
+   expected digest was generated while the graph still had two
+   builders (see [shape_digest]); a change to it means the renaming or
+   the copies coalescing deletes moved. *)
+let arena_digest = "9bd497cc0ce6acf74d1322f3d5585037"
 
 (* Allocate every routine of the corpus round by round, calling
    [on_round key ctx] after each round's build–coalesce loop, and check
@@ -385,15 +384,14 @@ let arena_digest = "37f41b80ce8d78f49c702ab5536782a8"
    runs before each allocation, [refused key] when the register set is
    too small for the routine. *)
 let each_round ~start ~refused ~on_round =
-  let run key ?batch_build ~mode ~machine cfg =
+  let run key ~mode ~machine cfg =
     start key;
     match
-      Testutil.allocate_by_rounds ?batch_build ~mode ~machine
-        ~on_round:(on_round key) cfg
+      Testutil.allocate_by_rounds ~mode ~machine ~on_round:(on_round key) cfg
     with
     | exception Remat.Spill_code.Pressure_too_high _ -> refused key
     | out ->
-        let res = Remat.Allocator.allocate ?batch_build ~mode ~machine cfg in
+        let res = Remat.Allocator.allocate ~mode ~machine cfg in
         if not (Cfg.structural_equal out res.Remat.Allocator.cfg) then
           Alcotest.failf "%s: round-by-round allocation differs from allocate"
             key
@@ -411,13 +409,10 @@ let each_round ~start ~refused ~on_round =
     Suite.Kernels.all;
   let machine = Remat.Machine.make ~name:"scale" ~k_int:8 ~k_float:8 in
   for seed = 1 to 50 do
-    let cfg = Gen.generate ~config:Gen.high_pressure seed in
-    List.iter
-      (fun batch_build ->
-        run
-          (Printf.sprintf "fuzz %d batch=%b" seed batch_build)
-          ~batch_build ~mode:Remat.Mode.Briggs_remat ~machine cfg)
-      [ false; true ]
+    run
+      (Printf.sprintf "fuzz %d" seed)
+      ~mode:Remat.Mode.Briggs_remat ~machine
+      (Gen.generate ~config:Gen.high_pressure seed)
   done
 
 let shape_corpus () =

@@ -58,24 +58,6 @@ let bitset_unit =
         let s = Bitset.of_list 64 [ 63; 0; 17; 32 ] in
         check (Alcotest.list Alcotest.int) "elements" [ 0; 17; 32; 63 ]
           (Bitset.elements s));
-    tc "view shares, clears, and checks capacity" (fun () ->
-        let buf = Bitset.create 256 in
-        Bitset.add buf 7;
-        Bitset.add buf 200;
-        (match Bitset.view buf 70 with
-        | None -> Alcotest.fail "view refused a large-enough buffer"
-        | Some v ->
-            check Alcotest.int "capacity" 70 (Bitset.capacity v);
-            check Alcotest.bool "cleared" true (Bitset.is_empty v);
-            Bitset.add v 69;
-            check (Alcotest.list Alcotest.int) "elements" [ 69 ]
-              (Bitset.elements v);
-            (* the view shares the buffer: its used prefix was cleared,
-               bits beyond it survive *)
-            check Alcotest.bool "prefix cleared" false (Bitset.mem buf 7);
-            check Alcotest.bool "tail kept" true (Bitset.mem buf 200));
-        check Alcotest.bool "too small refused" true
-          (Bitset.view buf 10_000 = None));
   ]
 
 (* qcheck: bitsets behave like reference integer sets *)
@@ -542,120 +524,29 @@ let boundary_unit =
           [ 63; 64; 65 ]);
   ]
 
-(* --- open-addressing int set --- *)
+(* --- growable int vectors --- *)
 
-let hash_set_unit =
+let int_vec_unit =
   [
-    tc "add/mem/remove/cardinal" (fun () ->
-        let h = Dataflow.Hash_set.create () in
-        check Alcotest.bool "empty" false (Dataflow.Hash_set.mem h 7);
-        Dataflow.Hash_set.add h 7;
-        Dataflow.Hash_set.add h 0;
-        Dataflow.Hash_set.add h 7;
-        check Alcotest.bool "mem 7" true (Dataflow.Hash_set.mem h 7);
-        check Alcotest.bool "mem 0" true (Dataflow.Hash_set.mem h 0);
-        check Alcotest.int "cardinal dedups" 2 (Dataflow.Hash_set.cardinal h);
-        Dataflow.Hash_set.remove h 7;
-        check Alcotest.bool "removed" false (Dataflow.Hash_set.mem h 7);
-        check Alcotest.int "cardinal after remove" 1
-          (Dataflow.Hash_set.cardinal h));
-    tc "growth keeps members" (fun () ->
-        let h = Dataflow.Hash_set.create ~cap:4 () in
-        for i = 0 to 999 do
-          Dataflow.Hash_set.add h (i * 17)
-        done;
-        check Alcotest.int "cardinal" 1000 (Dataflow.Hash_set.cardinal h);
-        for i = 0 to 999 do
-          if not (Dataflow.Hash_set.mem h (i * 17)) then
-            Alcotest.failf "lost key %d" (i * 17)
-        done;
-        check Alcotest.bool "absent key" false (Dataflow.Hash_set.mem h 1));
-    tc "tombstone churn" (fun () ->
-        (* Insert/remove cycles over a small key range force tombstone
-           reuse and same-size rehashes. *)
-        let h = Dataflow.Hash_set.create ~cap:16 () in
-        for round = 0 to 99 do
-          for i = 0 to 19 do
-            Dataflow.Hash_set.add h i
-          done;
-          for i = 0 to 19 do
-            if (i + round) mod 2 = 0 then Dataflow.Hash_set.remove h i
-          done
-        done;
-        for i = 0 to 19 do
-          check Alcotest.bool
-            (Printf.sprintf "key %d" i)
-            ((i + 99) mod 2 <> 0)
-            (Dataflow.Hash_set.mem h i)
-        done);
-    tc "churn keeps capacity bounded" (fun () ->
-        (* The coalesce/spill loop's add/remove traffic leaves tombstones
-           behind; the rehash policy must convert that churn into
-           same-capacity purges, not unbounded doubling.  10k cycles at
-           a live count of at most 12 must end with a table sized by the
-           high-water cardinality, not by the total insert count. *)
-        let h = Dataflow.Hash_set.create ~cap:16 () in
-        for round = 0 to 9_999 do
-          let base = round * 13 in
-          for i = 0 to 11 do
-            Dataflow.Hash_set.add h (base + i)
-          done;
-          for i = 0 to 11 do
-            Dataflow.Hash_set.remove h (base + i)
-          done
-        done;
-        check Alcotest.int "empty after churn" 0
-          (Dataflow.Hash_set.cardinal h);
-        let cap = Dataflow.Hash_set.capacity h in
-        if cap > 64 then
-          Alcotest.failf "churn grew capacity to %d (live never exceeded 12)"
-            cap;
-        check Alcotest.bool "tombstones below capacity" true
-          (Dataflow.Hash_set.tombstones h < cap));
-    tc "clear empties" (fun () ->
-        let h = Dataflow.Hash_set.create () in
-        Dataflow.Hash_set.add h 3;
-        Dataflow.Hash_set.clear h;
-        check Alcotest.int "cardinal" 0 (Dataflow.Hash_set.cardinal h);
-        check Alcotest.bool "mem" false (Dataflow.Hash_set.mem h 3));
-    tc "negative key rejected" (fun () ->
-        let h = Dataflow.Hash_set.create () in
-        try
-          Dataflow.Hash_set.add h (-1);
-          Alcotest.fail "accepted a negative key"
-        with Invalid_argument _ -> ());
-    tc "iter visits each member once" (fun () ->
-        let h = Dataflow.Hash_set.create () in
-        List.iter (Dataflow.Hash_set.add h) [ 5; 9; 5; 123; 64 ];
-        Dataflow.Hash_set.remove h 9;
-        let seen = ref [] in
-        Dataflow.Hash_set.iter (fun k -> seen := k :: !seen) h;
-        check
-          (Alcotest.list Alcotest.int)
-          "members" [ 5; 64; 123 ]
-          (List.sort Int.compare !seen));
+    tc "of_prefix adopts its array without copying" (fun () ->
+        let data = [| 3; 1; 2; 9 |] in
+        let v = Dataflow.Int_vec.of_prefix data 3 in
+        check (Alcotest.list Alcotest.int) "contents" [ 3; 1; 2 ]
+          (Dataflow.Int_vec.to_list v);
+        (* the slot past the prefix is spare capacity: the next push
+           lands in the adopted array *)
+        Dataflow.Int_vec.push v 5;
+        check Alcotest.int "pushed in place" 5 data.(3);
+        Dataflow.Int_vec.push v 6;
+        check (Alcotest.list Alcotest.int) "grown" [ 3; 1; 2; 5; 6 ]
+          (Dataflow.Int_vec.to_list v);
+        List.iter
+          (fun len ->
+            match Dataflow.Int_vec.of_prefix data len with
+            | _ -> Alcotest.failf "prefix %d accepted" len
+            | exception Invalid_argument _ -> ())
+          [ -1; 5 ]);
   ]
-
-let hash_set_prop =
-  QCheck.Test.make ~count:200 ~name:"hash set matches reference set"
-    QCheck.(list (pair (int_bound 2) (int_bound 100)))
-    (fun ops ->
-      let module IS = Set.Make (Int) in
-      let h = Dataflow.Hash_set.create ~cap:4 () in
-      let model = ref IS.empty in
-      List.for_all
-        (fun (op, key) ->
-          (match op with
-          | 0 ->
-              Dataflow.Hash_set.add h key;
-              model := IS.add key !model
-          | 1 ->
-              Dataflow.Hash_set.remove h key;
-              model := IS.remove key !model
-          | _ -> ());
-          Dataflow.Hash_set.mem h key = IS.mem key !model
-          && Dataflow.Hash_set.cardinal h = IS.cardinal !model)
-        ops)
 
 (* naive per-register liveness for the property test: r is live-in at b
    iff some path from b reaches a use of r with no intervening def. *)
@@ -854,17 +745,17 @@ let postdom_prop =
 let props = List.map QCheck_alcotest.to_alcotest
     [ bitset_prop; bitset_binop_prop; bitset_edge_prop; bitset_edge_binop_prop;
       union_find_prop; liveness_prop; worklist_vs_round_robin_prop;
-      order_prop; dominance_prop; loops_prop; postdom_prop; hash_set_prop ]
+      order_prop; dominance_prop; loops_prop; postdom_prop ]
 
 let () =
   Alcotest.run "dataflow"
     [
       ("bitset", bitset_unit);
+      ("int-vec", int_vec_unit);
       ("union-find", union_find_unit);
       ("dominance", dominance_unit);
       ("loops", loops_unit);
       ("liveness", liveness_unit);
       ("boundary", boundary_unit);
-      ("hash-set", hash_set_unit);
       ("properties", props);
     ]

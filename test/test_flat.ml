@@ -384,44 +384,15 @@ let graph_boundary_prop (name, config) =
         QCheck.Test.fail_reportf "seed %d: graphs differ:@.%s@.vs@.%s" seed a b
       else true)
 
-(* --- batched graph build ≡ incremental ------------------------------- *)
+(* --- arena build ≡ structured reference past the matrix's reach ------- *)
 
-(* Same flat routine, same boundary liveness, two construction
-   strategies: the counting-scatter pipeline must reproduce the
-   incremental builder's graph {e including} per-node neighbor vector
-   order (the fingerprint prints adjacency in vector order, so any
-   reordering — not just a set difference — fails). *)
-let batched_vs_incremental cfg =
-  let fl = Flat.of_routine cfg in
-  let bound = Dataflow.Liveness.Boundary.compute fl in
-  let regs = Dataflow.Reg_index.of_flat fl in
-  let k = Remat.Machine.k_for tiny in
-  let a =
-    graph_fingerprint
-      (Remat.Interference.build_flat_boundary ~batch:false ~k regs fl bound)
-  in
-  let b =
-    graph_fingerprint
-      (Remat.Interference.build_flat_boundary ~batch:true ~k regs fl bound)
-  in
-  (a, b)
-
-let batched_graph_prop (name, config) =
-  QCheck.Test.make ~count:40
-    ~name:(Printf.sprintf "batched graph ≡ incremental (%s)" name)
-    QCheck.(make Gen.(int_bound 1_000_000))
-    (fun seed ->
-      let cfg = Fuzz.Gen.generate ~config seed in
-      let a, b = batched_vs_incremental cfg in
-      if not (String.equal a b) then
-        QCheck.Test.fail_reportf "seed %d: batched graph differs:@.%s@.vs@.%s"
-          seed a b
-      else true)
-
-let test_batched_over_limit () =
-  (* Cross [dense_node_limit], so the incremental reference runs on the
-     hash-set edge representation rather than the bit matrix.  A window-8 dependence chain keeps the
-     edge count linear in n, so the incremental reference stays fast. *)
+(* A window-8 dependence chain over [dense_node_limit] + 300 registers,
+   the size at which a bit matrix would take 64 MB: the counting
+   scatter must reproduce the structured reference's graph {e including}
+   per-node neighbor vector order (the fingerprint prints adjacency in
+   vector order).  The chain keeps the edge count linear in n, so the
+   reference's adjacency-scan deduplication stays fast. *)
+let test_arena_build_large_chain () =
   let n = Remat.Interference.dense_node_limit + 300 in
   let r i = ri (i + 1) in
   let body = ref [ Instr.ldi (r 0) 1 ] in
@@ -433,9 +404,21 @@ let test_batched_over_limit () =
       ~term:(Instr.ret (Some (r (n - 1)))) ()
   in
   let cfg = Cfg.make ~name:"big" [ b0 ] in
-  let a, b = batched_vs_incremental cfg in
+  let fl = Flat.of_routine cfg in
+  let regs = Dataflow.Reg_index.of_flat fl in
+  let k = Remat.Machine.k_for tiny in
+  Alcotest.(check int) "chain nodes" n (Dataflow.Reg_index.count regs);
+  let a =
+    graph_fingerprint
+      (Remat.Interference.build ~k cfg (Dataflow.Liveness.compute cfg))
+  in
+  let b =
+    graph_fingerprint
+      (Remat.Interference.build_flat_boundary ~k regs fl
+         (Dataflow.Liveness.Boundary.compute fl))
+  in
   if not (String.equal a b) then
-    Alcotest.fail "batched graph differs beyond dense_node_limit"
+    Alcotest.fail "arena graph differs from the structured reference"
 
 (* --- spill splice A/B: flat insertion ≡ structured insertion --------- *)
 
@@ -754,74 +737,45 @@ let test_skeleton_miss_continues_cold () =
   done;
   if !edit_misses = 0 then Alcotest.fail "no seeded edit missed the skeleton"
 
-(* --- the batched build's emission buffer ------------------------------ *)
+(* --- the build's emission buffer -------------------------------------- *)
 
 (* A multi-round allocation spelled out round by round, so each round's
-   context can be inspected: the emission buffer of the batched build
-   exists only once a batched build has run, and later rounds' builds
-   write into the same array unless they emit more pairs than it
-   holds. *)
+   context can be inspected: the emission buffer holds every pair the
+   round's build emitted, and later rounds' builds write into the chunks
+   an earlier round made instead of allocating them again. *)
 let test_emission_buffer_kept () =
   let cfg = Fuzz.Gen.generate ~config:Fuzz.Gen.high_pressure 7 in
-  let emitted ctx = ctx.Remat.Context.build_scratch.Remat.Interference.emitted in
+  let chunks ctx =
+    List.filter
+      (fun c -> Array.length c > 0)
+      (Array.to_list
+         ctx.Remat.Context.build_scratch.Remat.Interference.emitted)
+  in
   let mode = Remat.Mode.Briggs_remat in
-  let dense_rounds = ref 0 in
+  let prev = ref [] and reused = ref 0 in
   ignore
     (Testutil.allocate_by_rounds ~mode ~machine:tiny
        ~on_round:(fun ctx ->
-         incr dense_rounds;
-         let g = Remat.Context.graph ctx in
-         if Remat.Interference.n_nodes g > Remat.Interference.dense_node_limit
-         then Alcotest.fail "routine too large for an incremental build";
-         Alcotest.(check int)
-           "no emission buffer after dense builds" 0
-           (Array.length (emitted ctx)))
-       (Cfg.copy cfg));
-  if !dense_rounds < 2 then Alcotest.fail "allocation did not spill";
-  let prev = ref [||] and reused = ref 0 in
-  ignore
-    (Testutil.allocate_by_rounds ~batch_build:true ~mode ~machine:tiny
-       ~on_round:(fun ctx ->
-         let buf = emitted ctx in
+         let cs = chunks ctx in
          let round = ctx.Remat.Context.round in
          let pairs =
            Remat.Stats.counter_in_round ctx.Remat.Context.stats ~round
              Remat.Stats.Build_pairs
          in
-         if pairs = 0 || Array.length buf < pairs then
-           Alcotest.failf "round %d: %d pairs, buffer of %d" round pairs
-             (Array.length buf);
-         if round > 1 && pairs <= Array.length !prev then begin
-           if buf != !prev then
-             Alcotest.failf "round %d: buffer reallocated for %d pairs" round
-               pairs;
+         let cap = List.fold_left (fun a c -> a + Array.length c) 0 cs in
+         if pairs = 0 || cap < pairs then
+           Alcotest.failf "round %d: %d pairs, buffer of %d" round pairs cap;
+         if round > 1 then begin
+           List.iteri
+             (fun i c ->
+               if List.nth cs i != c then
+                 Alcotest.failf "round %d: chunk %d reallocated" round i)
+             !prev;
            incr reused
          end;
-         prev := buf)
+         prev := cs)
        cfg);
-  if !reused = 0 then Alcotest.fail "no round reused the emission buffer"
-
-(* End-to-end: forcing the batched builder (every round, even under the
-   dense threshold where the default is incremental) must leave the
-   final allocation byte-identical — graph construction order feeds
-   simplify/select tie-breaks, so this exercises the full pipeline's
-   sensitivity to neighbor order. *)
-let batched_alloc_prop (name, config) =
-  QCheck.Test.make ~count:25
-    ~name:(Printf.sprintf "batched allocation ≡ incremental (%s)" name)
-    QCheck.(make Gen.(int_bound 1_000_000))
-    (fun seed ->
-      let cfg = Fuzz.Gen.generate ~config seed in
-      let run batch cfg =
-        alloc_fingerprint
-          (Remat.Allocator.allocate ~machine:tiny ~batch_build:batch cfg)
-      in
-      let a = run false (Cfg.copy cfg) in
-      let b = run true cfg in
-      if not (String.equal a b) then
-        QCheck.Test.fail_reportf
-          "seed %d: batched allocation differs:@.%s@.vs@.%s" seed a b
-      else true)
+  if !reused = 0 then Alcotest.fail "allocation did not spill"
 
 let qcheck_cases =
   List.map
@@ -837,16 +791,10 @@ let qcheck_cases =
       (fun c -> QCheck_alcotest.to_alcotest (graph_boundary_prop c))
       gen_configs
   @ List.map
-      (fun c -> QCheck_alcotest.to_alcotest (batched_graph_prop c))
-      gen_configs
-  @ List.map
       (fun c -> QCheck_alcotest.to_alcotest (splice_ab_prop c))
       gen_configs
   @ List.map
       (fun c -> QCheck_alcotest.to_alcotest (incremental_edit_prop c))
-      gen_configs
-  @ List.map
-      (fun c -> QCheck_alcotest.to_alcotest (batched_alloc_prop c))
       gen_configs
 
 let () =
@@ -865,8 +813,9 @@ let () =
             test_edges_match;
           Alcotest.test_case "splice identity" `Quick test_splice_identity;
           Alcotest.test_case "of_routine rejects SSA" `Quick test_rejects_ssa;
-          Alcotest.test_case "batched build beyond dense_node_limit" `Quick
-            test_batched_over_limit;
+          Alcotest.test_case
+            "arena build ≡ structured reference on the 33k-node chain" `Quick
+            test_arena_build_large_chain;
         ] );
       ( "instr-equal",
         [
@@ -877,7 +826,7 @@ let () =
         ] );
       ( "context",
         [
-          Alcotest.test_case "emission buffer kept across batched rounds"
+          Alcotest.test_case "emission buffer kept across rounds"
             `Quick test_emission_buffer_kept;
           Alcotest.test_case "edits reuse a snapshot across spill rounds"
             `Quick test_incremental_spill_rounds;

@@ -282,31 +282,6 @@ let renumber_unit =
 
 (* --- interference --- *)
 
-(* Whether an incremental build over [n] nodes keeps its edges in the
-   bit matrix: that build and [of_edges] get their edge set from the
-   same node-count test, and only the matrix is left in the scratch.
-   The routine is a window-8 dependence chain over exactly [n]
-   registers, so its edge count stays linear in [n]. *)
-let builds_matrix n =
-  let r i = Reg.make (i + 1) Reg.Int in
-  let body =
-    Instr.ldi (r 0) 1
-    :: List.init (n - 1) (fun i ->
-           Instr.add (r (i + 1)) (r i) (r (max 0 (i - 7))))
-  in
-  let b0 =
-    Iloc.Block.make ~id:0 ~label:"entry" ~body
-      ~term:(Instr.ret (Some (r (n - 1)))) ()
-  in
-  let fl = Iloc.Flat.of_routine (Cfg.make ~name:"chain" [ b0 ]) in
-  let regs = Dataflow.Reg_index.of_flat fl in
-  check Alcotest.int "chain nodes" n (Dataflow.Reg_index.count regs);
-  let scratch = Remat.Interference.create_scratch () in
-  ignore
-    (Remat.Interference.build_flat_boundary ~scratch ~batch:false regs fl
-       (Dataflow.Liveness.Boundary.compute fl));
-  Option.is_some scratch.Remat.Interference.matrix
-
 let interference_unit =
   [
     tc "simultaneously live values interfere" (fun () ->
@@ -386,43 +361,6 @@ let interference_unit =
               (Remat.Interference.interfere g i j)
               (Remat.Interference.interfere g j i)
           done
-        done);
-    tc "sparse edge set is representation-transparent" (fun () ->
-        (* The same edge list through a graph small enough for the bit
-           matrix and one node past the sparse threshold: every
-           observable — membership, degrees, adjacency order, merge
-           results — must be identical on the shared nodes. *)
-        let edges =
-          List.concat_map
-            (fun i -> [ (i, (i + 7) mod 60); (i, (i * 13 + 1) mod 60) ])
-            (List.init 60 Fun.id)
-        in
-        let small = Remat.Interference.of_edges 60 edges in
-        let big =
-          Remat.Interference.of_edges
-            (Remat.Interference.dense_node_limit + 1)
-            edges
-        in
-        check Alcotest.bool "small is dense" true
-          (builds_matrix (Remat.Interference.n_nodes small));
-        check Alcotest.bool "big is sparse" false
-          (builds_matrix (Remat.Interference.n_nodes big));
-        check Alcotest.int "edge count"
-          (Remat.Interference.n_edges small)
-          (Remat.Interference.n_edges big);
-        for i = 0 to 59 do
-          check (Alcotest.list Alcotest.int)
-            (Printf.sprintf "adjacency of %d" i)
-            (Remat.Interference.neighbors small i)
-            (Remat.Interference.neighbors big i)
-        done;
-        Remat.Interference.merge small ~keep:0 ~drop:1;
-        Remat.Interference.merge big ~keep:0 ~drop:1;
-        for i = 0 to 59 do
-          check (Alcotest.list Alcotest.int)
-            (Printf.sprintf "post-merge adjacency of %d" i)
-            (Remat.Interference.neighbors small i)
-            (Remat.Interference.neighbors big i)
         done);
   ]
 

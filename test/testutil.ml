@@ -203,7 +203,7 @@ end
    [Remat.Allocator.allocate]'s to show this loop is the production
    one.  Raises [Remat.Spill_code.Pressure_too_high] like the
    allocator does. *)
-let allocate_by_rounds ?batch_build ~mode ~machine ~on_round input =
+let allocate_by_rounds ~mode ~machine ~on_round input =
   let cfg0 = Cfg.split_critical_edges input in
   let loops = Dataflow.Loops.compute cfg0 (Dataflow.Dominance.compute cfg0) in
   let fr = Remat.Renumber.run_flat mode (Iloc.Flat.of_routine cfg0) in
@@ -213,7 +213,7 @@ let allocate_by_rounds ?batch_build ~mode ~machine ~on_round input =
       ~split_pairs:fr.Remat.Renumber.f_split_pairs fr.Remat.Renumber.fl
   in
   let ctx =
-    Remat.Context.create ?batch_build ~mode ~machine ~loops
+    Remat.Context.create ~mode ~machine ~loops
       ~tags:fr.Remat.Renumber.f_tags ~split_pairs ~stats flat
   in
   let module G = Remat.Interference in
