@@ -546,7 +546,121 @@ let int_vec_unit =
             | _ -> Alcotest.failf "prefix %d accepted" len
             | exception Invalid_argument _ -> ())
           [ -1; 5 ]);
+    tc "push grows past capacity and get reads back" (fun () ->
+        let v = Dataflow.Int_vec.create () in
+        for i = 0 to 99 do
+          Dataflow.Int_vec.push v (i * 3)
+        done;
+        check Alcotest.int "length" 100 (Dataflow.Int_vec.length v);
+        for i = 0 to 99 do
+          check Alcotest.int (Printf.sprintf "get %d" i) (i * 3)
+            (Dataflow.Int_vec.get v i)
+        done;
+        List.iter
+          (fun i ->
+            match Dataflow.Int_vec.get v i with
+            | _ -> Alcotest.failf "get %d accepted" i
+            | exception Invalid_argument _ -> ())
+          [ -1; 100 ]);
+    tc "remove_value swaps the last element in" (fun () ->
+        let v = Dataflow.Int_vec.create () in
+        List.iter (Dataflow.Int_vec.push v) [ 1; 2; 3; 4; 2 ];
+        Dataflow.Int_vec.remove_value v 2;
+        (* the first 2 goes; the last element takes its slot *)
+        check (Alcotest.list Alcotest.int) "first occurrence" [ 1; 2; 3; 4 ]
+          (Dataflow.Int_vec.to_list v);
+        Dataflow.Int_vec.remove_value v 1;
+        check (Alcotest.list Alcotest.int) "swapped" [ 4; 2; 3 ]
+          (Dataflow.Int_vec.to_list v);
+        Dataflow.Int_vec.remove_value v 9;
+        check (Alcotest.list Alcotest.int) "absent is a no-op" [ 4; 2; 3 ]
+          (Dataflow.Int_vec.to_list v);
+        check Alcotest.bool "mem 2" true (Dataflow.Int_vec.mem v 2);
+        check Alcotest.bool "mem 1" false (Dataflow.Int_vec.mem v 1));
+    tc "pop returns the last element and rejects empty" (fun () ->
+        let v = Dataflow.Int_vec.create ~cap:2 () in
+        List.iter (Dataflow.Int_vec.push v) [ 7; 8 ];
+        check Alcotest.int "last" 8 (Dataflow.Int_vec.pop v);
+        check Alcotest.int "next" 7 (Dataflow.Int_vec.pop v);
+        check Alcotest.int "empty" 0 (Dataflow.Int_vec.length v);
+        match Dataflow.Int_vec.pop v with
+        | _ -> Alcotest.fail "pop on empty accepted"
+        | exception Invalid_argument _ -> ());
+    tc "copy shares no storage with its source" (fun () ->
+        (* An adopted array is the one a build fills in place; the copy
+           of a vector over it must not see later writes to it. *)
+        let data = [| 4; 5; 6; 0 |] in
+        let v = Dataflow.Int_vec.of_prefix data 3 in
+        let c = Dataflow.Int_vec.copy v in
+        data.(0) <- 40;
+        Dataflow.Int_vec.push v 7;
+        Dataflow.Int_vec.push c 9;
+        check (Alcotest.list Alcotest.int) "copy" [ 4; 5; 6; 9 ]
+          (Dataflow.Int_vec.to_list c);
+        check (Alcotest.list Alcotest.int) "source" [ 40; 5; 6; 7 ]
+          (Dataflow.Int_vec.to_list v));
+    tc "clear empties and keeps the vector usable" (fun () ->
+        let v = Dataflow.Int_vec.of_prefix [| 1; 2; 3 |] 3 in
+        Dataflow.Int_vec.clear v;
+        check Alcotest.int "length" 0 (Dataflow.Int_vec.length v);
+        check Alcotest.bool "mem" false (Dataflow.Int_vec.mem v 1);
+        Dataflow.Int_vec.push v 5;
+        check (Alcotest.list Alcotest.int) "refilled" [ 5 ]
+          (Dataflow.Int_vec.to_list v));
+    tc "iter, fold and exists visit the contents in order" (fun () ->
+        let v = Dataflow.Int_vec.of_prefix [| 3; 1; 2; 99 |] 3 in
+        let seen = ref [] in
+        Dataflow.Int_vec.iter (fun x -> seen := x :: !seen) v;
+        check (Alcotest.list Alcotest.int) "iter" [ 3; 1; 2 ] (List.rev !seen);
+        check (Alcotest.list Alcotest.int) "fold" [ 2; 1; 3 ]
+          (Dataflow.Int_vec.fold (fun x acc -> x :: acc) v []);
+        check Alcotest.bool "exists 2" true
+          (Dataflow.Int_vec.exists (( = ) 2) v);
+        (* the spare slot past the prefix is not part of the contents *)
+        check Alcotest.bool "spare slot" false
+          (Dataflow.Int_vec.exists (( = ) 99) v));
   ]
+
+(* Int_vec against a list model with the same swap-removal rule, under
+   random push/remove/pop/clear traffic. *)
+let int_vec_prop =
+  QCheck.Test.make ~count:300 ~name:"int vec matches reference list"
+    QCheck.(list (pair (int_bound 3) (int_bound 20)))
+    (fun ops ->
+      let v = Dataflow.Int_vec.create () in
+      let model = ref [] in
+      let remove x l =
+        if not (List.mem x l) then l
+        else begin
+          let a = Array.of_list l in
+          let n = Array.length a in
+          let rec first i = if a.(i) = x then i else first (i + 1) in
+          a.(first 0) <- a.(n - 1);
+          Array.to_list (Array.sub a 0 (n - 1))
+        end
+      in
+      List.for_all
+        (fun (op, x) ->
+          (match op with
+          | 0 | 1 ->
+              Dataflow.Int_vec.push v x;
+              model := !model @ [ x ]
+          | 2 ->
+              Dataflow.Int_vec.remove_value v x;
+              model := remove x !model
+          | _ ->
+              if !model = [] then Dataflow.Int_vec.clear v
+              else begin
+                let last = Dataflow.Int_vec.pop v in
+                let n = List.length !model in
+                if last <> List.nth !model (n - 1) then
+                  QCheck.Test.fail_reportf "pop returned %d" last;
+                model := List.filteri (fun i _ -> i < n - 1) !model
+              end);
+          Dataflow.Int_vec.to_list v = !model
+          && Dataflow.Int_vec.mem v x = List.mem x !model
+          && Dataflow.Int_vec.length v = List.length !model)
+        ops)
 
 (* naive per-register liveness for the property test: r is live-in at b
    iff some path from b reaches a use of r with no intervening def. *)
@@ -745,7 +859,7 @@ let postdom_prop =
 let props = List.map QCheck_alcotest.to_alcotest
     [ bitset_prop; bitset_binop_prop; bitset_edge_prop; bitset_edge_binop_prop;
       union_find_prop; liveness_prop; worklist_vs_round_robin_prop;
-      order_prop; dominance_prop; loops_prop; postdom_prop ]
+      order_prop; dominance_prop; loops_prop; postdom_prop; int_vec_prop ]
 
 let () =
   Alcotest.run "dataflow"

@@ -384,6 +384,101 @@ let graph_boundary_prop (name, config) =
         QCheck.Test.fail_reportf "seed %d: graphs differ:@.%s@.vs@.%s" seed a b
       else true)
 
+(* --- the build's scratch and the graphs it leaves ---------------------- *)
+
+let arena_graph ?scratch cfg =
+  let fl = Flat.of_routine cfg in
+  Remat.Interference.build_flat_boundary ?scratch
+    ~k:(Remat.Machine.k_for tiny)
+    (Dataflow.Reg_index.of_flat fl)
+    fl
+    (Dataflow.Liveness.Boundary.compute fl)
+
+(* A build that writes over the emission chunks an earlier build left,
+   or grows past them, must produce the graph a build on fresh storage
+   produces, and must leave the earlier build's graph as it was: no
+   adjacency vector may alias a chunk.  The other routine is generated
+   high-pressure, so one order of the two builds mostly shrinks into
+   the chunks and the other grows out of them. *)
+let scratch_reuse_prop (name, config) =
+  QCheck.Test.make ~count:40
+    ~name:(Printf.sprintf "build on reused scratch ≡ fresh (%s)" name)
+    QCheck.(make Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let cfg = Fuzz.Gen.generate ~config seed in
+      let other =
+        Fuzz.Gen.generate ~config:Fuzz.Gen.high_pressure (seed + 1)
+      in
+      let fresh = graph_fingerprint (arena_graph cfg) in
+      let fresh_other = graph_fingerprint (arena_graph other) in
+      let check what expected g =
+        let got = graph_fingerprint g in
+        if not (String.equal expected got) then
+          QCheck.Test.fail_reportf "seed %d: %s differs:@.%s@.vs@.%s" seed
+            what expected got
+      in
+      let scratch = Remat.Interference.create_scratch () in
+      let first = arena_graph ~scratch other in
+      check "graph after another build" fresh (arena_graph ~scratch cfg);
+      check "graph rebuilt on its own chunks" fresh (arena_graph ~scratch cfg);
+      check "earlier graph" fresh_other first;
+      let scratch = Remat.Interference.create_scratch () in
+      let first = arena_graph ~scratch cfg in
+      check "other graph after this one" fresh_other
+        (arena_graph ~scratch other);
+      check "earlier graph" fresh first;
+      true)
+
+(* Coalescing merges in place on the vectors the scatter adopted, spare
+   capacity included.  The same merges on the arena build, on a copy of
+   it and on the structured reference must leave the same graph —
+   neighbor order, significance, representatives and counters — and the
+   copy's merges must leave the build it was copied from untouched. *)
+let merge_agree_prop (name, config) =
+  QCheck.Test.make ~count:40
+    ~name:(Printf.sprintf "merges on arena graph ≡ reference (%s)" name)
+    QCheck.(make Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let module G = Remat.Interference in
+      let cfg = Fuzz.Gen.generate ~config seed in
+      let reference =
+        G.build ~k:(Remat.Machine.k_for tiny) cfg
+          (Dataflow.Liveness.compute cfg)
+      in
+      let arena = arena_graph cfg in
+      let built = graph_fingerprint arena in
+      let copied = G.copy arena in
+      let untouched = G.copy arena in
+      let fingerprint g =
+        Printf.sprintf "%salive=%d union=%d reps=%s" (graph_fingerprint g)
+          (G.n_alive g) (G.union_edges g)
+          (String.concat " "
+             (List.init (G.n_nodes g) (fun i -> string_of_int (G.find g i))))
+      in
+      let n = G.n_nodes reference in
+      let rng = Random.State.make [| seed |] in
+      for _ = 1 to n do
+        let i = G.find reference (Random.State.int rng n)
+        and j = G.find reference (Random.State.int rng n) in
+        if
+          i <> j
+          && Reg.cls (G.reg reference i) = Reg.cls (G.reg reference j)
+          && not (G.interfere reference i j)
+        then
+          List.iter (fun g -> G.merge g ~keep:i ~drop:j) [ reference; arena; copied ]
+      done;
+      let r = fingerprint reference in
+      List.iter
+        (fun (what, g) ->
+          let got = fingerprint g in
+          if not (String.equal r got) then
+            QCheck.Test.fail_reportf "seed %d: %s differs:@.%s@.vs@.%s" seed
+              what r got)
+        [ ("merged build", arena); ("merged copy", copied) ];
+      if not (String.equal built (graph_fingerprint untouched)) then
+        QCheck.Test.fail_reportf "seed %d: merges changed another copy" seed;
+      true)
+
 (* --- arena build ≡ structured reference past the matrix's reach ------- *)
 
 (* A window-8 dependence chain over [dense_node_limit] + 300 registers,
@@ -789,6 +884,12 @@ let qcheck_cases =
       gen_configs
   @ List.map
       (fun c -> QCheck_alcotest.to_alcotest (graph_boundary_prop c))
+      gen_configs
+  @ List.map
+      (fun c -> QCheck_alcotest.to_alcotest (scratch_reuse_prop c))
+      gen_configs
+  @ List.map
+      (fun c -> QCheck_alcotest.to_alcotest (merge_agree_prop c))
       gen_configs
   @ List.map
       (fun c -> QCheck_alcotest.to_alcotest (splice_ab_prop c))

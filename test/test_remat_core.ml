@@ -362,6 +362,74 @@ let interference_unit =
               (Remat.Interference.interfere g j i)
           done
         done);
+    tc "on_pairs counts a repeated pair once as an edge" (fun () ->
+        (* Both definitions of r2 see r1 live, so the sweep emits the
+           pair {r1,r2} twice; the scatter keeps one edge. *)
+        let src =
+          "routine x\n\
+           entry:\n\
+          \  r1 <- ldi 1\n\
+          \  r2 <- ldi 2\n\
+          \  r2 <- add r2 r1\n\
+          \  print r1\n\
+          \  print r2\n\
+          \  ret\n"
+        in
+        let fl = Iloc.Flat.of_routine (Iloc.Parser.routine src) in
+        let counts = ref None in
+        let g =
+          Remat.Interference.build_flat_boundary
+            ~on_pairs:(fun ~emitted ~dropped -> counts := Some (emitted, dropped))
+            (Dataflow.Reg_index.of_flat fl)
+            fl
+            (Dataflow.Liveness.Boundary.compute fl)
+        in
+        check
+          Alcotest.(option (pair int int))
+          "emitted, dropped" (Some (2, 1)) !counts;
+        check Alcotest.int "edges" 1 (Remat.Interference.n_edges g);
+        let i r = Remat.Interference.index g (Reg.make r Reg.Int) in
+        check (Alcotest.list Alcotest.int) "r1's neighbors" [ i 2 ]
+          (Remat.Interference.neighbors g (i 1));
+        check (Alcotest.list Alcotest.int) "r2's neighbors" [ i 1 ]
+          (Remat.Interference.neighbors g (i 2)));
+    tc "arena build ≡ structured reference on every kernel" (fun () ->
+        (* The allocator's front half on the arena, as [ralloc dot
+           --interference] runs it, against structured renumbering,
+           dense liveness and the reference build, with and without the
+           optimizer: the dumps print every edge in adjacency order. *)
+        List.iter
+          (fun (k : Suite.Kernels.kernel) ->
+            List.iter
+              (fun optimize ->
+                let cfg = Suite.Kernels.cfg_of k in
+                let cfg = if optimize then Opt.Pipeline.run cfg else cfg in
+                let cfg = Cfg.split_critical_edges cfg in
+                let rn = Remat.Renumber.run Remat.Mode.Briggs_remat cfg in
+                let reference =
+                  Remat.Dump.interference_to_string
+                    ~split_pairs:rn.Remat.Renumber.split_pairs
+                    (Remat.Interference.build rn.Remat.Renumber.cfg
+                       (Dataflow.Liveness.compute rn.Remat.Renumber.cfg))
+                in
+                let fr =
+                  Remat.Renumber.run_flat Remat.Mode.Briggs_remat
+                    (Iloc.Flat.of_routine cfg)
+                in
+                let fl = fr.Remat.Renumber.fl in
+                let arena =
+                  Remat.Dump.interference_to_string
+                    ~split_pairs:fr.Remat.Renumber.f_split_pairs
+                    (Remat.Interference.build_flat_boundary
+                       (Dataflow.Reg_index.of_flat fl)
+                       fl
+                       (Dataflow.Liveness.Boundary.compute fl))
+                in
+                if not (String.equal reference arena) then
+                  Alcotest.failf "kernel %s (optimize %b): graphs differ"
+                    k.Suite.Kernels.name optimize)
+              [ false; true ])
+          Suite.Kernels.all);
   ]
 
 (* --- spill costs --- *)
