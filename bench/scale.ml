@@ -86,12 +86,13 @@ let fresh_ctx cfg =
   let cfg0 = Cfg.split_critical_edges cfg in
   let dom = Dataflow.Dominance.compute cfg0 in
   let loops = Dataflow.Loops.compute cfg0 dom in
-  let rn = Remat.Renumber.run mode cfg0 in
-  ( Remat.Context.create ~mode ~machine ~loops ~tags:rn.Remat.Renumber.tags
-      ~split_pairs:rn.Remat.Renumber.split_pairs
+  let fr = Remat.Renumber.run_flat mode (Iloc.Flat.of_routine cfg0) in
+  let renumbered = Iloc.Flat.to_routine fr.Remat.Renumber.fl in
+  ( Remat.Context.create ~mode ~machine ~loops ~tags:fr.Remat.Renumber.f_tags
+      ~split_pairs:fr.Remat.Renumber.f_split_pairs
       ~stats:(Remat.Stats.create ())
-      (Iloc.Flat.of_routine rn.Remat.Renumber.cfg),
-    rn.Remat.Renumber.cfg )
+      fr.Remat.Renumber.fl,
+    renumbered )
 
 let time_min ~repeats f =
   let best = ref infinity in

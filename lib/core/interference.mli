@@ -2,9 +2,10 @@
     bit matrix for membership and adjacency vectors for iteration.  Here
     the adjacency vectors are the whole graph: membership
     ({!interfere}) scans the shorter of two vectors, and no edge set is
-    kept, not even while a build runs.  The arena build
-    ({!build_flat_boundary}) deduplicates by a counting scatter, the
-    structured reference ({!build}) and {!add_edge} by that scan.
+    kept, not even while a build runs.  The one build
+    ({!build_flat_boundary}) deduplicates by a counting scatter;
+    {!add_edge}, which fills graphs made by {!empty} or {!of_edges},
+    by that scan.
 
     Nodes are the live ranges of a renumbered routine (one per register
     name).  An edge joins two live ranges that are simultaneously live at
@@ -44,13 +45,6 @@ val dense_node_limit : int
     would take 64 MB.  A scale marker only — no build branches on it;
     benchmarks use it to tell a routine past the matrix's reach. *)
 
-val build :
-  ?k:(Iloc.Reg.cls -> int) -> Iloc.Cfg.t -> Dataflow.Liveness.t -> t
-(** One backward pass per block, seeded with the block's live-out set,
-    each edge pushed at its pair's first emission and deduplicated by
-    {!add_edge}.  The structured reference build: the allocator itself
-    builds with {!build_flat_boundary}. *)
-
 val build_flat_boundary :
   ?scratch:scratch ->
   ?on_pairs:(emitted:int -> dropped:int -> unit) ->
@@ -65,10 +59,12 @@ val build_flat_boundary :
     index), so no structure wider than [|U|] per block is ever
     materialized.  The node index must be [Dataflow.Reg_index.of_flat]
     of the same arena and the boundary must come from
-    {!Dataflow.Liveness.Boundary.compute} on it; the graph is then
+    {!Dataflow.Liveness.Boundary.compute} on it.  The graph is then
     identical, node numbering and per-node neighbor order included, to
-    {!build} of the bridged routine with its dense
-    {!Dataflow.Liveness.compute}.
+    the structured build the test suite keeps as its reference: one
+    backward pass per block of the bridged routine, seeded with the
+    dense {!Dataflow.Liveness.compute} live-out set, each edge pushed at
+    its pair's first emission and deduplicated by {!add_edge}.
 
     Two phases.  One sweep appends every candidate pair, with no
     membership check, as one word to an emission buffer.  Then a
@@ -82,10 +78,16 @@ val build_flat_boundary :
     how many candidate pairs the sweep emitted and how many were
     duplicates. *)
 
+val empty : ?k:(Iloc.Reg.cls -> int) -> Dataflow.Reg_index.t -> t
+(** A graph over the index's registers with no edges, for {!add_edge}
+    to fill: how the test suite's structured reference build starts.
+    [k] gives each register class's color count, as for
+    {!build_flat_boundary}. *)
+
 val of_edges : ?k:(Iloc.Reg.cls -> int) -> int -> (int * int) list -> t
-(** A graph over [n] fresh integer-class nodes with the given edges,
+(** {!empty} over [n] fresh integer-class nodes, with the given edges
     added in order by {!add_edge} (self-loops and duplicates ignored) —
-    for tests and experiments. *)
+    hand-made graphs for tests. *)
 
 val interfere : t -> int -> int -> bool
 (** Scans the shorter of the two adjacency vectors: O(min degree). *)

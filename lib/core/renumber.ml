@@ -1,170 +1,7 @@
-module Cfg = Iloc.Cfg
-module Block = Iloc.Block
-module Instr = Iloc.Instr
-module Phi = Iloc.Phi
-module Reg = Iloc.Reg
-module Values = Ssa.Values
-module Union_find = Dataflow.Union_find
-
-type result = {
-  cfg : Iloc.Cfg.t;
-  tags : Tag.t Iloc.Reg.Tbl.t;
-  split_pairs : (Iloc.Reg.t * Iloc.Reg.t) list;
-  n_values : int;
-  n_live_ranges : int;
-}
-
-let run mode (cfg : Cfg.t) =
-  (* Steps 1-3: pruned SSA (liveness, φ-insertion, renaming). *)
-  let ssa = Ssa.Construct.run cfg in
-  let vals = Values.analyze ssa in
-  let n = Values.count vals in
-  (* Step 4: tag propagation.  No_remat forces everything heavyweight. *)
-  let tags =
-    match mode with
-    | Mode.No_remat | Mode.Ssa_no_remat -> Array.make n Tag.Bottom
-    | Mode.Chaitin_remat | Mode.Briggs_remat | Mode.Briggs_remat_phi_splits
-    | Mode.Briggs_split_all_loops | Mode.Briggs_split_outer_loops
-    | Mode.Briggs_split_unreferenced | Mode.Ssa_remat ->
-        Remat_analysis.run ssa vals
-  in
-  let uf = Union_find.create n in
-  let both_inst_equal a b =
-    match (tags.(a), tags.(b)) with
-    | Tag.Inst i, Tag.Inst j -> Instr.remat_equal i j
-    | _ -> false
-  in
-  (* Step 5: union copies joining values with identical inst tags.  The
-     copies themselves become self-copies after renaming and are dropped
-     during materialization. *)
-  (match mode with
-  | Mode.Briggs_remat | Mode.Briggs_remat_phi_splits
-  | Mode.Briggs_split_all_loops | Mode.Briggs_split_outer_loops
-  | Mode.Briggs_split_unreferenced | Mode.Ssa_remat ->
-      Cfg.iter_instrs
-        (fun _ i ->
-          match (i.Instr.op, i.Instr.dst) with
-          | Instr.Copy, Some d ->
-              let di = Values.index vals d
-              and si = Values.index vals i.Instr.srcs.(0) in
-              if both_inst_equal di si then ignore (Union_find.union uf di si)
-          | _ -> ())
-        ssa
-  | Mode.No_remat | Mode.Chaitin_remat | Mode.Ssa_no_remat -> ());
-  (* Step 6: walk the φ-nodes; union compatible operands, record splits
-     for the rest.  Split destinations/sources are resolved to
-     representatives only after all unions are known. *)
-  let pending_splits = ref [] (* (pred, result value, arg value) *) in
-  Cfg.iter_blocks
-    (fun b ->
-      List.iter
-        (fun (p : Phi.t) ->
-          let vr = Values.index vals p.dst in
-          List.iter
-            (fun (pred, arg) ->
-              let va = Values.index vals arg in
-              let merge =
-                match mode with
-                | Mode.No_remat | Mode.Chaitin_remat | Mode.Ssa_no_remat ->
-                    true
-                | Mode.Briggs_remat | Mode.Briggs_split_all_loops
-                | Mode.Briggs_split_outer_loops
-                | Mode.Briggs_split_unreferenced | Mode.Ssa_remat ->
-                    (* Identical tags (including both-Bottom) merge; the
-                       Minimal column of Figure 3. *)
-                    Tag.equal tags.(vr) tags.(va)
-                | Mode.Briggs_remat_phi_splits -> both_inst_equal vr va
-              in
-              if merge then ignore (Union_find.union uf vr va)
-              else pending_splits := (pred, vr, va) :: !pending_splits)
-            p.args)
-        b.phis)
-    ssa;
-  (* Live-range name for a value: its class representative's register. *)
-  let rep v = Values.reg vals (Union_find.find uf v) in
-  let rename r = rep (Values.index vals r) in
-  let n_live_ranges = Union_find.n_classes uf in
-  (* Tag per live range: the meet over the class (all members agree under
-     Briggs modes; under Chaitin mode this meet *is* the limited
-     criterion — inst only when every contributing value matches). *)
-  let tags_out : Tag.t Reg.Tbl.t = Reg.Tbl.create 64 in
-  for v = 0 to n - 1 do
-    let r = rep v in
-    let old = try Reg.Tbl.find tags_out r with Not_found -> Tag.Top in
-    Reg.Tbl.replace tags_out r (Tag.meet old tags.(v))
-  done;
-  (* Materialize: rename operands, drop φ-nodes and self-copies, insert
-     sequentialized split copies at the end of predecessor blocks. *)
-  let out = Cfg.copy ssa in
-  let split_pairs = ref [] in
-  Cfg.iter_blocks
-    (fun b ->
-      b.phis <- [];
-      b.body <-
-        List.filter_map
-          (fun i ->
-            let i = Instr.map_regs rename i in
-            match (i.Instr.op, i.Instr.dst) with
-            | Instr.Copy, Some d when Reg.equal d i.Instr.srcs.(0) -> None
-            | _ -> Some i)
-          b.body;
-      b.term <- Instr.map_regs rename b.term)
-    out;
-  let by_pred = Hashtbl.create 8 in
-  List.iter
-    (fun (pred, vr, va) ->
-      let d = rep vr and s = rep va in
-      if not (Reg.equal d s) then begin
-        let old = Option.value (Hashtbl.find_opt by_pred pred) ~default:[] in
-        Hashtbl.replace by_pred pred ((d, s) :: old)
-      end)
-    (List.rev !pending_splits);
-  (* Ascending predecessor order, not [Hashtbl.iter]'s: the scratch
-     registers [sequentialize] may mint are drawn from the shared supply,
-     so the pred processing order decides their numbering — and with it
-     byte-identity against the flat-native path. *)
-  let pred_ids =
-    List.sort Int.compare (Hashtbl.fold (fun p _ acc -> p :: acc) by_pred [])
-  in
-  List.iter
-    (fun pred ->
-      let moves = Hashtbl.find by_pred pred in
-      (* The same (dst, src) move can be requested by several φ-nodes
-         whose results were unioned; duplicates are harmless, distinct
-         sources for one destination would be a broken union and
-         Parallel_copy rejects them. *)
-      let moves =
-        List.sort_uniq
-          (fun (d1, s1) (d2, s2) ->
-            match Reg.compare d1 d2 with 0 -> Reg.compare s1 s2 | c -> c)
-          moves
-      in
-      let temp cls =
-        let t = Cfg.fresh_reg out cls in
-        t
-      in
-      let seq = Ssa.Parallel_copy.sequentialize moves ~temp in
-      (* Scratch registers copy an existing live range; they inherit its
-         tag so spilling them stays exact. *)
-      List.iter
-        (fun (d, s) ->
-          if not (Reg.Tbl.mem tags_out d) then
-            Reg.Tbl.replace tags_out d
-              (Option.value (Reg.Tbl.find_opt tags_out s) ~default:Tag.Bottom))
-        seq;
-      List.iter (fun pair -> split_pairs := pair :: !split_pairs) seq;
-      Block.append_before_term (Cfg.block out pred)
-        (List.map (fun (d, s) -> Instr.copy d s) seq))
-    pred_ids;
-  {
-    cfg = out;
-    tags = tags_out;
-    split_pairs = List.rev !split_pairs;
-    n_values = n;
-    n_live_ranges;
-  }
-
 module Flat = Iloc.Flat
+module Instr = Iloc.Instr
+module Reg = Iloc.Reg
+module Union_find = Dataflow.Union_find
 
 type flat_result = {
   fl : Iloc.Flat.t;
@@ -174,16 +11,17 @@ type flat_result = {
   f_n_live_ranges : int;
 }
 
-(* The same six steps, routine-in/routine-out on the flat arena: no
+(* The six steps, routine-in/routine-out on the flat arena: no
    structured instruction (or φ-node, or per-operand cell) is ever
    materialized.  SSA never exists as a routine here — it exists as side
    arrays over the input arena's slots: [slot_dst_val]/[slot_src_val]
    give each operand's SSA value, a φ CSR carries the pruned φ-nodes,
    and values are plain counters whose packed register follows from the
-   supply watermark.  Equality with [run] is structural, not lucky: the
-   canonical orderings (φs per block ascending original register, φ
+   supply watermark.  Equality with the structured reference renumber
+   (test/reference.ml, through an SSA routine) is structural, not lucky:
+   the canonical orderings (φs per block ascending original register, φ
    arguments ascending predecessor, split blocks ascending) are exactly
-   the ones [run] now produces, the value numbering coincides because
+   the ones the reference produces, the value numbering coincides because
    both paths hand out fresh registers in the same visit order, and the
    remaining analyses (IDF, boundary liveness, tag propagation) are
    order-independent fixpoints. *)
@@ -452,7 +290,8 @@ let run_flat mode (fl0 : Flat.t) =
   in
   (* Step 5: union copies joining values with identical inst tags, in
      block/slot order — union-by-rank representatives depend on the
-     union sequence, so this order is part of the contract with [run]. *)
+     union sequence, so this order is part of the contract with the
+     reference. *)
   (match mode with
   | Mode.Briggs_remat | Mode.Briggs_remat_phi_splits
   | Mode.Briggs_split_all_loops | Mode.Briggs_split_outer_loops
@@ -504,7 +343,7 @@ let run_flat mode (fl0 : Flat.t) =
     Reg.Tbl.replace tags_out r (Tag.meet old tags.(v))
   done;
   (* Splits grouped per predecessor, sequentialized in ascending block
-     order so scratch registers number identically to [run]'s. *)
+     order so scratch registers number identically to the reference's. *)
   let by_pred : (Reg.t * Reg.t) list array = Array.make nb [] in
   let k = ref 0 in
   while !k < Dataflow.Int_vec.length pending do

@@ -124,17 +124,19 @@ let fig3 ppf =
       (Reg.to_string (Ssa.Values.reg vals v))
       (Remat.Tag.to_string tags.(v))
   done;
-  let rn = Remat.Renumber.run Mode.Briggs_remat src in
+  let rn =
+    Remat.Renumber.run_flat Mode.Briggs_remat (Iloc.Flat.of_routine src)
+  in
   Format.fprintf ppf
     "@.--- After steps 5-6: live ranges with minimal splits ---@.%a@."
-    pp_routine rn.Remat.Renumber.cfg;
+    pp_routine (Iloc.Flat.to_routine rn.Remat.Renumber.fl);
   Format.fprintf ppf "split copies inserted: %d  (%s)@."
-    (List.length rn.Remat.Renumber.split_pairs)
+    (List.length rn.Remat.Renumber.f_split_pairs)
     (String.concat ", "
        (List.map
           (fun (d, s) ->
             Printf.sprintf "%s <- %s" (Reg.to_string d) (Reg.to_string s))
-          rn.Remat.Renumber.split_pairs))
+          rn.Remat.Renumber.f_split_pairs))
 
 let fig4 ppf =
   Format.fprintf ppf "=== Figure 4: ILOC and its execution ===@.@.";

@@ -1,18 +1,258 @@
-(* The coloring core as it stood before the worklist/heap optimization,
-   kept verbatim as an executable specification.  Property tests assert
-   the production phases produce byte-identical results (same simplify
-   stack, same colors, same coalesced routine), and the scale benchmark
-   byte-compares its small tier's phases against them.
+(* Executable specifications of the allocator's phases, kept as they
+   stood before the arena and worklist rewrites.  Property tests assert
+   the production phases produce byte-identical results, and the scale
+   benchmark byte-compares its small tier's phases against them:
+
+   - [Renumber.run]: the six-step renumber on the structured routine,
+     through an SSA routine, against [Remat.Renumber.run_flat];
+   - [Interference.build]: the structured build, deduplicating through
+     [add_edge], against the arena's counting scatter;
+   - the coloring core before the worklist/heap optimization (same
+     simplify stack, same colors, same coalesced routine) and the
+     structured spill-cost walk.
 
    Deliberately not kept in sync stylistically with lib/core: this code
    must stay what it is. *)
 
 module Reg = Iloc.Reg
 module Instr = Iloc.Instr
-module Interference = Remat.Interference
 module Context = Remat.Context
 module Stats = Remat.Stats
 module Tag = Remat.Tag
+
+(* Renumber (§4.1) on the structured routine: pruned SSA from
+   [Ssa.Construct], tags from [Remat.Remat_analysis.run], then steps 5-6
+   materialized into a copy of the SSA routine.  [run_flat]'s contract
+   is equality with this: [Flat.to_routine] of its arena structurally
+   equals [cfg], with the same supply watermark, tags, split pairs and
+   counts. *)
+module Renumber = struct
+  module Cfg = Iloc.Cfg
+  module Block = Iloc.Block
+  module Phi = Iloc.Phi
+  module Mode = Remat.Mode
+  module Remat_analysis = Remat.Remat_analysis
+  module Values = Ssa.Values
+  module Union_find = Dataflow.Union_find
+
+  type result = {
+    cfg : Iloc.Cfg.t;
+    tags : Tag.t Iloc.Reg.Tbl.t;
+    split_pairs : (Iloc.Reg.t * Iloc.Reg.t) list;
+    n_values : int;
+    n_live_ranges : int;
+  }
+
+  let run mode (cfg : Cfg.t) =
+    (* Steps 1-3: pruned SSA (liveness, φ-insertion, renaming). *)
+    let ssa = Ssa.Construct.run cfg in
+    let vals = Values.analyze ssa in
+    let n = Values.count vals in
+    (* Step 4: tag propagation.  No_remat forces everything heavyweight. *)
+    let tags =
+      match mode with
+      | Mode.No_remat | Mode.Ssa_no_remat -> Array.make n Tag.Bottom
+      | Mode.Chaitin_remat | Mode.Briggs_remat | Mode.Briggs_remat_phi_splits
+      | Mode.Briggs_split_all_loops | Mode.Briggs_split_outer_loops
+      | Mode.Briggs_split_unreferenced | Mode.Ssa_remat ->
+          Remat_analysis.run ssa vals
+    in
+    let uf = Union_find.create n in
+    let both_inst_equal a b =
+      match (tags.(a), tags.(b)) with
+      | Tag.Inst i, Tag.Inst j -> Instr.remat_equal i j
+      | _ -> false
+    in
+    (* Step 5: union copies joining values with identical inst tags.  The
+       copies themselves become self-copies after renaming and are dropped
+       during materialization. *)
+    (match mode with
+    | Mode.Briggs_remat | Mode.Briggs_remat_phi_splits
+    | Mode.Briggs_split_all_loops | Mode.Briggs_split_outer_loops
+    | Mode.Briggs_split_unreferenced | Mode.Ssa_remat ->
+        Cfg.iter_instrs
+          (fun _ i ->
+            match (i.Instr.op, i.Instr.dst) with
+            | Instr.Copy, Some d ->
+                let di = Values.index vals d
+                and si = Values.index vals i.Instr.srcs.(0) in
+                if both_inst_equal di si then ignore (Union_find.union uf di si)
+            | _ -> ())
+          ssa
+    | Mode.No_remat | Mode.Chaitin_remat | Mode.Ssa_no_remat -> ());
+    (* Step 6: walk the φ-nodes; union compatible operands, record splits
+       for the rest.  Split destinations/sources are resolved to
+       representatives only after all unions are known. *)
+    let pending_splits = ref [] (* (pred, result value, arg value) *) in
+    Cfg.iter_blocks
+      (fun b ->
+        List.iter
+          (fun (p : Phi.t) ->
+            let vr = Values.index vals p.dst in
+            List.iter
+              (fun (pred, arg) ->
+                let va = Values.index vals arg in
+                let merge =
+                  match mode with
+                  | Mode.No_remat | Mode.Chaitin_remat | Mode.Ssa_no_remat ->
+                      true
+                  | Mode.Briggs_remat | Mode.Briggs_split_all_loops
+                  | Mode.Briggs_split_outer_loops
+                  | Mode.Briggs_split_unreferenced | Mode.Ssa_remat ->
+                      (* Identical tags (including both-Bottom) merge; the
+                         Minimal column of Figure 3. *)
+                      Tag.equal tags.(vr) tags.(va)
+                  | Mode.Briggs_remat_phi_splits -> both_inst_equal vr va
+                in
+                if merge then ignore (Union_find.union uf vr va)
+                else pending_splits := (pred, vr, va) :: !pending_splits)
+              p.args)
+          b.phis)
+      ssa;
+    (* Live-range name for a value: its class representative's register. *)
+    let rep v = Values.reg vals (Union_find.find uf v) in
+    let rename r = rep (Values.index vals r) in
+    let n_live_ranges = Union_find.n_classes uf in
+    (* Tag per live range: the meet over the class (all members agree under
+       Briggs modes; under Chaitin mode this meet *is* the limited
+       criterion — inst only when every contributing value matches). *)
+    let tags_out : Tag.t Reg.Tbl.t = Reg.Tbl.create 64 in
+    for v = 0 to n - 1 do
+      let r = rep v in
+      let old = try Reg.Tbl.find tags_out r with Not_found -> Tag.Top in
+      Reg.Tbl.replace tags_out r (Tag.meet old tags.(v))
+    done;
+    (* Materialize: rename operands, drop φ-nodes and self-copies, insert
+       sequentialized split copies at the end of predecessor blocks. *)
+    let out = Cfg.copy ssa in
+    let split_pairs = ref [] in
+    Cfg.iter_blocks
+      (fun b ->
+        b.phis <- [];
+        b.body <-
+          List.filter_map
+            (fun i ->
+              let i = Instr.map_regs rename i in
+              match (i.Instr.op, i.Instr.dst) with
+              | Instr.Copy, Some d when Reg.equal d i.Instr.srcs.(0) -> None
+              | _ -> Some i)
+            b.body;
+        b.term <- Instr.map_regs rename b.term)
+      out;
+    let by_pred = Hashtbl.create 8 in
+    List.iter
+      (fun (pred, vr, va) ->
+        let d = rep vr and s = rep va in
+        if not (Reg.equal d s) then begin
+          let old = Option.value (Hashtbl.find_opt by_pred pred) ~default:[] in
+          Hashtbl.replace by_pred pred ((d, s) :: old)
+        end)
+      (List.rev !pending_splits);
+    (* Ascending predecessor order, not [Hashtbl.iter]'s: the scratch
+       registers [sequentialize] may mint are drawn from the shared supply,
+       so the pred processing order decides their numbering — and with it
+       byte-identity against the flat-native path. *)
+    let pred_ids =
+      List.sort Int.compare (Hashtbl.fold (fun p _ acc -> p :: acc) by_pred [])
+    in
+    List.iter
+      (fun pred ->
+        let moves = Hashtbl.find by_pred pred in
+        (* The same (dst, src) move can be requested by several φ-nodes
+           whose results were unioned; duplicates are harmless, distinct
+           sources for one destination would be a broken union and
+           Parallel_copy rejects them. *)
+        let moves =
+          List.sort_uniq
+            (fun (d1, s1) (d2, s2) ->
+              match Reg.compare d1 d2 with 0 -> Reg.compare s1 s2 | c -> c)
+            moves
+        in
+        let temp cls =
+          let t = Cfg.fresh_reg out cls in
+          t
+        in
+        let seq = Ssa.Parallel_copy.sequentialize moves ~temp in
+        (* Scratch registers copy an existing live range; they inherit its
+           tag so spilling them stays exact. *)
+        List.iter
+          (fun (d, s) ->
+            if not (Reg.Tbl.mem tags_out d) then
+              Reg.Tbl.replace tags_out d
+                (Option.value (Reg.Tbl.find_opt tags_out s) ~default:Tag.Bottom))
+          seq;
+        List.iter (fun pair -> split_pairs := pair :: !split_pairs) seq;
+        Block.append_before_term (Cfg.block out pred)
+          (List.map (fun (d, s) -> Instr.copy d s) seq))
+      pred_ids;
+    {
+      cfg = out;
+      tags = tags_out;
+      split_pairs = List.rev !split_pairs;
+      n_values = n;
+      n_live_ranges;
+    }
+end
+
+(* The library's graph, plus the structured build the arena build is
+   argued against (see the ordering argument in interference.ml). *)
+module Interference = struct
+  include Remat.Interference
+  module Bitset = Dataflow.Bitset
+  module Reg_index = Dataflow.Reg_index
+
+  (* Each edge is pushed at the first emission of its pair, deduplicated
+     by {!add_edge}'s adjacency scan rather than by the arena build's
+     scatter, so the two builds agree by different means. *)
+  let build ?k (cfg : Iloc.Cfg.t) (live : Dataflow.Liveness.t) =
+    let regs = live.Dataflow.Liveness.regs in
+    let n = Reg_index.count regs in
+    let t = empty ?k regs in
+    (* Edges only connect registers of the same class, so instead of a
+       class lookup per live bit the defining register's candidates are
+       narrowed word-parallel: live_now ∩ class-mask, then the iteration
+       touches exactly the indices that can get an edge. *)
+    let int_mask = Bitset.create n and float_mask = Bitset.create n in
+    for i = 0 to n - 1 do
+      match Reg.cls (Reg_index.reg regs i) with
+      | Reg.Int -> Bitset.unsafe_add int_mask i
+      | Reg.Float -> Bitset.unsafe_add float_mask i
+    done;
+    let candidates = Bitset.create n in
+    Iloc.Cfg.iter_blocks
+      (fun b ->
+        let live_now = Bitset.copy live.Dataflow.Liveness.live_out.(b.id) in
+        let step (i : Instr.t) =
+          (match i.Instr.dst with
+          | Some d ->
+              let di = Reg_index.index regs d in
+              let skip =
+                (* Copies: the new value and the copied value may share a
+                   register, so no edge between them (enables coalescing).
+                   -1 never equals a live index. *)
+                if Instr.is_copy i then Reg_index.index regs i.Instr.srcs.(0)
+                else -1
+              in
+              Bitset.assign ~dst:candidates live_now;
+              ignore
+                (Bitset.inter_into ~dst:candidates
+                   (match Reg.cls d with
+                   | Reg.Int -> int_mask
+                   | Reg.Float -> float_mask));
+              Bitset.iter
+                (fun l -> if l <> di && l <> skip then add_edge t di l)
+                candidates;
+              Bitset.unsafe_remove live_now di
+          | None -> ());
+          List.iter
+            (fun u -> Bitset.unsafe_add live_now (Reg_index.index regs u))
+            (Instr.uses i)
+        in
+        step b.term;
+        List.iter step (List.rev b.body))
+      cfg;
+    t
+end
 
 module Simplify = struct
   (* O(n) whole-graph rescan per spill-candidate pick. *)

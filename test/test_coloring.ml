@@ -25,12 +25,12 @@ let fresh_ctx ~mode ~machine cfg =
   let cfg0 = Cfg.split_critical_edges cfg in
   let dom = Dataflow.Dominance.compute cfg0 in
   let loops = Dataflow.Loops.compute cfg0 dom in
-  let rn = Remat.Renumber.run mode cfg0 in
-  ( Remat.Context.create ~mode ~machine ~loops ~tags:rn.Remat.Renumber.tags
-      ~split_pairs:rn.Remat.Renumber.split_pairs
+  let rn = Reference.Renumber.run mode cfg0 in
+  ( Remat.Context.create ~mode ~machine ~loops ~tags:rn.Reference.Renumber.tags
+      ~split_pairs:rn.Reference.Renumber.split_pairs
       ~stats:(Remat.Stats.create ())
-      (Iloc.Flat.of_routine rn.Remat.Renumber.cfg),
-    rn.Remat.Renumber.cfg )
+      (Iloc.Flat.of_routine rn.Reference.Renumber.cfg),
+    rn.Reference.Renumber.cfg )
 
 let partners_of ctx g =
   let partners = Array.make (Interference.n_nodes g) [] in

@@ -118,8 +118,8 @@ let renumber_prop mode =
     Testutil.Gen_prog.arbitrary_cfg
     (fun cfg ->
       let cfg = Cfg.split_critical_edges cfg in
-      let rn = Remat.Renumber.run mode cfg in
-      let out = rn.Remat.Renumber.cfg in
+      let rn = Reference.Renumber.run mode cfg in
+      let out = rn.Reference.Renumber.cfg in
       (* no φ-nodes survive *)
       (not (Cfg.in_ssa out))
       (* the routine is still valid and equivalent *)
@@ -128,7 +128,7 @@ let renumber_prop mode =
       (* every register is tagged Inst or Bottom *)
       && Reg.Set.for_all
            (fun r ->
-             match Reg.Tbl.find_opt rn.Remat.Renumber.tags r with
+             match Reg.Tbl.find_opt rn.Reference.Renumber.tags r with
              | Some (Remat.Tag.Inst _ | Remat.Tag.Bottom) -> true
              | Some Remat.Tag.Top | None -> false)
            (Cfg.all_regs out)
@@ -138,9 +138,9 @@ let renumber_prop mode =
              Reg.cls_equal (Reg.cls a) (Reg.cls b)
              && Reg.Set.mem a (Cfg.all_regs out)
              && Reg.Set.mem b (Cfg.all_regs out))
-           rn.Remat.Renumber.split_pairs
+           rn.Reference.Renumber.split_pairs
       (* live-range count never exceeds value count *)
-      && rn.Remat.Renumber.n_live_ranges <= rn.Remat.Renumber.n_values)
+      && rn.Reference.Renumber.n_live_ranges <= rn.Reference.Renumber.n_values)
 
 let props =
   List.map QCheck_alcotest.to_alcotest
