@@ -712,14 +712,13 @@ let bench_cmd =
       $ distinct $ edit_rate $ jobs $ wave $ cache $ min_hit_rate)
 
 let serve_cmd =
-  let run socket jobs cache no_snapshots max_frame batch =
+  let run socket jobs cache max_frame batch =
     or_die (fun () ->
         let jobs = if jobs = 0 then Suite.Pool.default_jobs () else jobs in
         let config =
           {
             Serve.Server.jobs;
             cache_capacity = cache;
-            snapshots = not no_snapshots;
             max_frame;
             batch_limit = max 1 batch;
           }
@@ -759,15 +758,6 @@ let serve_cmd =
       & info [ "cache" ] ~docv:"N"
           ~doc:"Memo-table capacity in entries (LRU eviction).")
   in
-  let no_snapshots =
-    Arg.(
-      value & flag
-      & info [ "no-snapshots" ]
-          ~doc:
-            "Do not keep allocator snapshots: cold allocations skip the \
-             copy of their first round's interference graph and liveness, \
-             and edit requests always re-allocate from scratch.")
-  in
   let max_frame =
     Arg.(
       value
@@ -791,7 +781,7 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ socket $ jobs $ cache $ no_snapshots $ max_frame $ batch)
+      const run $ socket $ jobs $ cache $ max_frame $ batch)
 
 let reduce_cmd =
   let run src =

@@ -1,22 +1,14 @@
 (** Graphviz output for interference graphs.
 
-    Nodes are live ranges (solid for integer, dashed boxes for float);
-    interference edges are solid, split-partner relations dotted.  When a
-    coloring is supplied, same-colored nodes share a fill color (cycling
-    through a small palette).
+    Nodes are live ranges (ellipses for integer, boxes for float);
+    interference edges are solid, split-partner relations dotted.
 
     {v dune exec bin/ralloc.exe -- dot kernel:fehl --interference \
          | dot -Tsvg > ig.svg v} *)
 
 module Reg = Iloc.Reg
 
-let palette =
-  [|
-    "#8dd3c7"; "#ffffb3"; "#bebada"; "#fb8072"; "#80b1d3"; "#fdb462";
-    "#b3de69"; "#fccde5"; "#d9d9d9"; "#bc80bd"; "#ccebc5"; "#ffed6f";
-  |]
-
-let interference ?colors ?(split_pairs = []) ppf (g : Interference.t) =
+let interference ?(split_pairs = []) ppf (g : Interference.t) =
   Format.fprintf ppf "graph interference {@.";
   Format.fprintf ppf "  node [fontname=\"monospace\", style=filled];@.";
   (* Nodes merged away by in-place coalescing are not part of the graph
@@ -24,20 +16,11 @@ let interference ?colors ?(split_pairs = []) ppf (g : Interference.t) =
   for i = 0 to Interference.n_nodes g - 1 do
     if Interference.alive g i then begin
       let r = Interference.reg g i in
-      let fill =
-        match colors with
-        | Some cs -> (
-            match cs.(i) with
-            | Some c -> palette.(c mod Array.length palette)
-            | None -> "#ff4444" (* spilled *))
-        | None -> "#ffffff"
-      in
       Format.fprintf ppf
-        "  n%d [label=\"%s (%d)\", shape=%s, fillcolor=\"%s\"];@." i
+        "  n%d [label=\"%s (%d)\", shape=%s, fillcolor=\"#ffffff\"];@." i
         (Reg.to_string r)
         (Interference.degree g i)
         (if Reg.is_int r then "ellipse" else "box")
-        fill
     end
   done;
   for i = 0 to Interference.n_nodes g - 1 do
@@ -57,8 +40,7 @@ let interference ?colors ?(split_pairs = []) ppf (g : Interference.t) =
     split_pairs;
   Format.fprintf ppf "}@."
 
-let interference_to_string ?colors ?split_pairs g =
-  Format.asprintf "%a" (interference ?colors ?split_pairs) g
+let interference_to_string ?split_pairs g =
+  Format.asprintf "%a" (interference ?split_pairs) g
 
 let stats = Stats.pp
-let stats_to_string s = Format.asprintf "%a" stats s

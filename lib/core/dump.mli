@@ -2,21 +2,12 @@
 
     Nodes are live ranges (ellipses for integer, boxes for float, degree
     in the label); interference edges are solid, split-partner relations
-    dotted.  With a coloring, same-colored nodes share a fill color and
-    uncolored (spilled) nodes are red:
+    dotted:
 
     {v dune exec bin/ralloc.exe -- dot kernel:fehl --interference \
          | dot -Tsvg > ig.svg v} *)
 
-val interference :
-  ?colors:int option array ->
-  ?split_pairs:(Iloc.Reg.t * Iloc.Reg.t) list ->
-  Format.formatter ->
-  Interference.t ->
-  unit
-
 val interference_to_string :
-  ?colors:int option array ->
   ?split_pairs:(Iloc.Reg.t * Iloc.Reg.t) list ->
   Interference.t ->
   string
@@ -24,5 +15,3 @@ val interference_to_string :
 val stats : Format.formatter -> Stats.t -> unit
 (** Per-round phase timers followed by the event counters — the report
     behind [ralloc alloc --stats]. *)
-
-val stats_to_string : Stats.t -> string

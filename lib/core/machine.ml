@@ -9,6 +9,3 @@ let standard = make ~name:"standard" ~k_int:16 ~k_float:16
 let huge = make ~name:"huge" ~k_int:128 ~k_float:128
 
 let k_for t = function Iloc.Reg.Int -> t.k_int | Iloc.Reg.Float -> t.k_float
-
-let pp ppf t =
-  Format.fprintf ppf "%s (%d int / %d float)" t.name t.k_int t.k_float

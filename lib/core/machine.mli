@@ -17,4 +17,3 @@ val standard : t
 val huge : t
 
 val k_for : t -> Iloc.Reg.cls -> int
-val pp : Format.formatter -> t -> unit

@@ -89,4 +89,3 @@ let is_ssa = function
   | Briggs_split_unreferenced ->
       false
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -53,4 +53,3 @@ val is_ssa : t -> bool
     to MaxLive ≤ k, chordal coloring, SSA destruction) instead of the
     Chaitin–Briggs build–coalesce–simplify–select loop? *)
 
-val pp : Format.formatter -> t -> unit

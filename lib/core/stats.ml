@@ -85,14 +85,6 @@ let counter_total t counter =
     (fun (_, c) n acc -> if c = counter then acc + n else acc)
     t.counts 0
 
-let counter_in_round t ~round counter =
-  Option.value (Hashtbl.find_opt t.counts (round, counter)) ~default:0
-
-let max_per_round t counter =
-  Hashtbl.fold
-    (fun (_, c) n acc -> if c = counter then max n acc else acc)
-    t.counts 0
-
 let total t = List.fold_left (fun acc r -> acc +. r.seconds) 0. t.rows_rev
 
 let phase_to_string = function

@@ -72,9 +72,6 @@ val counters : t -> (int * counter * int) list
 (** Per-(round, counter) sums, in first-occurrence order. *)
 
 val counter_total : t -> counter -> int
-val counter_in_round : t -> round:int -> counter -> int
-val max_per_round : t -> counter -> int
-(** Largest per-round value of [counter] over all rounds. *)
 
 val total : t -> float
 val phase_to_string : phase -> string

@@ -57,8 +57,6 @@ let slab ?buf ~rows ~capacity () =
   in
   Array.init rows (fun r -> { words; off = r * nb; capacity })
 
-let capacity t = t.capacity
-
 let check t i =
   if i < 0 || i >= t.capacity then
     invalid_arg (Printf.sprintf "Bitset: index %d out of [0,%d)" i t.capacity)
@@ -240,7 +238,3 @@ let of_list capacity l =
   let t = create capacity in
   List.iter (add t) l;
   t
-
-let pp ppf t =
-  Format.fprintf ppf "{%s}"
-    (String.concat "," (List.map string_of_int (elements t)))

@@ -26,8 +26,6 @@ val slab : ?buf:t array -> rows:int -> capacity:int -> unit -> t array
     longer be in use}: if its backing buffer is large enough it is
     cleared and recycled instead of allocating fresh. *)
 
-val capacity : t -> int
-
 val add : t -> int -> unit
 val remove : t -> int -> unit
 val mem : t -> int -> bool
@@ -71,4 +69,3 @@ val iter : (int -> unit) -> t -> unit
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val elements : t -> int list
 val of_list : int -> int list -> t
-val pp : Format.formatter -> t -> unit

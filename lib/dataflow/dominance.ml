@@ -90,32 +90,10 @@ let compute_flat (fl : Iloc.Flat.t) =
   compute_generic ~n:(Iloc.Flat.n_blocks fl) ~entry:fl.Iloc.Flat.entry
     ~succs:(Iloc.Flat.succs_list fl) ~preds:(Iloc.Flat.preds_list fl)
 
-let postdominators (cfg : Iloc.Cfg.t) =
-  let n = Iloc.Cfg.n_blocks cfg in
-  let exit = n in
-  let rets = ref [] in
-  Iloc.Cfg.iter_blocks
-    (fun b -> if b.term.op = Iloc.Instr.Ret then rets := b.id :: !rets)
-    cfg;
-  let rets = !rets in
-  let succs b = if b = exit then [] else
-    match (Iloc.Cfg.block cfg b).term.op with
-    | Iloc.Instr.Ret -> [ exit ]
-    | _ -> Iloc.Cfg.succs cfg b
-  in
-  let preds b = if b = exit then rets else Iloc.Cfg.preds cfg b in
-  (* The reverse graph flows from the virtual exit along predecessors. *)
-  let t =
-    compute_generic ~n:(n + 1) ~entry:exit ~succs:preds ~preds:succs
-  in
-  (t, exit)
-
 let dominates t a b =
   t.tin.(a) >= 0 && t.tin.(b) >= 0
   && t.tin.(a) <= t.tin.(b)
   && t.tout.(b) <= t.tout.(a)
-
-let strictly_dominates t a b = a <> b && dominates t a b
 
 let frontiers (cfg : Iloc.Cfg.t) t =
   let n = Iloc.Cfg.n_blocks cfg in
@@ -226,5 +204,3 @@ module Idf = struct
     done;
     fixpoint st df
 end
-
-let iterated_frontier ~n df seeds = Idf.compute (Idf.create ~n) df seeds

@@ -23,19 +23,8 @@ val compute_flat : Iloc.Flat.t -> t
 (** Same tree computed from the flat arena's CSR edges — identical to
     [compute (Flat.to_routine fl)] without bridging. *)
 
-val compute_generic :
-  n:int -> entry:int -> succs:(int -> int list) -> preds:(int -> int list) -> t
-(** Shared core, also used for postdominators on the reversed graph. *)
-
-val postdominators : Iloc.Cfg.t -> t * int
-(** Postdominators computed against a virtual exit node (returned as the
-    second component, numbered [n_blocks cfg]) whose predecessors are all
-    [ret] blocks. *)
-
 val dominates : t -> int -> int -> bool
 (** [dominates t a b] — does [a] dominate [b]?  Reflexive. *)
-
-val strictly_dominates : t -> int -> int -> bool
 
 val frontiers : Iloc.Cfg.t -> t -> Bitset.t array
 
@@ -43,24 +32,20 @@ val frontiers_flat : Iloc.Flat.t -> t -> Bitset.t array
 (** {!frontiers} over the flat arena's CSR predecessors; bit-identical
     rows. *)
 
-val iterated_frontier : n:int -> Bitset.t array -> int list -> Bitset.t
-(** DF+ of a set of seed blocks: the fixpoint of the frontier map, the set
-    of blocks where φ-nodes are required for a variable defined in the
-    seeds (before pruning). *)
-
-(** Reusable scratch for computing one DF+ per register: φ insertion
-    calls {!iterated_frontier} once per variable, and at 10⁴-instruction
-    routines the per-call bitsets and queue cells used to dominate
-    renumbering's allocation. *)
+(** Iterated dominance frontiers with reusable scratch.  DF+ of a set
+    of seed blocks is the fixpoint of the frontier map: the set of
+    blocks where φ-nodes are required for a variable defined in the
+    seeds (before pruning).  φ insertion computes one per variable, and
+    at 10⁴-instruction routines per-call bitsets and queue cells used to
+    dominate renumbering's allocation. *)
 module Idf : sig
   type state
 
   val create : n:int -> state
 
   val compute : state -> Bitset.t array -> int list -> Bitset.t
-  (** Identical result to {!iterated_frontier}.  The returned set is the
-      state's own buffer — valid only until the next [compute] on the
-      same state. *)
+  (** DF+ of the seeds.  The returned set is the state's own buffer —
+      valid only until the next [compute] on the same state. *)
 
   val compute_slice :
     state -> Bitset.t array -> int array -> lo:int -> hi:int -> Bitset.t

@@ -68,9 +68,6 @@ let[@inline] remove t i =
     end
   end
 
-let[@inline] mem t i =
-  Array.unsafe_get t.l0 (i lsr 5) land (1 lsl (i land 31)) <> 0
-
 let iter f t =
   let l2 = t.l2 and l1 = t.l1 and l0 = t.l0 in
   for w2 = 0 to Array.length l2 - 1 do

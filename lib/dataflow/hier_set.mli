@@ -17,7 +17,6 @@ val create : int -> t
 
 val add : t -> int -> unit
 val remove : t -> int -> unit
-val mem : t -> int -> bool
 
 val iter : (int -> unit) -> t -> unit
 (** Ascending element order. *)

@@ -57,8 +57,4 @@ let fold f t init =
   iter (fun x -> acc := f x !acc) t;
   !acc
 
-let exists p t =
-  let rec go i = i < t.len && (p t.data.(i) || go (i + 1)) in
-  go 0
-
 let to_list t = List.init t.len (fun i -> t.data.(i))

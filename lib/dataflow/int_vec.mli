@@ -41,5 +41,4 @@ val copy : t -> t
 
 val iter : (int -> unit) -> t -> unit
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
-val exists : (int -> bool) -> t -> bool
 val to_list : t -> int list

@@ -98,4 +98,4 @@ let compute (cfg : Iloc.Cfg.t) (dom : Dominance.t) =
     loops;
   { loops; depth; innermost }
 
-let weight ?(base = 10.) t b = base ** float_of_int t.depth.(b)
+let weight t b = 10. ** float_of_int t.depth.(b)

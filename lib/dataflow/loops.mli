@@ -21,6 +21,6 @@ type t = {
 
 val compute : Iloc.Cfg.t -> Dominance.t -> t
 
-val weight : ?base:float -> t -> int -> float
-(** [weight t b] is [base ^ depth(b)], the spill-cost multiplier for
-    instructions in block [b].  [base] defaults to 10. *)
+val weight : t -> int -> float
+(** [weight t b] is [10 ^ depth(b)], the spill-cost multiplier for
+    instructions in block [b]. *)

@@ -39,11 +39,6 @@ let postorder (cfg : Iloc.Cfg.t) =
     (dfs_postorder ~n:(Iloc.Cfg.n_blocks cfg) ~entry:cfg.entry
        ~succs:(Iloc.Cfg.succs cfg))
 
-let reverse_postorder (cfg : Iloc.Cfg.t) =
-  let po = postorder cfg in
-  let n = Array.length po in
-  Array.init n (fun i -> po.(n - 1 - i))
-
 let postorder_flat (f : Iloc.Flat.t) =
   fst
     (dfs_postorder ~n:(Iloc.Flat.n_blocks f) ~entry:f.Iloc.Flat.entry

@@ -10,10 +10,9 @@ val postorder_flat : Iloc.Flat.t -> int array
 (** Same traversal over a flat arena's CSR edges; identical to
     {!postorder} of the bridged routine. *)
 
-val reverse_postorder : Iloc.Cfg.t -> int array
 val reachable : Iloc.Cfg.t -> bool array
 
 val dfs_postorder :
   n:int -> entry:int -> succs:(int -> int list) -> int array * bool array
-(** Generic core over any graph shape (used for postdominators on the
-    reversed graph): the postorder sequence and the visited set. *)
+(** Generic core over any graph shape (the dominator computation runs
+    it directly): the postorder sequence and the visited set. *)

@@ -97,7 +97,6 @@ let count t = Array.length t.arr
 let index t r = Iloc.Reg.Tbl.find t.tbl r
 let index_opt t r = Iloc.Reg.Tbl.find_opt t.tbl r
 let reg t i = t.arr.(i)
-let mem t r = Iloc.Reg.Tbl.mem t.tbl r
 let iter f t = Array.iteri f t.arr
 
 let packed_map t =

@@ -30,7 +30,6 @@ val index : t -> Iloc.Reg.t -> int
 
 val index_opt : t -> Iloc.Reg.t -> int option
 val reg : t -> int -> Iloc.Reg.t
-val mem : t -> Iloc.Reg.t -> bool
 val iter : (int -> Iloc.Reg.t -> unit) -> t -> unit
 
 val packed_map : t -> int array

@@ -4,8 +4,6 @@ let create n =
   if n < 0 then invalid_arg "Union_find.create";
   { parent = Array.init n (fun i -> i); rank = Array.make n 0; n_classes = n }
 
-let size t = Array.length t.parent
-
 let rec find t i =
   let p = t.parent.(i) in
   if p = i then i
@@ -32,24 +30,6 @@ let union t a b =
       ra)
   end
 
-let union_to t ~keep x =
-  let rk = find t keep and rx = find t x in
-  if rk <> rx then begin
-    t.n_classes <- t.n_classes - 1;
-    t.parent.(rx) <- rk;
-    if t.rank.(rk) <= t.rank.(rx) then t.rank.(rk) <- t.rank.(rx) + 1
-  end
-
 let same t a b = find t a = find t b
 
 let n_classes t = t.n_classes
-
-let classes t =
-  let tbl = Hashtbl.create 16 in
-  for i = size t - 1 downto 0 do
-    let r = find t i in
-    let old = Option.value (Hashtbl.find_opt tbl r) ~default:[] in
-    Hashtbl.replace tbl r (i :: old)
-  done;
-  Hashtbl.fold (fun r ms acc -> (r, ms) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)

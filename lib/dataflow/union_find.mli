@@ -10,7 +10,6 @@ type t
 val create : int -> t
 (** [create n] makes [n] singleton sets named [0 .. n-1]. *)
 
-val size : t -> int
 val find : t -> int -> int
 (** Canonical representative; stable until the next union involving the
     class. *)
@@ -18,13 +17,5 @@ val find : t -> int -> int
 val union : t -> int -> int -> int
 (** Merge the two classes and return the representative of the result. *)
 
-val union_to : t -> keep:int -> int -> unit
-(** [union_to t ~keep x] merges [x]'s class into [keep]'s class; the
-    representative of the merged class is the current representative of
-    [keep].  Renumber uses this to keep the live-range name equal to a
-    designated value's name. *)
-
 val same : t -> int -> int -> bool
 val n_classes : t -> int
-val classes : t -> (int * int list) list
-(** Association list from representative to sorted members. *)

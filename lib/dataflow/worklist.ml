@@ -104,7 +104,6 @@ module Buckets = struct
     }
 
   let length t = t.count
-  let is_empty t = t.count = 0
 
   let push t ~key v =
     let key = if key < 0 then 0 else min key (Array.length t.buckets - 1) in
@@ -123,9 +122,4 @@ module Buckets = struct
       t.count <- t.count - 1;
       Some (Int_vec.pop t.buckets.(t.min))
     end
-
-  let clear t =
-    Array.iter Int_vec.clear t.buckets;
-    t.min <- Array.length t.buckets;
-    t.count <- 0
 end

@@ -52,8 +52,6 @@ module Buckets : sig
 
   val create : keys:int -> t
   val length : t -> int
-  val is_empty : t -> bool
   val push : t -> key:int -> int -> unit
   val pop_min : t -> int option
-  val clear : t -> unit
 end

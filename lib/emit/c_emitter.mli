@@ -22,7 +22,5 @@
     (reads of uninitialized storage are defined as zero here, fatal
     there). *)
 
-val routine : Format.formatter -> Iloc.Cfg.t -> unit
-(** Emit a complete, self-contained C program. *)
-
 val routine_to_string : Iloc.Cfg.t -> string
+(** A complete, self-contained C program. *)

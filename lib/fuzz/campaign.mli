@@ -29,12 +29,9 @@ type summary = {
       (** ["fingerprint|config" -> count], sorted by key *)
 }
 
-val bucket_key : report -> string
-
 val run :
   ?gen_config:Gen.config ->
   ?matrix:Oracle.config list ->
-  ?fuel:int ->
   ?reduce:bool ->
   runs:int ->
   seed:int ->

@@ -114,12 +114,16 @@ let outcome_diff (a : Sim.Interp.outcome) (b : Sim.Interp.outcome) =
         in
         Option.value cell_diff ~default:"outcomes differ"
 
-let reference ?(fuel = 200_000) cfg =
+(* Instruction budget of every interpretation: generated routines are
+   small, and a runaway one must fail fast. *)
+let fuel = 200_000
+
+let reference cfg =
   match Sim.Interp.run ~fuel cfg with
   | o -> Ok o
   | exception Sim.Interp.Runtime_error m -> Error m
 
-let check_config ?(fuel = 200_000) ~reference cfg config =
+let check_config ~reference cfg config =
   let protect phase f =
     match f () with
     | v -> Ok v
@@ -176,12 +180,12 @@ let check_config ?(fuel = 200_000) ~reference cfg config =
                       else Some (Wrong_outcome (outcome_diff reference outcome))
                   )))))
 
-let check ?fuel ?(matrix = default_matrix) cfg =
-  match reference ?fuel cfg with
+let check cfg =
+  match reference cfg with
   | Error m -> Error m
   | Ok r ->
       Ok
         (List.filter_map
            (fun c ->
-             Option.map (fun d -> (c, d)) (check_config ?fuel ~reference:r cfg c))
-           matrix)
+             Option.map (fun d -> (c, d)) (check_config ~reference:r cfg c))
+           default_matrix)

@@ -54,13 +54,13 @@ val fingerprint : divergence -> string
 val describe : divergence -> string
 (** One-line detail for reports. *)
 
-val reference : ?fuel:int -> Iloc.Cfg.t -> (Sim.Interp.outcome, string) result
+val reference : Iloc.Cfg.t -> (Sim.Interp.outcome, string) result
 (** Interpret the original routine; [Error] is the {!Sim.Interp}
     message if it does not run cleanly (such inputs cannot be oracle
-    subjects). *)
+    subjects).  Every interpretation here, of the original or of an
+    allocated routine, runs on a budget of 200 000 instructions. *)
 
 val check_config :
-  ?fuel:int ->
   reference:Sim.Interp.outcome ->
   Iloc.Cfg.t ->
   config ->
@@ -68,10 +68,6 @@ val check_config :
 (** Push the routine through one configuration and compare against the
     reference outcome. *)
 
-val check :
-  ?fuel:int ->
-  ?matrix:config list ->
-  Iloc.Cfg.t ->
-  ((config * divergence) list, string) result
-(** Run the whole matrix (default {!default_matrix}).  [Ok []] means no
-    divergence anywhere; [Error] means the reference itself failed. *)
+val check : Iloc.Cfg.t -> ((config * divergence) list, string) result
+(** Run the whole {!default_matrix}.  [Ok []] means no divergence
+    anywhere; [Error] means the reference itself failed. *)

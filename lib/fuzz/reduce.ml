@@ -242,7 +242,11 @@ let drop_symbols ~interesting cfg =
     in
     accept ~interesting cand
 
-let run ?(max_cycles = 200) ~interesting cfg0 =
+(* Safety bound on fixpoint rounds; every accepted candidate shrinks the
+   measure, so the loop ends well before it. *)
+let max_cycles = 200
+
+let run ~interesting cfg0 =
   let passes =
     [ straighten; bypass; drop_instrs; shrink_imms; merge_regs; drop_symbols ]
   in

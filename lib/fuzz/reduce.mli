@@ -20,14 +20,13 @@
 
     Every accepted candidate strictly decreases the measure
     (blocks, instructions, Σ|immediate|, Σ register ids), so the
-    process terminates; [max_cycles] is a safety bound on fixpoint
-    rounds.  The result prints via {!Iloc.Printer} and reparses with
+    process terminates; 200 fixpoint rounds are a safety bound on
+    top.  The result prints via {!Iloc.Printer} and reparses with
     {!Iloc.Parser} (guaranteed by the round-trip property). *)
 
 val instr_count : Iloc.Cfg.t -> int
 (** Instructions in the routine, terminators included. *)
 
-val run :
-  ?max_cycles:int -> interesting:(Iloc.Cfg.t -> bool) -> Iloc.Cfg.t -> Iloc.Cfg.t
+val run : interesting:(Iloc.Cfg.t -> bool) -> Iloc.Cfg.t -> Iloc.Cfg.t
 (** The input is returned unchanged if no pass can shrink it (or if it is
     not [interesting] to begin with). *)

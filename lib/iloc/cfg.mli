@@ -36,9 +36,6 @@ val fold_blocks : ('a -> Block.t -> 'a) -> 'a -> t -> 'a
 val iter_instrs : (Block.t -> Instr.t -> unit) -> t -> unit
 (** Iterate every non-φ instruction, terminators included. *)
 
-val max_reg_id : t -> int
-(** Highest register id appearing anywhere in the routine (0 if none). *)
-
 val fresh_reg : t -> Reg.cls -> Reg.t
 
 val all_regs : t -> Reg.Set.t

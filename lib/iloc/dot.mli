@@ -5,5 +5,4 @@
 
     {v dune exec bin/ralloc.exe -- dot kernel:tomcatv | dot -Tpdf > cfg.pdf v} *)
 
-val cfg : Format.formatter -> Cfg.t -> unit
 val cfg_to_string : Cfg.t -> string

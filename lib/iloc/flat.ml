@@ -83,7 +83,6 @@ module Tag = struct
 
   let never_killed t = t <= ldro
   let is_copy t = t = copy
-  let is_terminator t = t >= jmp && t <= ret
 end
 
 let rel_code : Instr.rel -> int = function
@@ -133,7 +132,6 @@ let block_term t b = t.block_start.(b + 1) - 1
 let tag t slot = t.code.((slot * stride) + f_tag)
 let dst t slot = t.code.((slot * stride) + f_dst)
 let src t slot i = t.code.((slot * stride) + f_s0 + i)
-let ex t slot = t.code.((slot * stride) + f_ex)
 
 let succs_list t b =
   let acc = ref [] in

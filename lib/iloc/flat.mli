@@ -83,11 +83,7 @@ module Tag : sig
 
   val never_killed : int -> bool
   val is_copy : int -> bool
-  val is_terminator : int -> bool
 end
-
-val rel_code : Instr.rel -> int
-val rel_of_code : int -> Instr.rel
 
 type t = {
   name : string;
@@ -129,8 +125,6 @@ val dst : t -> int -> int
 val src : t -> int -> int -> int
 (** [src t slot i] is packed source [i] (0-2) of [slot], or {!none}. *)
 
-val ex : t -> int -> int
-
 val succs_list : t -> int -> int list
 val preds_list : t -> int -> int list
 
@@ -139,9 +133,6 @@ val decode_op : t -> int -> Instr.op
     operand fields — rematerialization tags carry the op alone (register
     operands live outside it), so the flat renumbering initializes tags
     from this directly. *)
-
-val to_instr : t -> int -> Instr.t
-(** Decode one slot to a structured instruction. *)
 
 val rename : t -> (int -> int) -> t
 (** [rename t f] replaces every register operand [p] (packed) by [f p]

@@ -5,6 +5,4 @@
     (φ-nodes have no concrete syntax; they exist only inside the
     allocator, which raises [Invalid_argument] here). *)
 
-val pp_symbol : Format.formatter -> Symbol.t -> unit
-val pp_routine : Format.formatter -> Cfg.t -> unit
 val routine_to_string : Cfg.t -> string

@@ -198,10 +198,3 @@ let routine ?(ssa = false) (cfg : Cfg.t) =
   if !errs = [] then check_defined cfg errs;
   if ssa && !errs = [] then check_ssa cfg errs;
   match List.rev !errs with [] -> Ok () | es -> Error es
-
-let routine_exn ?ssa cfg =
-  match routine ?ssa cfg with
-  | Ok () -> ()
-  | Error es ->
-      failwith
-        (String.concat "; " (List.map error_to_string es))

@@ -24,11 +24,9 @@ type error = {
   what : string;
 }
 
-val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 (** ["routine/label#3: message"]; the [#index] part appears only when the
     error is attached to an instruction. *)
 
 val routine : ?ssa:bool -> Cfg.t -> (unit, error list) result
-val routine_exn : ?ssa:bool -> Cfg.t -> unit
-(** Raises [Failure] with all messages concatenated. *)
+

@@ -13,10 +13,8 @@
     references into few long-lived registers — the live ranges
     rematerialization later competes over. *)
 
-val block : Iloc.Block.t -> bool
-(** Rewrite one block in place; returns true if anything changed. *)
-
 val routine : Iloc.Cfg.t -> bool
+(** Rewrite every block in place; returns true if anything changed. *)
 
 (** {1 Shared machinery}
 

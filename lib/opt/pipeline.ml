@@ -1,4 +1,8 @@
-let run ?(max_iters = 8) (cfg : Iloc.Cfg.t) =
+(* Rounds of the four passes before the pipeline stops even if one of
+   them still reports a change. *)
+let max_iters = 8
+
+let run (cfg : Iloc.Cfg.t) =
   let rec go cfg n =
     if n = 0 then cfg
     else begin

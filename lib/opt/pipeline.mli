@@ -4,8 +4,8 @@
 
     local value numbering → dominator-scoped value numbering →
     dead-code elimination → loop-invariant code motion → (repeat until
-    stable).
+    stable, at most 8 rounds).
 
     The input routine is not modified. *)
 
-val run : ?max_iters:int -> Iloc.Cfg.t -> Iloc.Cfg.t
+val run : Iloc.Cfg.t -> Iloc.Cfg.t

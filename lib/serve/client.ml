@@ -1,22 +1,8 @@
 (* Minimal synchronous client: one request, one framed response. *)
 
-type t = {
-  in_fd : Unix.file_descr;
-  out_fd : Unix.file_descr;
-  reader : Frame.reader;
-  owns : bool;  (* close fds on [close] *)
-}
+type t = { out_fd : Unix.file_descr; reader : Frame.reader }
 
-let of_fds ~in_fd ~out_fd =
-  { in_fd; out_fd; reader = Frame.reader in_fd; owns = false }
-
-let connect path =
-  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try Unix.connect sock (Unix.ADDR_UNIX path)
-   with e ->
-     (try Unix.close sock with _ -> ());
-     raise e);
-  { in_fd = sock; out_fd = sock; reader = Frame.reader sock; owns = true }
+let of_fds ~in_fd ~out_fd = { out_fd; reader = Frame.reader in_fd }
 
 let send t req = Frame.write_frame t.out_fd (Protocol.encode_request req)
 
@@ -29,8 +15,3 @@ let receive t =
 let request t req =
   send t req;
   receive t
-
-let close t =
-  if t.owns then (
-    (try Unix.close t.in_fd with _ -> ());
-    if t.out_fd <> t.in_fd then try Unix.close t.out_fd with _ -> ())

@@ -15,14 +15,16 @@ type config = {
   seed : int;
   jobs : int;
   wave : int;  (** requests per wave *)
-  cache_capacity : int;
-  snapshots : bool;
-  alloc : Protocol.config;
-  gen : Fuzz.Gen.config;
+  cache_capacity : int;  (** the server's LRU bound (entries) *)
+  alloc : Protocol.config;  (** mode and machine of every request *)
+  gen : Fuzz.Gen.config;  (** shape of the generated base routines *)
 }
+(** The server it drives keeps snapshots, as [ralloc serve] does, so the
+    stream's edits of cached bases take the incremental path. *)
 
 val default : config
-(** 1000 requests over 32 bases, 30% edits, one job, waves of 32. *)
+(** 1000 requests over 32 bases, 30% edits, one job, waves of 32, a
+    512-entry cache, {!Protocol.standard_config}, {!Fuzz.Gen.default}. *)
 
 type summary = {
   s_requests : int;

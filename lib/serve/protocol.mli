@@ -61,8 +61,6 @@ type response =
   | Err of { kind : err_kind; msg : string }
   | Bye
 
-val source_to_string : source -> string
-val err_kind_to_string : err_kind -> string
 val encode_request : request -> string
 val encode_response : response -> string
 val parse_request : string -> (request, string) result

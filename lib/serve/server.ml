@@ -19,8 +19,8 @@
       runs once per item: an edit with a cached base snapshot calls
       [allocate_incremental], which continues cold when the skeleton
       check fails; any other item calls [allocate_snapshot], whose
-      snapshot is its own first round's, or plain [allocate] when
-      snapshots are off.  Each item catches its own exceptions into a
+      snapshot is its own first round's and is kept in the cache entry
+      for later edits.  Each item catches its own exceptions into a
       per-item [Error].
 
    C. {e Replay} (sequential, in request order): perform every cache
@@ -40,7 +40,6 @@ module Stats = Remat.Stats
 type config = {
   jobs : int;
   cache_capacity : int;
-  snapshots : bool;  (* keep cold allocations' snapshots for edits *)
   max_frame : int;
   batch_limit : int;  (* max requests per wave *)
 }
@@ -49,7 +48,6 @@ let default_config =
   {
     jobs = 1;
     cache_capacity = 512;
-    snapshots = true;
     max_frame = Frame.default_max_frame;
     batch_limit = 64;
   }
@@ -119,7 +117,7 @@ let exn_to_err e =
   | e -> Protocol.(Err { kind = Server_error; msg = Printexc.to_string e })
 
 (* Run one work item; never raises. *)
-let run_work ~snapshots (w : work) :
+let run_work (w : work) :
     (entry * Protocol.source, Protocol.response) result =
   let mode = w.w_config.Protocol.mode in
   let machine = Protocol.machine_of_config w.w_config in
@@ -141,11 +139,9 @@ let run_work ~snapshots (w : work) :
           (match path with
           | Allocator.Incremental -> Protocol.Incremental
           | Allocator.Cold -> Protocol.Cold)
-    | None when snapshots ->
+    | None ->
         let res, snap = Allocator.allocate_snapshot ~mode ~machine w.w_cfg in
         finish res snap Protocol.Cold
-    | None ->
-        finish (Allocator.allocate ~mode ~machine w.w_cfg) None Protocol.Cold
   with
   | v -> Ok v
   | exception e -> Error (exn_to_err e)
@@ -229,9 +225,7 @@ let handle_batch t (requests : (Protocol.request, string) result list) :
     if Array.length items = 0 then [||]
     else
       Suite.Pool.await
-        (Suite.Pool.submit t.pool
-           (run_work ~snapshots:t.config.snapshots)
-           items)
+        (Suite.Pool.submit t.pool run_work items)
   in
   (* Pass C: replay against the cache, in request order. *)
   let respond_entry (e : entry) source =

@@ -9,19 +9,19 @@
     function of the request stream and wave boundaries, independent of
     the job count.  See DESIGN.md §15 for the argument. *)
 
+(** Every cold allocation keeps its first round's
+    {!Remat.Allocator.snapshot} in its cache entry, so [Edit] requests
+    against a cached base take the incremental path; no setting turns
+    this off. *)
 type config = {
   jobs : int;  (** pool width; 1 = everything in the serving domain *)
   cache_capacity : int;  (** LRU bound (entries) *)
-  snapshots : bool;
-      (** cold allocations keep their first round's
-          {!Remat.Allocator.snapshot} in the cache entry, so [Edit]
-          requests can take the incremental path *)
   max_frame : int;  (** reject larger frames as corrupt *)
   batch_limit : int;  (** max requests drained into one wave *)
 }
 
 val default_config : config
-(** jobs 1, capacity 512, snapshots on, 16 MiB frames, waves ≤ 64. *)
+(** jobs 1, capacity 512, 16 MiB frames, waves ≤ 64. *)
 
 type t
 

@@ -31,8 +31,6 @@ let total_instrs t = t.load + t.store + t.cp + t.ldi + t.addi + t.other
 let cycles t = (2 * (t.load + t.store)) + t.cp + t.ldi + t.addi + t.other
 let cycles_signed = cycles
 
-let copy t = { t with load = t.load }
-
 let sub a b =
   {
     load = a.load - b.load;

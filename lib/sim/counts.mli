@@ -13,7 +13,6 @@ val record : t -> Iloc.Instr.op -> unit
 val get : t -> Iloc.Instr.category -> int
 val total_instrs : t -> int
 val cycles : t -> int
-val copy : t -> t
 
 val sub : t -> t -> t
 (** Pointwise difference (may be negative), used to isolate spill

@@ -55,7 +55,7 @@ let layout_of (cfg : Iloc.Cfg.t) =
     cfg.symbols;
   { base_of; cells; names = List.rev !names }
 
-let run ?(fuel = 50_000_000) ?(on_block = fun _ -> ()) (cfg : Iloc.Cfg.t) =
+let run ?(fuel = 50_000_000) (cfg : Iloc.Cfg.t) =
   if Iloc.Cfg.in_ssa cfg then
     invalid_arg "Interp.run: cannot execute SSA form (phi-nodes present)";
   let layout = layout_of cfg in
@@ -180,7 +180,6 @@ let run ?(fuel = 50_000_000) ?(on_block = fun _ -> ()) (cfg : Iloc.Cfg.t) =
     | Instr.Nop -> ()
   in
   while !running do
-    on_block !pc_block;
     let b = Iloc.Cfg.block cfg !pc_block in
     List.iter exec b.body;
     exec b.term

@@ -27,12 +27,10 @@ type outcome = {
 val value_equal : value -> value -> bool
 val pp_value : Format.formatter -> value -> unit
 
-val run : ?fuel:int -> ?on_block:(int -> unit) -> Iloc.Cfg.t -> outcome
+val run : ?fuel:int -> Iloc.Cfg.t -> outcome
 (** Execute from the entry block until [ret].  [fuel] bounds the number of
     executed instructions (default 50 million); exhausting it raises
-    {!Runtime_error}.  [on_block] is invoked with each basic block id as
-    control enters it (a cheap execution trace for tests and debugging).
-    The routine must not be in SSA form. *)
+    {!Runtime_error}.  The routine must not be in SSA form. *)
 
 val outcome_equal : outcome -> outcome -> bool
 (** Observational equality: same return value, same prints, same final

@@ -42,7 +42,6 @@ val block_err : string -> label:string -> kind -> string -> t
 val instr_err : string -> label:string -> index:int -> kind -> string -> t
 val is_unsupported : t -> bool
 val kind_to_string : kind -> string
-val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 (** ["routine/label#3: [wrong-value] message"], mirroring

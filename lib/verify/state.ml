@@ -130,20 +130,3 @@ let remat st ~loc ~op =
   in
   let eqs = if Reg.Set.is_empty vs then st.eqs else Loc.Map.add loc vs st.eqs in
   { st with eqs; exprs = Loc.Map.add loc op st.exprs }
-
-let pp ppf st =
-  let open Format in
-  fprintf ppf "@[<v>";
-  Loc.Map.iter
-    (fun loc s ->
-      fprintf ppf "%a = {%s}@ " Loc.pp loc
-        (String.concat ", "
-           (List.map Reg.to_string (Reg.Set.elements s))))
-    st.eqs;
-  Loc.Map.iter
-    (fun loc _ -> fprintf ppf "%a = <remat expr>@ " Loc.pp loc)
-    st.exprs;
-  Reg.Map.iter
-    (fun v _ -> fprintf ppf "%s := <never-killed>@ " (Reg.to_string v))
-    st.consts;
-  fprintf ppf "@]"

@@ -74,5 +74,3 @@ val remat : t -> loc:Loc.t -> op:Instr.op -> t
 (** Allocator-inserted rematerialization of never-killed [op] into
     [loc]: record [exprs(loc) = op], plus [eqs(loc) ∋ v] for every [v]
     whose current tag is [remat_equal] to [op]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -258,28 +258,6 @@ let strictness_tests =
         with Invalid_argument _ -> ());
   ]
 
-let trace_tests =
-  [
-    tc "on_block reports the execution path" (fun () ->
-        let cfg = Testutil.counted_loop () in
-        let trace = ref [] in
-        ignore (Interp.run ~on_block:(fun b -> trace := b :: !trace) cfg);
-        let trace = List.rev !trace in
-        (* entry(0), then head(1)/body(2) alternating, ending at exit(3) *)
-        check Alcotest.int "starts at entry" 0 (List.hd trace);
-        check Alcotest.int "ends at exit" 3 (List.nth trace (List.length trace - 1));
-        let visits b = List.length (List.filter (( = ) b) trace) in
-        check Alcotest.int "head visited 11x" 11 (visits 1);
-        check Alcotest.int "body visited 10x" 10 (visits 2));
-    tc "trace covers every reachable block on the diamond" (fun () ->
-        let cfg = Testutil.diamond () in
-        let seen = Hashtbl.create 8 in
-        ignore
-          (Interp.run ~on_block:(fun b -> Hashtbl.replace seen b ()) cfg);
-        (* one arm taken: entry, one of then/else, join *)
-        check Alcotest.int "three blocks" 3 (Hashtbl.length seen));
-  ]
-
 let outcome_tests =
   [
     tc "outcome equality ignores counts" (fun () ->
@@ -335,6 +313,5 @@ let () =
       ("counts", counts_tests);
       ("semantics", semantics_tests);
       ("strictness", strictness_tests);
-      ("trace", trace_tests);
       ("outcome", outcome_tests);
     ]
