@@ -19,9 +19,6 @@
 
 exception Error of string
 
-val program : Ast.program -> Iloc.Cfg.t
-(** Typechecks ({!Typecheck.program}) and lowers; the result passes
-    {!Iloc.Validate.routine}. *)
-
 val compile : string -> Iloc.Cfg.t
-(** Parse, typecheck and lower MF source text. *)
+(** Parse, typecheck ({!Typecheck.program}) and lower MF source text;
+    the result passes {!Iloc.Validate.routine}. *)

@@ -15,11 +15,10 @@
 type t
 
 val create : string -> t
-val symbol : t -> Symbol.t -> unit
 
 val data :
   t -> ?readonly:bool -> ?init:Symbol.init -> string -> int -> unit
-(** Declare a static symbol (convenience over {!symbol}). *)
+(** Declare a static symbol. *)
 
 val reg : t -> Reg.cls -> Reg.t
 val ireg : t -> Reg.t

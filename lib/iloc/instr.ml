@@ -232,85 +232,11 @@ let equal_op (a : op) (b : op) =
       true
   | _ -> false
 
-let op_index : op -> int = function
-  | Ldi _ -> 0
-  | Lfi _ -> 1
-  | Laddr _ -> 2
-  | Lfp _ -> 3
-  | Ldro _ -> 4
-  | Add -> 5
-  | Sub -> 6
-  | Mul -> 7
-  | Div -> 8
-  | Rem -> 9
-  | Cmp _ -> 10
-  | Addi _ -> 11
-  | Subi _ -> 12
-  | Muli _ -> 13
-  | Fadd -> 14
-  | Fsub -> 15
-  | Fmul -> 16
-  | Fdiv -> 17
-  | Fcmp _ -> 18
-  | Fneg -> 19
-  | Fabs -> 20
-  | Itof -> 21
-  | Ftoi -> 22
-  | Copy -> 23
-  | Load -> 24
-  | Loadx -> 25
-  | Loadi _ -> 26
-  | Store -> 27
-  | Storex -> 28
-  | Storei _ -> 29
-  | Spill _ -> 30
-  | Reload _ -> 31
-  | Jmp _ -> 32
-  | Cbr _ -> 33
-  | Ret -> 34
-  | Print -> 35
-  | Nop -> 36
-
-let rel_index : rel -> int = function
-  | Eq -> 0
-  | Ne -> 1
-  | Lt -> 2
-  | Le -> 3
-  | Gt -> 4
-  | Ge -> 5
-
-let[@inline] hash_mix h v = (h * 31) + v
-
-(* [Hashtbl.hash] on float payloads normalizes NaN and the zeros the
-   same way [Float.equal] identifies them, keeping hash compatible with
-   [equal_op]. *)
-let hash_op (o : op) =
-  let h = op_index o in
-  match o with
-  | Ldi n | Lfp n | Addi n | Subi n | Muli n | Loadi n | Storei n | Spill n
-  | Reload n ->
-      hash_mix h n
-  | Lfi x -> hash_mix h (Hashtbl.hash x)
-  | Laddr (s, n) | Ldro (s, n) -> hash_mix (hash_mix h (Hashtbl.hash s)) n
-  | Cmp r | Fcmp r -> hash_mix h (rel_index r)
-  | Jmp l -> hash_mix h (Hashtbl.hash l)
-  | Cbr (l1, l2) -> hash_mix (hash_mix h (Hashtbl.hash l1)) (Hashtbl.hash l2)
-  | Add | Sub | Mul | Div | Rem | Fadd | Fsub | Fmul | Fdiv | Fneg | Fabs
-  | Itof | Ftoi | Copy | Load | Loadx | Store | Storex | Ret | Print | Nop ->
-      h
-
 let equal a b =
   equal_op a.op b.op
   && Option.equal Reg.equal a.dst b.dst
   && Array.length a.srcs = Array.length b.srcs
   && Array.for_all2 Reg.equal a.srcs b.srcs
-
-let hash t =
-  let h = hash_op t.op in
-  let h =
-    match t.dst with None -> hash_mix h (-1) | Some d -> hash_mix h (Reg.hash d)
-  in
-  Array.fold_left (fun h r -> hash_mix h (Reg.hash r)) h t.srcs
 
 let never_killed = function
   | Ldi _ | Lfi _ | Laddr _ | Lfp _ | Ldro _ -> true
@@ -366,9 +292,6 @@ let category_to_string = function
 
 let all_categories =
   [ Cat_load; Cat_store; Cat_copy; Cat_ldi; Cat_addi; Cat_other ]
-
-let cycles op =
-  match category op with Cat_load | Cat_store -> 2 | _ -> 1
 
 let rel_to_string = function
   | Eq -> "eq"

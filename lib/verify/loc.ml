@@ -9,12 +9,6 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
-let to_string = function
-  | Reg r -> Iloc.Reg.to_string r
-  | Slot s -> Printf.sprintf "slot[%d]" s
-
-let pp ppf l = Format.pp_print_string ppf (to_string l)
-
 module Map = Map.Make (struct
   type nonrec t = t
 

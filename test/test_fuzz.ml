@@ -119,8 +119,30 @@ let mutate_tests =
         done);
   ]
 
+(* A counted loop of [n] iterations, three instructions each. *)
+let spin n =
+  let b = Iloc.Builder.create "spin" in
+  let i = Iloc.Builder.ireg b in
+  let zero = Iloc.Builder.ireg b in
+  let t = Iloc.Builder.ireg b in
+  Iloc.Builder.block b "entry"
+    [ Iloc.Instr.ldi i n; Iloc.Instr.ldi zero 0 ]
+    ~term:(Iloc.Instr.jmp "loop");
+  Iloc.Builder.block b "loop"
+    [ Iloc.Instr.subi i i 1; Iloc.Instr.cmp Iloc.Instr.Gt t i zero ]
+    ~term:(Iloc.Instr.cbr t "loop" "done");
+  Iloc.Builder.block b "done" [] ~term:(Iloc.Instr.ret (Some i));
+  Iloc.Builder.finish b
+
 let oracle_tests =
   [
+    tc "the reference runs on a 200 000-instruction budget" (fun () ->
+        (match Fuzz.Oracle.reference (spin 60_000) with
+        | Ok _ -> ()
+        | Error m -> Alcotest.failf "180k instructions refused: %s" m);
+        match Fuzz.Oracle.reference (spin 70_000) with
+        | Ok _ -> Alcotest.fail "210k instructions ran past the budget"
+        | Error _ -> ());
     tc "fixed fixtures are clean across the matrix" (fun () ->
         List.iter
           (fun (name, cfg) ->

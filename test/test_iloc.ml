@@ -98,11 +98,6 @@ let instr_tests =
         check Alcotest.string "lfp" "addi" (cat (Instr.Lfp 0));
         check Alcotest.string "addi" "addi" (cat (Instr.Addi 1));
         check Alcotest.string "mul" "other" (cat Instr.Mul));
-    tc "cycle costs" (fun () ->
-        check Alcotest.int "load" 2 (Instr.cycles Instr.Load);
-        check Alcotest.int "store" 2 (Instr.cycles Instr.Store);
-        check Alcotest.int "add" 1 (Instr.cycles Instr.Add);
-        check Alcotest.int "ldi" 1 (Instr.cycles (Instr.Ldi 0)));
     tc "terminators" (fun () ->
         check Alcotest.bool "jmp" true (Instr.is_terminator (Instr.jmp "l"));
         check Alcotest.bool "cbr" true
