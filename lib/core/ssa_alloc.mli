@@ -54,6 +54,33 @@ type result = {
           [max_colors ≤ max_live ≤ k] per class *)
 }
 
+val cost_table :
+  Iloc.Cfg.t ->
+  Dataflow.Loops.t ->
+  (Iloc.Reg.t -> Tag.t) ->
+  Dataflow.Reg_index.t ->
+  float array
+(** [cost_table cfg loops tag_of regs] — one spill round's cost per
+    value, indexed by [regs] (the round's {!Dataflow.Liveness.compute_ssa}
+    numbering): 2 per store and per reload, 1 per rematerialization,
+    weighted by 10{^ loop depth}; φ traffic is charged at the
+    predecessor's weight. *)
+
+val select :
+  Iloc.Cfg.t ->
+  Dataflow.Liveness.t ->
+  k:(Iloc.Reg.cls -> int) ->
+  cost:float array ->
+  spillable:bool array ->
+  Iloc.Reg.Set.t * string option
+(** [select cfg live ~k ~cost ~spillable] — one round's MaxLive spill
+    selection: sweeping every program point of [cfg] in block order,
+    spill the cheapest spillable values (by [cost], then register) until
+    each class fits its [k].  [live] is [compute_ssa cfg]; [cost] and
+    [spillable] are indexed by its numbering.  Returns the values chosen
+    and, when some point cannot be brought under k, ["block <label>"]
+    for the first such block. *)
+
 val run :
   mode:Mode.t ->
   machine:Machine.t ->

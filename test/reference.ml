@@ -9,7 +9,10 @@
      [add_edge], against the arena's counting scatter;
    - the coloring core before the worklist/heap optimization (same
      simplify stack, same colors, same coalesced routine) and the
-     structured spill-cost walk.
+     structured spill-cost walk;
+   - the SSA family's spill costs and MaxLive selection on [Reg.Set]
+     live sets and a [Reg.Tbl] cost table, against
+     [Remat.Ssa_alloc.cost_table]/[select].
 
    Deliberately not kept in sync stylistically with lib/core: this code
    must stay what it is. *)
@@ -582,4 +585,197 @@ module Spill_cost = struct
         costs.(i) <- infinity
     done;
     costs
+end
+
+(* The SSA family's spill selection as it stood on [Reg.Set] live sets
+   and a [Reg.Tbl] cost table: one MaxLive sweep over every program
+   point per round.  [Remat.Ssa_alloc.cost_table]/[select], which run on
+   the round's liveness bitsets and arrays indexed by value, must agree
+   with it: the same costs, the same chosen set, the same stuck block. *)
+module Ssa_select = struct
+  module Cfg = Iloc.Cfg
+  module Block = Iloc.Block
+  module Phi = Iloc.Phi
+  module Liveness = Dataflow.Liveness
+
+  (* The same metric as {!Spill_cost}, without the interference-graph
+     plumbing: every reload costs 2 (address arithmetic folded), every
+     rematerialization 1, every store 2, weighted by 10^loop-depth of the
+     site.  φ traffic is charged at the predecessor's weight — that is
+     where the memory-φ store or the argument reload lands. *)
+  let cost_table (cfg : Cfg.t) loops tag_of =
+    let costs = Reg.Tbl.create 64 in
+    let add r x =
+      Reg.Tbl.replace costs r
+        (x +. Option.value (Reg.Tbl.find_opt costs r) ~default:0.)
+    in
+    let w b = Dataflow.Loops.weight loops b in
+    let remat r = Tag.is_inst (tag_of r) in
+    let use_cost r wb = if remat r then wb else 2. *. wb in
+    Cfg.iter_blocks
+      (fun b ->
+        let wb = w b.Block.id in
+        List.iter
+          (fun (p : Phi.t) ->
+            if not (remat p.Phi.dst) then
+              List.iter (fun (pred, _) -> add p.Phi.dst (2. *. w pred)) p.Phi.args;
+            List.iter
+              (fun (pred, arg) -> add arg (use_cost arg (w pred)))
+              p.Phi.args)
+          b.Block.phis;
+        Block.iter_instrs
+          (fun i ->
+            (match i.Instr.dst with
+            | Some d when not (remat d) -> add d (2. *. wb)
+            | _ -> ());
+            List.iter (fun u -> add u (use_cost u wb)) (Instr.uses i))
+          b)
+      cfg;
+    fun r -> Option.value (Reg.Tbl.find_opt costs r) ~default:0.
+
+  (* ------------------------------------------------------------------ *)
+  (* Spill selection                                                     *)
+
+  (* One sweep over every program point, accumulating the set of values to
+     spill this round.  A point is described by [counted] — the registers
+     occupying a color there, [sticky] when spilling cannot relieve the
+     point (instruction operands keep a temporary alive at their site) —
+     and [candidates], the registers whose spilling frees one color here.
+     At a block's end point the candidates also include successor
+     φ-destinations: spilling one turns its φ into a memory φ, whose edge
+     store reaches the slot through a transient pair instead of holding
+     the argument's register across the edge. *)
+  let select (cfg : Cfg.t) (live : Liveness.t) ~k ~cost ~spillable =
+    let chosen = ref Reg.Set.empty in
+    let stuck = ref None in
+    let classes = [ Reg.Int; Reg.Float ] in
+    let reduce ~where ~counted ~candidates =
+      List.iter
+        (fun cls ->
+          let n =
+            List.fold_left
+              (fun n (r, sticky) ->
+                if
+                  Reg.cls_equal (Reg.cls r) cls
+                  && (sticky || not (Reg.Set.mem r !chosen))
+                then n + 1
+                else n)
+              0 counted
+          in
+          let kc = k cls in
+          if n > kc then begin
+            let cands =
+              List.sort_uniq Reg.compare candidates
+              |> List.filter (fun r ->
+                     Reg.cls_equal (Reg.cls r) cls
+                     && spillable r
+                     && not (Reg.Set.mem r !chosen))
+              |> List.map (fun r -> (cost r, r))
+              |> List.sort (fun (c1, r1) (c2, r2) ->
+                     match Float.compare c1 c2 with
+                     | 0 -> Reg.compare r1 r2
+                     | c -> c)
+            in
+            let need = ref (n - kc) in
+            List.iter
+              (fun (_, r) ->
+                if !need > 0 then begin
+                  chosen := Reg.Set.add r !chosen;
+                  decr need
+                end)
+              cands;
+            if !need > 0 && !stuck = None then stuck := Some where
+          end)
+        classes
+    in
+    Cfg.iter_blocks
+      (fun b ->
+        let bid = b.Block.id in
+        let where = Printf.sprintf "block %s" b.Block.label in
+        (* Entry point: live-in values and every φ destination coexist
+           just after the entry parallel copy. *)
+        let live_in_regs = Liveness.live_in live bid in
+        let dests = List.map (fun (p : Phi.t) -> p.Phi.dst) b.Block.phis in
+        reduce ~where
+          ~counted:(List.map (fun r -> (r, false)) (live_in_regs @ dests))
+          ~candidates:(live_in_regs @ dests);
+        (* Instruction points, from per-instruction live-after sets. *)
+        let live_out_set =
+          List.fold_left
+            (fun s r -> Reg.Set.add r s)
+            Reg.Set.empty (Liveness.live_out live bid)
+        in
+        let instrs = Array.of_list (b.Block.body @ [ b.Block.term ]) in
+        let n = Array.length instrs in
+        let after = Array.make n Reg.Set.empty in
+        let cur = ref live_out_set in
+        for idx = n - 1 downto 0 do
+          after.(idx) <- !cur;
+          let i = instrs.(idx) in
+          let s =
+            List.fold_left (fun s d -> Reg.Set.remove d s) !cur (Instr.defs i)
+          in
+          cur := List.fold_left (fun s u -> Reg.Set.add u s) s (Instr.uses i)
+        done;
+        for idx = 0 to n - 1 do
+          let i = instrs.(idx) in
+          let defs = Instr.defs i in
+          let uses = List.sort_uniq Reg.compare (Instr.uses i) in
+          let after_minus_defs =
+            List.fold_left (fun s d -> Reg.Set.remove d s) after.(idx) defs
+          in
+          let through = Reg.Set.elements after_minus_defs in
+          let through_nonuse =
+            List.filter (fun r -> not (List.exists (Reg.equal r) uses)) through
+          in
+          reduce ~where
+            ~counted:
+              (List.map (fun u -> (u, true)) uses
+              @ List.map (fun r -> (r, false)) through_nonuse)
+            ~candidates:through_nonuse;
+          if defs <> [] then
+            reduce ~where
+              ~counted:
+                (List.map (fun d -> (d, true)) defs
+                @ List.map (fun r -> (r, false)) through)
+              ~candidates:through
+        done;
+        (* End point: successor φ-arguments are live here; relieving one
+           means spilling the φ's destination, not the argument. *)
+        let term_uses = List.sort_uniq Reg.compare (Instr.uses b.Block.term) in
+        let succ_phis =
+          match Cfg.succs cfg bid with
+          | [ s ] -> (Cfg.block cfg s).Block.phis
+          | _ -> []
+        in
+        let arg_of_kept v =
+          List.exists
+            (fun (p : Phi.t) ->
+              (not (Reg.Set.mem p.Phi.dst !chosen))
+              && Reg.equal (Phi.arg_for p ~pred:bid) v)
+            succ_phis
+        in
+        let out = Liveness.live_out live bid in
+        let counted =
+          List.map
+            (fun v ->
+              (v, List.exists (Reg.equal v) term_uses || arg_of_kept v))
+            out
+        in
+        let value_cands =
+          List.filter
+            (fun v ->
+              (not (List.exists (Reg.equal v) term_uses)) && not (arg_of_kept v))
+            out
+        in
+        let dest_cands =
+          List.filter_map
+            (fun (p : Phi.t) ->
+              if Reg.Set.mem p.Phi.dst !chosen then None
+              else Some p.Phi.dst)
+            succ_phis
+        in
+        reduce ~where ~counted ~candidates:(value_cands @ dest_cands))
+      cfg;
+    (!chosen, !stuck)
 end
