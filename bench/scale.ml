@@ -507,9 +507,14 @@ let scan_counter text ~target name =
 (* A phase regresses when it runs more than [factor] slower than the
    checked-in baseline.  Sub-millisecond baselines are pure noise at CI
    smoke sizes, so they are reported but never failed on.  Allocation
-   heap words are gated the same way: words are deterministic per input
-   (unlike CI seconds), so a >2x jump above the noise floor means a code
-   path started allocating where it did not before. *)
+   heap words are gated the same way.  Minor and major words are both
+   deterministic per input (unlike CI seconds): [Stats.time] reads the
+   calling domain's own counters, the major count including words not
+   yet folded in by a major slice, and two back-to-back
+   [--sizes 1000,5000,20000,100000 --repeats 3] runs read identical
+   minor and major words in all 72 phase entries.  So a >2x jump above
+   the noise floor means a code path started allocating where it did
+   not before. *)
 let check ~baseline rows big_rows ppf =
   let factor = 2.0 and floor_s = 0.001 in
   let floor_w = 1_000_000. in

@@ -44,14 +44,21 @@ type t = {
 let create () =
   { rows_rev = []; counts = Hashtbl.create 16; count_order_rev = [] }
 
+(* [Gc.counters] reads the calling domain's counters without allocating
+   a [Gc.stat] record; the one tuple it does allocate falls outside the
+   minor-word window, which opens after it and closes before it. *)
+let major_words () =
+  let _, _, major = Gc.counters () in
+  major
+
 let time t ~round phase f =
+  let major0 = major_words () in
   let words0 = Gc.minor_words () in
-  let major0 = (Gc.quick_stat ()).Gc.major_words in
   let start = Unix.gettimeofday () in
   let finish () =
     let seconds = Unix.gettimeofday () -. start in
     let minor_words = Gc.minor_words () -. words0 in
-    let major_words = (Gc.quick_stat ()).Gc.major_words -. major0 in
+    let major_words = major_words () -. major0 in
     t.rows_rev <-
       { round; phase; seconds; minor_words; major_words } :: t.rows_rev
   in

@@ -56,7 +56,11 @@ type row = {
   round : int;
   phase : phase;
   seconds : float;
-  minor_words : float;  (** minor-heap words allocated during the phase *)
+  minor_words : float;
+      (** minor-heap words allocated during the phase.  Both word counts
+          are the calling domain's own ([Gc.minor_words], [Gc.counters]):
+          under [-j N] a row is never charged words another domain
+          allocated, and the probes' own allocation is not counted. *)
   major_words : float;
       (** words allocated directly on or promoted to the major heap —
           the flat phases trade minor churn for a few large long-lived
