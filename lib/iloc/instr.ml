@@ -319,51 +319,64 @@ let eval_rel_float r (a : float) b =
   | Gt -> a > b
   | Ge -> a >= b
 
-let pp ppf t =
-  let pr fmt = Format.fprintf ppf fmt in
-  let d () =
-    match t.dst with None -> assert false | Some d -> Reg.to_string d
+(* The one instruction printer: [to_string] and [pp] derive from it and
+   [Printer] writes whole routines through it, so every textual form of
+   an instruction is this text.  Integers print as [%d] and floats as
+   [%h], which [Parser] reads back exactly. *)
+let to_buffer b t =
+  let str = Buffer.add_string b in
+  let reg (r : Reg.t) =
+    Buffer.add_char b (if Reg.is_int r then 'r' else 'f');
+    str (string_of_int (Reg.id r))
   in
-  let s i = Reg.to_string t.srcs.(i) in
+  let d name =
+    (match t.dst with None -> assert false | Some d -> reg d);
+    str " <- ";
+    str name
+  in
+  let s i =
+    Buffer.add_char b ' ';
+    reg t.srcs.(i)
+  in
+  let n x =
+    Buffer.add_char b ' ';
+    str (string_of_int x)
+  in
+  let sym l =
+    str " @";
+    str l
+  in
+  let slot x =
+    str " [";
+    str (string_of_int x);
+    Buffer.add_char b ']'
+  in
   match t.op with
-  | Ldi n -> pr "%s <- ldi %d" (d ()) n
-  | Lfi x -> pr "%s <- lfi %h" (d ()) x
-  | Laddr (l, 0) -> pr "%s <- laddr @%s" (d ()) l
-  | Laddr (l, off) -> pr "%s <- laddr @%s %d" (d ()) l off
-  | Lfp off -> pr "%s <- lfp %d" (d ()) off
-  | Ldro (l, off) -> pr "%s <- ldro @%s %d" (d ()) l off
-  | Add -> pr "%s <- add %s %s" (d ()) (s 0) (s 1)
-  | Sub -> pr "%s <- sub %s %s" (d ()) (s 0) (s 1)
-  | Mul -> pr "%s <- mul %s %s" (d ()) (s 0) (s 1)
-  | Div -> pr "%s <- div %s %s" (d ()) (s 0) (s 1)
-  | Rem -> pr "%s <- rem %s %s" (d ()) (s 0) (s 1)
-  | Cmp r -> pr "%s <- cmp_%s %s %s" (d ()) (rel_to_string r) (s 0) (s 1)
-  | Addi n -> pr "%s <- addi %s %d" (d ()) (s 0) n
-  | Subi n -> pr "%s <- subi %s %d" (d ()) (s 0) n
-  | Muli n -> pr "%s <- muli %s %d" (d ()) (s 0) n
-  | Fadd -> pr "%s <- fadd %s %s" (d ()) (s 0) (s 1)
-  | Fsub -> pr "%s <- fsub %s %s" (d ()) (s 0) (s 1)
-  | Fmul -> pr "%s <- fmul %s %s" (d ()) (s 0) (s 1)
-  | Fdiv -> pr "%s <- fdiv %s %s" (d ()) (s 0) (s 1)
-  | Fcmp r -> pr "%s <- fcmp_%s %s %s" (d ()) (rel_to_string r) (s 0) (s 1)
-  | Fneg -> pr "%s <- fneg %s" (d ()) (s 0)
-  | Fabs -> pr "%s <- fabs %s" (d ()) (s 0)
-  | Itof -> pr "%s <- itof %s" (d ()) (s 0)
-  | Ftoi -> pr "%s <- ftoi %s" (d ()) (s 0)
-  | Copy -> pr "%s <- copy %s" (d ()) (s 0)
-  | Load -> pr "%s <- load %s" (d ()) (s 0)
-  | Loadx -> pr "%s <- loadx %s %s" (d ()) (s 0) (s 1)
-  | Loadi off -> pr "%s <- loadi %s %d" (d ()) (s 0) off
-  | Store -> pr "store %s -> %s" (s 0) (s 1)
-  | Storex -> pr "storex %s -> %s %s" (s 0) (s 1) (s 2)
-  | Storei off -> pr "storei %s -> %s %d" (s 0) (s 1) off
-  | Spill slot -> pr "spill %s -> [%d]" (s 0) slot
-  | Reload slot -> pr "%s <- reload [%d]" (d ()) slot
-  | Jmp l -> pr "jmp %s" l
-  | Cbr (l1, l2) -> pr "cbr %s %s %s" (s 0) l1 l2
-  | Ret ->
-      if Array.length t.srcs = 0 then pr "ret" else pr "ret %s" (s 0)
-  | Print -> pr "print %s" (s 0)
-  | Nop -> pr "nop"
+  | Ldi x -> d "ldi"; n x
+  | Lfi x -> d "lfi"; Printf.bprintf b " %h" x
+  | Laddr (l, 0) -> d "laddr"; sym l
+  | Laddr (l, off) | Ldro (l, off) -> d (op_name t.op); sym l; n off
+  | Lfp off -> d "lfp"; n off
+  | Add | Sub | Mul | Div | Rem | Fadd | Fsub | Fmul | Fdiv | Loadx ->
+      d (op_name t.op); s 0; s 1
+  | Cmp r -> d "cmp_"; str (rel_to_string r); s 0; s 1
+  | Fcmp r -> d "fcmp_"; str (rel_to_string r); s 0; s 1
+  | Addi x | Subi x | Muli x | Loadi x -> d (op_name t.op); s 0; n x
+  | Fneg | Fabs | Itof | Ftoi | Copy | Load -> d (op_name t.op); s 0
+  | Store -> str "store"; s 0; str " ->"; s 1
+  | Storex -> str "storex"; s 0; str " ->"; s 1; s 2
+  | Storei off -> str "storei"; s 0; str " ->"; s 1; n off
+  | Spill x -> str "spill"; s 0; str " ->"; slot x
+  | Reload x -> d "reload"; slot x
+  | Jmp l -> str "jmp "; str l
+  | Cbr (l1, l2) -> str "cbr"; s 0; str " "; str l1; str " "; str l2
+  | Ret -> str "ret"; if Array.length t.srcs > 0 then s 0
+  | Print -> str "print"; s 0
+  | Nop -> str "nop"
 
-let to_string t = Format.asprintf "%a" pp t
+let to_string t =
+  let b = Buffer.create 32 in
+  to_buffer b t;
+  Buffer.contents b
+
+let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -153,5 +153,10 @@ val all_categories : category list
 val eval_rel_int : rel -> int -> int -> bool
 val eval_rel_float : rel -> float -> float -> bool
 
-val pp : Format.formatter -> t -> unit
+val to_buffer : Buffer.t -> t -> unit
+(** Append the instruction's concrete syntax, the text {!Parser} reads
+    (e.g. [r3 <- addi r1 4], [storei r2 -> r1 8]); float immediates print
+    as [%h].  {!to_string}, {!pp} and {!Printer} all derive from it. *)
+
 val to_string : t -> string
+val pp : Format.formatter -> t -> unit

@@ -2,24 +2,41 @@ exception Error of { line : int; msg : string }
 
 let fail line fmt = Printf.ksprintf (fun msg -> raise (Error { line; msg })) fmt
 
-let strip_comment s =
-  let cut c s =
-    match String.index_opt s c with
-    | Some i -> String.sub s 0 i
-    | None -> s
-  in
-  s |> cut ';' |> cut '#'
-
-let tokens_of_line s =
-  strip_comment s |> String.split_on_char ' '
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun t -> t <> "")
-
-(* Numbered, tokenized, non-blank lines. *)
+(* Numbered, tokenized, non-blank lines, in one scan of [src].  A token
+   is a maximal run of characters other than space and tab ([\r] is a
+   token character); [;] or [#] ends the line's text; every [\n] starts
+   a new line number. *)
 let lex src =
-  String.split_on_char '\n' src
-  |> List.mapi (fun i l -> (i + 1, tokens_of_line l))
-  |> List.filter (fun (_, ts) -> ts <> [])
+  let lines = ref [] and toks = ref [] in
+  let line = ref 1 and start = ref (-1) and comment = ref false in
+  let end_token i =
+    if !start >= 0 then begin
+      toks := String.sub src !start (i - !start) :: !toks;
+      start := -1
+    end
+  in
+  let end_line i =
+    end_token i;
+    if !toks <> [] then begin
+      lines := (!line, List.rev !toks) :: !lines;
+      toks := []
+    end
+  in
+  for i = 0 to String.length src - 1 do
+    match src.[i] with
+    | '\n' ->
+        end_line i;
+        incr line;
+        comment := false
+    | _ when !comment -> ()
+    | ' ' | '\t' -> end_token i
+    | ';' | '#' ->
+        end_token i;
+        comment := true
+    | _ -> if !start < 0 then start := i
+  done;
+  end_line (String.length src);
+  List.rev !lines
 
 let parse_reg ln s =
   let bad () = fail ln "expected register, got %S" s in
@@ -236,16 +253,20 @@ let parse_one lines =
   in
   (cfg, rest)
 
-let program src =
+let program_of_lines lines =
   let rec go acc = function
     | [] -> List.rev acc
     | lines ->
         let cfg, rest = parse_one lines in
         go (cfg :: acc) rest
   in
-  go [] (lex src)
+  go [] lines
 
-let routine src =
-  match program src with
+let program src = program_of_lines (lex src)
+
+let routine_of_lines lines =
+  match program_of_lines lines with
   | [ cfg ] -> cfg
   | l -> fail 0 "expected exactly one routine, found %d" (List.length l)
+
+let routine src = routine_of_lines (lex src)

@@ -15,3 +15,12 @@ val program : string -> Cfg.t list
 
 val instr : string -> Instr.t
 (** Parse a single instruction line (used by tests). *)
+
+val lex : string -> (int * string list) list
+(** The non-blank lines of a source text as (1-based line number, tokens)
+    pairs.  A token is a maximal run of characters other than space and
+    tab; [;] or [#] ends a line's text. *)
+
+val routine_of_lines : (int * string list) list -> Cfg.t
+(** [routine src] is [routine_of_lines (lex src)]; exposed so tests can
+    run the grammar on another tokenizer's lines. *)

@@ -53,29 +53,46 @@ let check_instr (cfg : Cfg.t) (b : Block.t) errs idx (i : Instr.t) =
           ?dst:i.dst
           (Array.to_list i.srcs))
    with Invalid_argument m -> err m);
-  let check_sym name ~need_ro =
-    match List.find_opt (fun (s : Symbol.t) -> s.name = name) cfg.symbols with
-    | None -> err (Printf.sprintf "unknown symbol @%s" name)
-    | Some s ->
-        if need_ro && not s.readonly then
-          err (Printf.sprintf "ldro from writable symbol @%s" name)
+  let unknown name = err (Printf.sprintf "unknown symbol @%s" name) in
+  let find name =
+    List.find_opt (fun (s : Symbol.t) -> s.name = name) cfg.symbols
   in
   match i.op with
-  | Instr.Laddr (s, _) -> check_sym s ~need_ro:false
-  | Instr.Ldro (s, off) ->
-      check_sym s ~need_ro:true;
-      (match
-         List.find_opt (fun (sy : Symbol.t) -> sy.name = s) cfg.symbols
-       with
-      | Some sy when off < 0 || off >= sy.size ->
-          err (Printf.sprintf "ldro offset %d out of bounds for @%s" off s)
-      | _ -> ())
+  | Instr.Laddr (s, _) -> if find s = None then unknown s
+  | Instr.Ldro (s, off) -> (
+      match find s with
+      | None -> unknown s
+      | Some sy ->
+          if not sy.readonly then
+            err (Printf.sprintf "ldro from writable symbol @%s" s);
+          if off < 0 || off >= sy.size then
+            err (Printf.sprintf "ldro offset %d out of bounds for @%s" off s))
   | _ -> ()
+
+(* Int bitsets over a dense index, [Sys.int_size] bits a word. *)
+let bits = Sys.int_size
+let mem s i = (s.(i / bits) lsr (i mod bits)) land 1 = 1
+let add s i = s.(i / bits) <- s.(i / bits) lor (1 lsl (i mod bits))
+
+let equal a b =
+  let rec go w = w < 0 || (a.(w) = b.(w) && go (w - 1)) in
+  go (Array.length a - 1)
+
+(* A register's state in [check_defined]'s first sweep: the last block
+   that defined it so far, and its index in U (-1 when not in U). *)
+type slot = { mutable def_block : int; mutable u : int }
 
 (* Forward must-be-defined analysis.  in(entry) = {}, in(b) = the
    intersection over predecessors p of out(p); out = in plus local defs.
    φ-nodes define their destination at block entry and their arguments are
-   checked against the corresponding predecessor's out set. *)
+   checked against the corresponding predecessor's out set.
+
+   Only the registers in U can be reported: those some reachable block
+   reads before defining them (its exposed uses), plus φ arguments.
+   Every other use has a definition earlier in its own block.  The
+   analysis is separable per register, so it runs on bitsets over U and
+   its fixpoint is the full analysis's restricted to U; the final walk
+   checks each exposed use against its block's in set. *)
 let check_defined (cfg : Cfg.t) errs =
   let n = Cfg.n_blocks cfg in
   (* Unreachable blocks keep out = ⊤ so they never constrain a reachable
@@ -88,33 +105,82 @@ let check_defined (cfg : Cfg.t) errs =
     end
   in
   visit cfg.entry;
-  let regs = Cfg.all_regs cfg in
-  let full = regs in
-  let out = Array.make n full in
-  let block_defs (b : Block.t) from =
-    let s = ref from in
-    List.iter (fun (p : Phi.t) -> s := Reg.Set.add p.dst !s) b.phis;
-    Block.iter_instrs
-      (fun i -> List.iter (fun d -> s := Reg.Set.add d !s) (Instr.defs i))
-      b;
-    !s
+  (* First sweep: number U, and list each reachable block's definitions
+     and, in order, its exposed uses. *)
+  let slots = Reg.Tbl.create 64 and n_u = ref 0 in
+  let slot r =
+    match Reg.Tbl.find_opt slots r with
+    | Some s -> s
+    | None ->
+        let s = { def_block = -1; u = -1 } in
+        Reg.Tbl.add slots r s;
+        s
   in
-  let in_of b =
-    if b = cfg.entry then Reg.Set.empty
-    else
-      match Cfg.preds cfg b with
-      | [] -> Reg.Set.empty (* unreachable block: report nothing extra *)
-      | p :: ps ->
-          List.fold_left (fun acc q -> Reg.Set.inter acc out.(q)) out.(p) ps
+  let into_u s =
+    if s.u < 0 then begin
+      s.u <- !n_u;
+      incr n_u
+    end
   in
+  let defs = Array.make n [] and exposed = Array.make n [] in
+  Cfg.iter_blocks
+    (fun b ->
+      if reachable.(b.id) then begin
+        let def r =
+          let s = slot r in
+          s.def_block <- b.id;
+          defs.(b.id) <- s :: defs.(b.id)
+        in
+        List.iter
+          (fun (p : Phi.t) -> List.iter (fun (_, r) -> into_u (slot r)) p.args)
+          b.phis;
+        List.iter (fun (p : Phi.t) -> def p.dst) b.phis;
+        let idx = ref 0 in
+        Block.iter_instrs
+          (fun i ->
+            Array.iter
+              (fun r ->
+                let s = slot r in
+                if s.def_block <> b.id then begin
+                  into_u s;
+                  exposed.(b.id) <- (!idx, i, r, s) :: exposed.(b.id)
+                end)
+              i.srcs;
+            Option.iter def i.dst;
+            incr idx)
+          b
+      end)
+    cfg;
+  let words = (!n_u + bits - 1) / bits in
+  (* ⊤ sets every bit of its words; bits past U stand for no register and
+     are never read. *)
+  let top = Array.make words (-1) in
+  let out =
+    Array.init n (fun b -> if reachable.(b) then Array.copy top else top)
+  in
+  let in_into acc b =
+    match if b = cfg.entry then [] else Cfg.preds cfg b with
+    | [] -> Array.fill acc 0 words 0 (* the entry, or no predecessor *)
+    | p :: ps ->
+        Array.blit out.(p) 0 acc 0 words;
+        List.iter
+          (fun q ->
+            let o = out.(q) in
+            for w = 0 to words - 1 do
+              acc.(w) <- acc.(w) land o.(w)
+            done)
+          ps
+  in
+  let cur = Array.make words 0 in
   let changed = ref true in
   while !changed do
     changed := false;
     for b = 0 to n - 1 do
       if reachable.(b) then begin
-        let o = block_defs (Cfg.block cfg b) (in_of b) in
-        if not (Reg.Set.equal o out.(b)) then (
-          out.(b) <- o;
+        in_into cur b;
+        List.iter (fun s -> if s.u >= 0 then add cur s.u) defs.(b);
+        if not (equal cur out.(b)) then (
+          Array.blit cur 0 out.(b) 0 words;
           changed := true)
       end
     done
@@ -122,12 +188,11 @@ let check_defined (cfg : Cfg.t) errs =
   Cfg.iter_blocks
     (fun b ->
       if reachable.(b.id) then begin
-        let live = ref (in_of b.id) in
         List.iter
           (fun (p : Phi.t) ->
             List.iter
               (fun (pred, r) ->
-                if not (Reg.Set.mem r out.(pred)) then
+                if not (mem out.(pred) (Reg.Tbl.find slots r).u) then
                   errs :=
                     block_err cfg b.label
                       (Printf.sprintf
@@ -136,20 +201,16 @@ let check_defined (cfg : Cfg.t) errs =
                     :: !errs)
               p.args)
           b.phis;
-        List.iter (fun (p : Phi.t) -> live := Reg.Set.add p.dst !live) b.phis;
-        List.iteri
-          (fun idx i ->
-            List.iter
-              (fun u ->
-                if not (Reg.Set.mem u !live) then
-                  errs :=
-                    instr_err cfg b.label idx
-                      (Printf.sprintf "use of possibly-undefined %s in '%s'"
-                         (Reg.to_string u) (Instr.to_string i))
-                    :: !errs)
-              (Instr.uses i);
-            List.iter (fun d -> live := Reg.Set.add d !live) (Instr.defs i))
-          (Block.instrs b)
+        in_into cur b.id;
+        List.iter
+          (fun (idx, i, r, s) ->
+            if not (mem cur s.u) then
+              errs :=
+                instr_err cfg b.label idx
+                  (Printf.sprintf "use of possibly-undefined %s in '%s'"
+                     (Reg.to_string r) (Instr.to_string i))
+                :: !errs)
+          (List.rev exposed.(b.id))
       end)
     cfg
 

@@ -12,7 +12,10 @@
      structured spill-cost walk;
    - the SSA family's spill costs and MaxLive selection on [Reg.Set]
      live sets and a [Reg.Tbl] cost table, against
-     [Remat.Ssa_alloc.cost_table]/[select].
+     [Remat.Ssa_alloc.cost_table]/[select];
+   - the ILOC text layer: the list lexer, the [Format] printer and the
+     [Reg.Set] must-defined check, against [Iloc.Parser.lex],
+     [Iloc.Printer.routine_to_string] and [Iloc.Validate.routine].
 
    Deliberately not kept in sync stylistically with lib/core: this code
    must stay what it is. *)
@@ -778,4 +781,239 @@ module Ssa_select = struct
         reduce ~where ~counted ~candidates:(value_cands @ dest_cands))
       cfg;
     (!chosen, !stuck)
+end
+
+(* The ILOC text layer as it stood before the one-pass lexer, the
+   Buffer printer and the must-defined check over U, kept verbatim.
+   [Iloc.Parser.lex] must return the lines [Lexer.lex] returns;
+   [Iloc.Printer.routine_to_string] must write the text
+   [Printer.routine_to_string] writes, instruction text included; and
+   [Iloc.Validate.routine] must report the errors [Validate.check_defined]
+   reports, in the same order. *)
+module Lexer = struct
+  let strip_comment s =
+    let cut c s =
+      match String.index_opt s c with
+      | Some i -> String.sub s 0 i
+      | None -> s
+    in
+    s |> cut ';' |> cut '#'
+
+  let tokens_of_line s =
+    strip_comment s |> String.split_on_char ' '
+    |> List.concat_map (String.split_on_char '\t')
+    |> List.filter (fun t -> t <> "")
+
+  (* Numbered, tokenized, non-blank lines. *)
+  let lex src =
+    String.split_on_char '\n' src
+    |> List.mapi (fun i l -> (i + 1, tokens_of_line l))
+    |> List.filter (fun (_, ts) -> ts <> [])
+end
+
+(* [Instr.pp] on [Format] and the routine printer that called it (here
+   [pp]; it called [Instr.pp]). *)
+module Printer = struct
+  module Cfg = Iloc.Cfg
+  module Symbol = Iloc.Symbol
+  open Instr
+
+  let rel_to_string = function
+    | Eq -> "eq"
+    | Ne -> "ne"
+    | Lt -> "lt"
+    | Le -> "le"
+    | Gt -> "gt"
+    | Ge -> "ge"
+
+  let pp ppf t =
+    let pr fmt = Format.fprintf ppf fmt in
+    let d () =
+      match t.dst with None -> assert false | Some d -> Reg.to_string d
+    in
+    let s i = Reg.to_string t.srcs.(i) in
+    match t.op with
+    | Ldi n -> pr "%s <- ldi %d" (d ()) n
+    | Lfi x -> pr "%s <- lfi %h" (d ()) x
+    | Laddr (l, 0) -> pr "%s <- laddr @%s" (d ()) l
+    | Laddr (l, off) -> pr "%s <- laddr @%s %d" (d ()) l off
+    | Lfp off -> pr "%s <- lfp %d" (d ()) off
+    | Ldro (l, off) -> pr "%s <- ldro @%s %d" (d ()) l off
+    | Add -> pr "%s <- add %s %s" (d ()) (s 0) (s 1)
+    | Sub -> pr "%s <- sub %s %s" (d ()) (s 0) (s 1)
+    | Mul -> pr "%s <- mul %s %s" (d ()) (s 0) (s 1)
+    | Div -> pr "%s <- div %s %s" (d ()) (s 0) (s 1)
+    | Rem -> pr "%s <- rem %s %s" (d ()) (s 0) (s 1)
+    | Cmp r -> pr "%s <- cmp_%s %s %s" (d ()) (rel_to_string r) (s 0) (s 1)
+    | Addi n -> pr "%s <- addi %s %d" (d ()) (s 0) n
+    | Subi n -> pr "%s <- subi %s %d" (d ()) (s 0) n
+    | Muli n -> pr "%s <- muli %s %d" (d ()) (s 0) n
+    | Fadd -> pr "%s <- fadd %s %s" (d ()) (s 0) (s 1)
+    | Fsub -> pr "%s <- fsub %s %s" (d ()) (s 0) (s 1)
+    | Fmul -> pr "%s <- fmul %s %s" (d ()) (s 0) (s 1)
+    | Fdiv -> pr "%s <- fdiv %s %s" (d ()) (s 0) (s 1)
+    | Fcmp r -> pr "%s <- fcmp_%s %s %s" (d ()) (rel_to_string r) (s 0) (s 1)
+    | Fneg -> pr "%s <- fneg %s" (d ()) (s 0)
+    | Fabs -> pr "%s <- fabs %s" (d ()) (s 0)
+    | Itof -> pr "%s <- itof %s" (d ()) (s 0)
+    | Ftoi -> pr "%s <- ftoi %s" (d ()) (s 0)
+    | Copy -> pr "%s <- copy %s" (d ()) (s 0)
+    | Load -> pr "%s <- load %s" (d ()) (s 0)
+    | Loadx -> pr "%s <- loadx %s %s" (d ()) (s 0) (s 1)
+    | Loadi off -> pr "%s <- loadi %s %d" (d ()) (s 0) off
+    | Store -> pr "store %s -> %s" (s 0) (s 1)
+    | Storex -> pr "storex %s -> %s %s" (s 0) (s 1) (s 2)
+    | Storei off -> pr "storei %s -> %s %d" (s 0) (s 1) off
+    | Spill slot -> pr "spill %s -> [%d]" (s 0) slot
+    | Reload slot -> pr "%s <- reload [%d]" (d ()) slot
+    | Jmp l -> pr "jmp %s" l
+    | Cbr (l1, l2) -> pr "cbr %s %s %s" (s 0) l1 l2
+    | Ret ->
+        if Array.length t.srcs = 0 then pr "ret" else pr "ret %s" (s 0)
+    | Print -> pr "print %s" (s 0)
+    | Nop -> pr "nop"
+
+  let pp_symbol ppf (s : Symbol.t) =
+    let const = if s.readonly then "const " else "" in
+    match s.init with
+    | Symbol.Uninit -> Format.fprintf ppf "data %s%s[%d]" const s.name s.size
+    | Symbol.Int_elts l ->
+        Format.fprintf ppf "data %s%s[%d] = {%s }" const s.name s.size
+          (String.concat ""
+             (List.map (fun n -> Printf.sprintf " %d" n) l))
+    | Symbol.Float_elts l ->
+        Format.fprintf ppf "data %s%s[%d] = f{%s }" const s.name s.size
+          (String.concat ""
+             (List.map (fun x -> Printf.sprintf " %h" x) l))
+
+  let pp_routine ppf (cfg : Cfg.t) =
+    Format.fprintf ppf "routine %s@." cfg.name;
+    List.iter (fun s -> Format.fprintf ppf "%a@." pp_symbol s) cfg.symbols;
+    Cfg.iter_blocks
+      (fun b ->
+        Format.fprintf ppf "%s:@." b.label;
+        if b.phis <> [] then
+          invalid_arg "Printer.pp_routine: SSA form has no concrete syntax";
+        List.iter (fun i -> Format.fprintf ppf "  %a@." pp i) b.body;
+        Format.fprintf ppf "  %a@." pp b.term)
+      cfg
+
+  let routine_to_string cfg = Format.asprintf "%a" pp_routine cfg
+end
+
+module Validate = struct
+  module Cfg = Iloc.Cfg
+  module Block = Iloc.Block
+  module Phi = Iloc.Phi
+
+  type error = Iloc.Validate.error = {
+    where : string;
+    block : string option;
+    index : int option;
+    what : string;
+  }
+
+  (* Error constructors: block-level, instruction-level. *)
+  let block_err (cfg : Cfg.t) label what =
+    {
+      where = Printf.sprintf "%s/%s" cfg.name label;
+      block = Some label;
+      index = None;
+      what;
+    }
+
+  let instr_err (cfg : Cfg.t) label idx what =
+    {
+      where = Printf.sprintf "%s/%s" cfg.name label;
+      block = Some label;
+      index = Some idx;
+      what;
+    }
+
+  (* Forward must-be-defined analysis.  in(entry) = {}, in(b) = the
+     intersection over predecessors p of out(p); out = in plus local defs.
+     φ-nodes define their destination at block entry and their arguments are
+     checked against the corresponding predecessor's out set. *)
+  let check_defined (cfg : Cfg.t) errs =
+    let n = Cfg.n_blocks cfg in
+    (* Unreachable blocks keep out = ⊤ so they never constrain a reachable
+       join, and their own uses are not checked (nothing executes them). *)
+    let reachable = Array.make n false in
+    let rec visit b =
+      if not reachable.(b) then begin
+        reachable.(b) <- true;
+        List.iter visit (Cfg.succs cfg b)
+      end
+    in
+    visit cfg.entry;
+    let regs = Cfg.all_regs cfg in
+    let full = regs in
+    let out = Array.make n full in
+    let block_defs (b : Block.t) from =
+      let s = ref from in
+      List.iter (fun (p : Phi.t) -> s := Reg.Set.add p.dst !s) b.phis;
+      Block.iter_instrs
+        (fun i -> List.iter (fun d -> s := Reg.Set.add d !s) (Instr.defs i))
+        b;
+      !s
+    in
+    let in_of b =
+      if b = cfg.entry then Reg.Set.empty
+      else
+        match Cfg.preds cfg b with
+        | [] -> Reg.Set.empty (* unreachable block: report nothing extra *)
+        | p :: ps ->
+            List.fold_left (fun acc q -> Reg.Set.inter acc out.(q)) out.(p) ps
+    in
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      for b = 0 to n - 1 do
+        if reachable.(b) then begin
+          let o = block_defs (Cfg.block cfg b) (in_of b) in
+          if not (Reg.Set.equal o out.(b)) then (
+            out.(b) <- o;
+            changed := true)
+        end
+      done
+    done;
+    Cfg.iter_blocks
+      (fun b ->
+        if reachable.(b.id) then begin
+          let live = ref (in_of b.id) in
+          List.iter
+            (fun (p : Phi.t) ->
+              List.iter
+                (fun (pred, r) ->
+                  if not (Reg.Set.mem r out.(pred)) then
+                    errs :=
+                      block_err cfg b.label
+                        (Printf.sprintf
+                           "phi argument %s not defined on edge from B%d"
+                           (Reg.to_string r) pred)
+                      :: !errs)
+                p.args)
+            b.phis;
+          List.iter (fun (p : Phi.t) -> live := Reg.Set.add p.dst !live) b.phis;
+          List.iteri
+            (fun idx i ->
+              List.iter
+                (fun u ->
+                  if not (Reg.Set.mem u !live) then
+                    errs :=
+                      instr_err cfg b.label idx
+                        (Printf.sprintf "use of possibly-undefined %s in '%s'"
+                           (Reg.to_string u) (Instr.to_string i))
+                      :: !errs)
+                (Instr.uses i);
+              List.iter (fun d -> live := Reg.Set.add d !live) (Instr.defs i))
+            (Block.instrs b)
+        end)
+      cfg
+
+  (* [Iloc.Validate.routine] on a routine with no structural error. *)
+  let routine cfg =
+    let errs = ref [] in
+    check_defined cfg errs;
+    match List.rev !errs with [] -> Ok () | es -> Error es
 end
