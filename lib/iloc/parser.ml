@@ -233,7 +233,12 @@ let parse_one lines =
         let body, term =
           match List.rev instrs with
           | (_, last) :: body_rev when Instr.is_terminator last ->
-              (List.rev_map snd body_rev, last)
+              let body = List.rev body_rev in
+              (match List.find_opt (fun (_, i) -> Instr.is_terminator i) body with
+              | Some (tln, _) ->
+                  fail tln "terminator before the end of block %s" label
+              | None -> ());
+              (List.map snd body, last)
           | _ -> fail ln "block %s does not end with a terminator" label
         in
         take_blocks ((label, body, term) :: acc) rest
