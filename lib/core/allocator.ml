@@ -146,7 +146,7 @@ let color_rounds ~capture ~verify ~n_values ~n_live_ranges
   let name = input.Cfg.name in
   let machine = ctx.Context.machine in
   let n_splits = List.length ctx.Context.split_pairs in
-  let slot_counter = ref 0 in
+  let slots = lazy (Iloc.Reg.Tbl.create 8) and slot_counter = ref 0 in
   let spilled_memory = ref 0 and spilled_remat = ref 0 in
   let snap = ref None in
   let rec round r =
@@ -228,8 +228,9 @@ let color_rounds ~capture ~verify ~n_values ~n_live_ranges
           Context.time ctx Stats.Spill (fun () ->
               let spilled = List.map (Interference.reg g) spilled_nodes in
               let st, fl =
-                Spill_code.insert_flat ctx.Context.flat ~tags:ctx.Context.tags
-                  ~infinite ~spilled ~slot_counter
+                Spill_code.insert_flat ctx.Context.flat ~phis:[||]
+                  ~tags:ctx.Context.tags ~infinite ~spilled ~slots:(Lazy.force slots)
+                  ~slot_counter
               in
               spilled_memory := !spilled_memory + st.Spill_code.memory_lrs;
               spilled_remat := !spilled_remat + st.Spill_code.remat_lrs;

@@ -4,8 +4,8 @@ module Values = Ssa.Values
    .. in_idx.(v+1)-1)] are the values v's tag is the meet of (copy
    source, φ arguments), and values with no in-edges keep their initial
    tag.  [tags] is updated in place and residual [Top]s lowered to
-   [Bottom].  Shared by the structured pass below and the flat-native
-   renumbering — the transfer is monotone over a height-2 lattice, so
+   [Bottom].  Shared by the structured pass and [run_flat] below — the
+   transfer is monotone over a height-2 lattice, so
    the fixpoint is unique and independent of how either caller orders
    values or edges. *)
 let fixpoint tags ~in_idx ~in_edges =
@@ -107,6 +107,59 @@ let run (_cfg : Iloc.Cfg.t) (vals : Values.t) =
     | Values.Def_instr _ -> ()
     | Values.Def_phi { phi; _ } ->
         List.iter (fun (_, a) -> edge (Values.index vals a)) phi.args
+  done;
+  fixpoint tags ~in_idx ~in_edges;
+  tags
+
+(* The same propagation over flat SSA construction's side arrays: a
+   slot's value starts from its opcode, a φ's at [Top], and the in-edges
+   are copy sources and φ arguments. *)
+let run_flat (fl : Iloc.Flat.t) (sv : Ssa.Construct.values) =
+  let module Flat = Iloc.Flat in
+  let n = sv.Ssa.Construct.n_values in
+  let ns = Flat.n_instrs fl in
+  let code = fl.Flat.code and stride = Flat.stride in
+  let slot_dst_val = sv.Ssa.Construct.slot_def in
+  let slot_src_val = sv.Ssa.Construct.slot_use in
+  let phi_dst = sv.Ssa.Construct.phi_def in
+  let phi_arg_idx = sv.Ssa.Construct.phi_arg_idx in
+  let phi_args = sv.Ssa.Construct.phi_args in
+  let phi_idx = sv.Ssa.Construct.phi_idx in
+  let nphi = phi_idx.(Array.length phi_idx - 1) in
+  let tags = Array.make n Tag.Top in
+  for s = 0 to ns - 1 do
+    let v = slot_dst_val.(s) in
+    if v >= 0 then begin
+      let t = Array.unsafe_get code ((s * stride) + Flat.f_tag) in
+      tags.(v) <-
+        (if Flat.Tag.is_copy t then Tag.Top
+         else if Flat.Tag.never_killed t then Tag.Inst (Flat.decode_op fl s)
+         else Tag.Bottom)
+    end
+  done;
+  let in_deg = Array.make (n + 1) 0 in
+  for s = 0 to ns - 1 do
+    let v = slot_dst_val.(s) in
+    if v >= 0 && Flat.Tag.is_copy code.((s * stride) + Flat.f_tag) then
+      in_deg.(v) <- 1
+  done;
+  for i = 0 to nphi - 1 do
+    in_deg.(phi_dst.(i)) <- phi_arg_idx.(i + 1) - phi_arg_idx.(i)
+  done;
+  let in_idx = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    in_idx.(v + 1) <- in_idx.(v) + in_deg.(v)
+  done;
+  let in_edges = Array.make (max 1 in_idx.(n)) 0 in
+  for s = 0 to ns - 1 do
+    let v = slot_dst_val.(s) in
+    if v >= 0 && Flat.Tag.is_copy code.((s * stride) + Flat.f_tag) then
+      in_edges.(in_idx.(v)) <- slot_src_val.(3 * s)
+  done;
+  for i = 0 to nphi - 1 do
+    let lo = phi_arg_idx.(i) in
+    Array.blit phi_args lo in_edges in_idx.(phi_dst.(i))
+      (phi_arg_idx.(i + 1) - lo)
   done;
   fixpoint tags ~in_idx ~in_edges;
   tags

@@ -16,11 +16,6 @@
 val run : Iloc.Cfg.t -> Ssa.Values.t -> Tag.t array
 (** Tags indexed like the value table. *)
 
-val fixpoint : Tag.t array -> in_idx:int array -> in_edges:int array -> unit
-(** Solve the tag equations in place over an in-edge CSR ([in_edges.(
-    in_idx.(v) .. in_idx.(v+1)-1)] feed value [v]'s meet; values without
-    in-edges keep their initial tag) and lower residual [Top]s to
-    [Bottom].  The fixpoint is unique — monotone transfer, height-2
-    lattice — so callers may build the CSR in any order.  [run] is this
-    plus the structured-SSA edge extraction; the flat-native renumbering
-    calls it directly. *)
+val run_flat : Iloc.Flat.t -> Ssa.Construct.values -> Tag.t array
+(** [run] over {!Ssa.Construct.run_flat}'s side arrays for the arena it
+    was computed from: tags indexed by value. *)

@@ -16,7 +16,9 @@
       the φ disappears and each predecessor stores the edge's argument
       into the destination's slot, with slot-level parallel-copy
       ordering so a cyclic memory permutation on a back edge cannot
-      read an already-overwritten slot.
+      read an already-overwritten slot.  Each round's φ-edge code and
+      instruction-site code go in through one {!Spill_code.insert_flat}
+      splice, the same rewrite the Chaitin–Briggs pipeline uses.
     + {e Chordal coloring}: the interference graph of a strict-SSA
       routine is chordal, so a greedy walk of the dominator tree in
       preorder, assigning each value the lowest free color of its class
@@ -27,6 +29,13 @@
       physical registers on each incoming edge
       ({!Ssa.Destruct.run_colored}); identity moves — set up by the
       biased coloring — are dropped as coalesced.
+
+    From SSA construction to the bridge before destruction the routine
+    lives on the flat arena, with each block's φs kept beside it
+    ([Iloc.Flat.phi array array]): the input is encoded once
+    ({!Iloc.Flat.of_routine}), built into SSA on the arena
+    ({!Ssa.Construct.run_flat}), spilled, colored and renamed there,
+    and bridged to [Cfg.t] once, for {!Ssa.Destruct.run_colored}.
 
     The two pipelines share the ILOC substrate, liveness, dominance,
     loop weights and the remat tag lattice, but make independent spill
@@ -55,31 +64,42 @@ type result = {
 }
 
 val cost_table :
-  Iloc.Cfg.t ->
+  Iloc.Flat.t ->
+  Iloc.Flat.phi array array ->
   Dataflow.Loops.t ->
   (Iloc.Reg.t -> Tag.t) ->
   Dataflow.Reg_index.t ->
   float array
-(** [cost_table cfg loops tag_of regs] — one spill round's cost per
-    value, indexed by [regs] (the round's {!Dataflow.Liveness.compute_ssa}
-    numbering): 2 per store and per reload, 1 per rematerialization,
-    weighted by 10{^ loop depth}; φ traffic is charged at the
-    predecessor's weight. *)
+(** [cost_table fl phis loops tag_of regs] — one spill round's cost per
+    value of the SSA arena [fl] with [phis] beside it, indexed by [regs]
+    (the round's {!Dataflow.Liveness.compute} numbering): 2 per store
+    and per reload, 1 per rematerialization, weighted by 10{^ loop
+    depth}; φ traffic is charged at the predecessor's weight. *)
+
+type selection = {
+  chosen : Iloc.Reg.Set.t;  (** the values to spill this round *)
+  stuck : string option;
+      (** ["block <label>"] for the first block where some point cannot
+          be brought under k *)
+  pressure_int : int;
+  pressure_float : int;
+      (** the largest count per class at any point, as the sweep met it;
+          when [chosen] is empty, the routine's MaxLive *)
+}
 
 val select :
-  Iloc.Cfg.t ->
+  Iloc.Flat.t ->
+  Iloc.Flat.phi array array ->
   Dataflow.Liveness.t ->
   k:(Iloc.Reg.cls -> int) ->
   cost:float array ->
   spillable:bool array ->
-  Iloc.Reg.Set.t * string option
-(** [select cfg live ~k ~cost ~spillable] — one round's MaxLive spill
-    selection: sweeping every program point of [cfg] in block order,
-    spill the cheapest spillable values (by [cost], then register) until
-    each class fits its [k].  [live] is [compute_ssa cfg]; [cost] and
-    [spillable] are indexed by its numbering.  Returns the values chosen
-    and, when some point cannot be brought under k, ["block <label>"]
-    for the first such block. *)
+  selection
+(** [select fl phis live ~k ~cost ~spillable] — one round's MaxLive
+    spill selection: sweeping every program point in block order, spill
+    the cheapest spillable values (by [cost], then register) until each
+    class fits its [k].  [live] is [Liveness.compute fl ~phis]; [cost]
+    and [spillable] are indexed by its numbering. *)
 
 val run :
   mode:Mode.t ->

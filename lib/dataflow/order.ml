@@ -1,7 +1,8 @@
-(** Depth-first orders over a {!Iloc.Cfg.t}.
+(** Depth-first orders over a routine's blocks.
 
     Only blocks reachable from the entry appear in the returned arrays;
-    [reachable] exposes the visited set so clients can skip dead blocks. *)
+    [dfs_postorder] also returns the visited set so clients can skip dead
+    blocks. *)
 
 let dfs_postorder ~n ~entry ~succs =
   let seen = Array.make n false in
@@ -34,17 +35,7 @@ let dfs_postorder ~n ~entry ~succs =
   (* [order] currently holds reverse postorder. *)
   (Array.of_list (List.rev !order), seen)
 
-let postorder (cfg : Iloc.Cfg.t) =
-  fst
-    (dfs_postorder ~n:(Iloc.Cfg.n_blocks cfg) ~entry:cfg.entry
-       ~succs:(Iloc.Cfg.succs cfg))
-
 let postorder_flat (f : Iloc.Flat.t) =
   fst
     (dfs_postorder ~n:(Iloc.Flat.n_blocks f) ~entry:f.Iloc.Flat.entry
        ~succs:(Iloc.Flat.succs_list f))
-
-let reachable (cfg : Iloc.Cfg.t) =
-  snd
-    (dfs_postorder ~n:(Iloc.Cfg.n_blocks cfg) ~entry:cfg.entry
-       ~succs:(Iloc.Cfg.succs cfg))

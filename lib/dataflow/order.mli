@@ -1,16 +1,12 @@
-(** Depth-first orders over a {!Iloc.Cfg.t}.
+(** Depth-first orders over a routine's blocks.
 
     Only blocks reachable from the entry appear in the returned arrays;
-    {!reachable} exposes the visited set so clients can skip dead
-    blocks. *)
-
-val postorder : Iloc.Cfg.t -> int array
+    {!dfs_postorder} also returns the visited set so clients can skip
+    dead blocks. *)
 
 val postorder_flat : Iloc.Flat.t -> int array
-(** Same traversal over a flat arena's CSR edges; identical to
-    {!postorder} of the bridged routine. *)
-
-val reachable : Iloc.Cfg.t -> bool array
+(** Postorder over a flat arena's CSR edges, successors visited in
+    ascending block order. *)
 
 val dfs_postorder :
   n:int -> entry:int -> succs:(int -> int list) -> int array * bool array

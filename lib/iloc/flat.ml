@@ -79,7 +79,6 @@ module Tag = struct
   let ret = 34
   let print = 35
   let nop = 36
-  let count = 37
 
   let never_killed t = t <= ldro
   let is_copy t = t = copy
@@ -123,6 +122,8 @@ type t = {
   pred : int array;
   supply_last : int;  (* register supply watermark of the source CFG *)
 }
+
+type phi = { dst : int; args : (int * int) list }
 
 let n_blocks t = Array.length t.labels
 let n_instrs t = Array.length t.code / stride

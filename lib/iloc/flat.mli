@@ -40,46 +40,18 @@ val reg_of_packed : int -> Reg.t
     [Cmp]/[Fcmp] relations as a code 0-5; [Lfi] as a float-pool index;
     [Laddr]/[Ldro] as an aux-pool index of a [sym_idx, offset] pair;
     [Jmp] as a target block id; [Cbr] as an aux-pool index of a
-    [target1, target2] block-id pair. *)
+    [target1, target2] block-id pair.  Exported are the tags the
+    allocator emits (rematerialization sequences, spills, reloads and
+    copies) and the two classes it tests. *)
 module Tag : sig
   val ldi : int
   val lfi : int
   val laddr : int
   val lfp : int
   val ldro : int
-  val add : int
-  val sub : int
-  val mul : int
-  val div : int
-  val rem : int
-  val cmp : int
-  val addi : int
-  val subi : int
-  val muli : int
-  val fadd : int
-  val fsub : int
-  val fmul : int
-  val fdiv : int
-  val fcmp : int
-  val fneg : int
-  val fabs : int
-  val itof : int
-  val ftoi : int
   val copy : int
-  val load : int
-  val loadx : int
-  val loadi : int
-  val store : int
-  val storex : int
-  val storei : int
   val spill : int
   val reload : int
-  val jmp : int
-  val cbr : int
-  val ret : int
-  val print : int
-  val nop : int
-  val count : int
 
   val never_killed : int -> bool
   val is_copy : int -> bool
@@ -104,6 +76,13 @@ type t = {
   pred : int array;  (** CSR predecessors, ascending block order *)
   supply_last : int;
 }
+
+type phi = { dst : int; args : (int * int) list }
+(** A φ-node kept beside an arena, which encodes none: the packed
+    destination and one [(predecessor block, packed argument)] pair per
+    incoming edge, keyed by predecessor like {!Phi.t}'s.  An SSA-form
+    routine lives on the arena as the arena plus one [phi array] per
+    block. *)
 
 val of_routine : Cfg.t -> t
 (** Raises [Invalid_argument] if the routine is in SSA form (φ-nodes

@@ -15,7 +15,7 @@ let pure (op : Instr.op) =
       false
 
 let sweep (cfg : Iloc.Cfg.t) =
-  let live = Dataflow.Liveness.compute cfg in
+  let live = Dataflow.Liveness.compute (Iloc.Flat.of_routine cfg) ~phis:[||] in
   let regs = live.Dataflow.Liveness.regs in
   let changed = ref false in
   Iloc.Cfg.iter_blocks

@@ -4,39 +4,6 @@ module Instr = Iloc.Instr
 module Phi = Iloc.Phi
 module Reg = Iloc.Reg
 
-let run (cfg : Cfg.t) =
-  let cfg = Cfg.copy cfg in
-  (* Gather the parallel copy required on each incoming edge. *)
-  let moves_per_pred = Hashtbl.create 16 in
-  Cfg.iter_blocks
-    (fun b ->
-      List.iter
-        (fun (p : Phi.t) ->
-          List.iter
-            (fun (pred, arg) ->
-              if List.length (Cfg.succs cfg pred) > 1 then
-                invalid_arg
-                  (Printf.sprintf
-                     "Ssa.Destruct.run: critical edge B%d -> B%d" pred b.id);
-              let old =
-                Option.value (Hashtbl.find_opt moves_per_pred pred) ~default:[]
-              in
-              Hashtbl.replace moves_per_pred pred ((p.dst, arg) :: old))
-            p.args)
-        b.phis;
-      b.phis <- [])
-    cfg;
-  Hashtbl.iter
-    (fun pred moves ->
-      let seq =
-        Parallel_copy.sequentialize (List.rev moves)
-          ~temp:(Cfg.fresh_reg cfg)
-      in
-      Block.append_before_term (Cfg.block cfg pred)
-        (List.map (fun (d, s) -> Instr.copy d s) seq))
-    moves_per_pred;
-  cfg
-
 (* Test-only planted fault (see mli).  Read at the start of each
    [run_colored]; never written by library code. *)
 let fault_swap_seq = ref 0
@@ -167,3 +134,13 @@ let run_colored ~temp_for ~fresh_slot (cfg : Cfg.t) =
       end)
     preds;
   { coalesced = !coalesced; cycle_temps = !cycle_temps; cycle_slots = !cycle_slots }
+
+(* The value-level form: a fresh virtual register is every cycle's
+   scratch, so no slot is ever asked for. *)
+let run (cfg : Cfg.t) =
+  let cfg = Cfg.copy cfg in
+  ignore
+    (run_colored cfg
+       ~temp_for:(fun ~pred:_ cls -> Some (Cfg.fresh_reg cfg cls))
+       ~fresh_slot:(fun () -> invalid_arg "Ssa.Destruct.run: no slot needed"));
+  cfg

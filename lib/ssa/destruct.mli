@@ -5,13 +5,11 @@
     Requires critical edges to have been split so every predecessor has a
     unique successor; raises [Invalid_argument] otherwise.
 
-    {!run} is the value-level form the test suite's SSA round-trips use;
-    the Chaitin–Briggs renumber phase removes φ-nodes itself while
-    forming live ranges (§4.1 steps 5–6).  {!run_colored} is the
-    decoupled SSA pipeline's final phase: destruction {e after}
-    coloring, on a routine whose registers are already physical. *)
-
-val run : Iloc.Cfg.t -> Iloc.Cfg.t
+    {!run_colored} is the decoupled SSA pipeline's final phase:
+    destruction {e after} coloring, on a routine whose registers are
+    already physical.  {!run} is the value-level form the test suite's
+    SSA round-trips use; the Chaitin–Briggs renumber phase removes
+    φ-nodes itself while forming live ranges (§4.1 steps 5–6). *)
 
 type colored_stats = {
   coalesced : int;
@@ -52,3 +50,7 @@ val fault_swap_seq : int ref
     call.  The static verifier must name the faulty block and
     instruction.  Library code never sets this; restore to [0] after
     use. *)
+
+val run : Iloc.Cfg.t -> Iloc.Cfg.t
+(** {!run_colored} on a copy, with a fresh virtual register as every
+    cycle's scratch; the input is not mutated. *)

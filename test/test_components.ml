@@ -117,6 +117,14 @@ let spill_code_tests =
       \  print r1\n\
       \  ret\n"
   in
+  (* The arena rewrite, bridged back to the routine it spliced. *)
+  let insert cfg ~tags ~infinite ~spilled ~slot_counter =
+    let st, fl =
+      Remat.Spill_code.insert_flat (Iloc.Flat.of_routine cfg) ~phis:[||] ~tags
+        ~infinite ~spilled ~slots:(Reg.Tbl.create 8) ~slot_counter
+    in
+    (st, Iloc.Flat.to_routine fl)
+  in
   [
     tc "memory spill inserts stores and reloads" (fun () ->
         let cfg = routine () in
@@ -124,10 +132,7 @@ let spill_code_tests =
         let infinite = Reg.Tbl.create 8 in
         let slot_counter = ref 0 in
         let r2 = Reg.make 2 Reg.Int in
-        let st =
-          Remat.Spill_code.insert cfg ~tags ~infinite ~spilled:[ r2 ]
-            ~slot_counter
-        in
+        let st, cfg = insert cfg ~tags ~infinite ~spilled:[ r2 ] ~slot_counter in
         check Alcotest.int "one memory lr" 1 st.Remat.Spill_code.memory_lrs;
         check Alcotest.int "one slot" 1 st.Remat.Spill_code.new_slots;
         let spills = ref 0 and reloads = ref 0 in
@@ -148,10 +153,7 @@ let spill_code_tests =
         Reg.Tbl.replace tags r1 (Tag.Inst (Instr.Laddr ("t", 0)));
         let infinite = Reg.Tbl.create 8 in
         let slot_counter = ref 0 in
-        let st =
-          Remat.Spill_code.insert cfg ~tags ~infinite ~spilled:[ r1 ]
-            ~slot_counter
-        in
+        let st, cfg = insert cfg ~tags ~infinite ~spilled:[ r1 ] ~slot_counter in
         check Alcotest.int "one remat lr" 1 st.Remat.Spill_code.remat_lrs;
         check Alcotest.int "no slots" 0 st.Remat.Spill_code.new_slots;
         (* r1 must no longer appear; two fresh laddr sites must exist
@@ -179,8 +181,7 @@ let spill_code_tests =
         Reg.Tbl.replace infinite r2 ();
         try
           ignore
-            (Remat.Spill_code.insert cfg ~tags ~infinite ~spilled:[ r2 ]
-               ~slot_counter:(ref 0));
+            (insert cfg ~tags ~infinite ~spilled:[ r2 ] ~slot_counter:(ref 0));
           Alcotest.fail "temp spill accepted"
         with Remat.Spill_code.Pressure_too_high _ -> ());
   ]
@@ -267,7 +268,7 @@ let dump_tests =
           [ "digraph"; "b0 -> b1"; "b0 -> b2"; "b1 -> b3"; "shape=record" ]);
     tc "interference dot shape" (fun () ->
         let cfg = Testutil.high_pressure () in
-        let live = Dataflow.Liveness.compute cfg in
+        let live = Testutil.liveness cfg in
         let g = Reference.Interference.build cfg live in
         let text = Remat.Dump.interference_to_string g in
         check Alcotest.bool "graph" true (contains text "graph interference");

@@ -400,15 +400,15 @@ let liveness_unit =
   [
     tc "straight-line liveness" (fun () ->
         let cfg = Testutil.straight () in
-        let lv = Dataflow.Liveness.compute cfg in
+        let lv = Testutil.liveness cfg in
         check (Alcotest.list Alcotest.string) "live-in entry" []
-          (List.map Iloc.Reg.to_string (Dataflow.Liveness.live_in lv 0)));
+          (List.map Iloc.Reg.to_string (Reference.Liveness.live_in lv 0)));
     tc "loop keeps accumulator live" (fun () ->
         let cfg = Testutil.counted_loop () in
-        let lv = Dataflow.Liveness.compute cfg in
+        let lv = Testutil.liveness cfg in
         (* acc (r2) and i (r1) are live around the loop header (block 1). *)
         let live_in_head =
-          List.map Iloc.Reg.to_string (Dataflow.Liveness.live_in lv 1)
+          List.map Iloc.Reg.to_string (Reference.Liveness.live_in lv 1)
         in
         check Alcotest.bool "i live" true (List.mem "r1" live_in_head);
         check Alcotest.bool "acc live" true (List.mem "r2" live_in_head));
@@ -417,23 +417,85 @@ let liveness_unit =
           "routine x\nentry:\n  r1 <- ldi 1\n  r2 <- ldi 2\n  print r1\n  ret\n"
         in
         let cfg = Iloc.Parser.routine src in
-        let lv = Dataflow.Liveness.compute cfg in
+        let lv = Testutil.liveness cfg in
         check Alcotest.bool "r2 not live in" false
-          (Dataflow.Liveness.live_in_mem lv 0 (Iloc.Reg.make 2 Iloc.Reg.Int)));
+          (Reference.Liveness.live_in_mem lv 0 (Iloc.Reg.make 2 Iloc.Reg.Int)));
     tc "branch-dependent liveness" (fun () ->
         let cfg = Testutil.diamond () in
-        let lv = Dataflow.Liveness.compute cfg in
+        let lv = Testutil.liveness cfg in
         (* x (r2) is live into both arms and the join. *)
         let x = Iloc.Reg.make 2 Iloc.Reg.Int in
-        check Alcotest.bool "then" true (Dataflow.Liveness.live_in_mem lv 1 x);
-        check Alcotest.bool "else" true (Dataflow.Liveness.live_in_mem lv 2 x);
-        check Alcotest.bool "join" true (Dataflow.Liveness.live_in_mem lv 3 x));
-    tc "ssa form rejected" (fun () ->
+        check Alcotest.bool "then" true (Reference.Liveness.live_in_mem lv 1 x);
+        check Alcotest.bool "else" true (Reference.Liveness.live_in_mem lv 2 x);
+        check Alcotest.bool "join" true (Reference.Liveness.live_in_mem lv 3 x));
+    tc "phi arguments live out of their predecessors, destinations killed"
+      (fun () ->
         let ssa = Ssa.Construct.run (Testutil.diamond ()) in
-        try
-          ignore (Dataflow.Liveness.compute ssa);
-          Alcotest.fail "liveness accepted SSA form"
-        with Invalid_argument _ -> ());
+        let fl, phis = Testutil.ssa_arena ssa in
+        let lv = Dataflow.Liveness.compute fl ~phis in
+        let idx = Dataflow.Reg_index.index lv.Dataflow.Liveness.regs in
+        let n_phis = ref 0 in
+        Array.iteri
+          (fun b row ->
+            Array.iter
+              (fun (p : Iloc.Flat.phi) ->
+                incr n_phis;
+                let d = idx (Iloc.Flat.reg_of_packed p.Iloc.Flat.dst) in
+                check Alcotest.bool "destination killed" true
+                  (Dataflow.Bitset.mem lv.Dataflow.Liveness.kill.(b) d);
+                Array.iteri
+                  (fun blk live_in ->
+                    check Alcotest.bool
+                      (Printf.sprintf "destination not live into b%d" blk)
+                      false
+                      (Dataflow.Bitset.mem live_in d))
+                  lv.Dataflow.Liveness.live_in;
+                List.iter
+                  (fun (pred, a) ->
+                    check Alcotest.bool "argument live out of its edge" true
+                      (Dataflow.Bitset.mem lv.Dataflow.Liveness.live_out.(pred)
+                         (idx (Iloc.Flat.reg_of_packed a))))
+                  p.Iloc.Flat.args)
+              row)
+          phis;
+        check Alcotest.bool "the join has a phi" true (!n_phis > 0));
+    tc "arena rows equal the structured walks on every kernel" (fun () ->
+        let same what (want : Dataflow.Liveness.t) (got : Dataflow.Liveness.t) =
+          let rows (t : Dataflow.Liveness.t) pick =
+            Array.map
+              (fun row ->
+                Dataflow.Bitset.fold
+                  (fun i acc ->
+                    Iloc.Reg.to_string
+                      (Dataflow.Reg_index.reg t.Dataflow.Liveness.regs i)
+                    :: acc)
+                  row [])
+              (pick t)
+          in
+          List.iter
+            (fun (field, pick) ->
+              check
+                Alcotest.(array (list string))
+                (what ^ ": " ^ field) (rows want pick) (rows got pick))
+            [
+              ("live_in", fun t -> t.Dataflow.Liveness.live_in);
+              ("live_out", fun t -> t.Dataflow.Liveness.live_out);
+              ("ue", fun t -> t.Dataflow.Liveness.ue);
+              ("kill", fun t -> t.Dataflow.Liveness.kill);
+            ]
+        in
+        List.iter
+          (fun (k : Suite.Kernels.kernel) ->
+            let cfg = Cfg.split_critical_edges (Suite.Kernels.cfg_of k) in
+            same k.Suite.Kernels.name
+              (Reference.Liveness.compute cfg)
+              (Testutil.liveness cfg);
+            let ssa = Ssa.Construct.run cfg in
+            let fl, phis = Testutil.ssa_arena ssa in
+            same (k.Suite.Kernels.name ^ " ssa")
+              (Reference.Liveness.compute_ssa ssa)
+              (Dataflow.Liveness.compute fl ~phis))
+          Suite.Kernels.all);
   ]
 
 (* --- boundary liveness: |U|-compressed rows vs the dense rows --- *)
@@ -455,7 +517,7 @@ let k_crossing_routine k =
   Iloc.Parser.routine (Buffer.contents buf)
 
 let boundary_agrees what cfg =
-  let dense = Dataflow.Liveness.compute cfg in
+  let dense = Testutil.liveness cfg in
   let bound = Dataflow.Liveness.Boundary.compute (Iloc.Flat.of_routine cfg) in
   let regs = Cfg.all_regs cfg in
   for b = 0 to Cfg.n_blocks cfg - 1 do
@@ -463,7 +525,7 @@ let boundary_agrees what cfg =
       (fun r ->
         check Alcotest.bool
           (Printf.sprintf "%s: live-in b%d %s" what b (Iloc.Reg.to_string r))
-          (Dataflow.Liveness.live_in_mem dense b r)
+          (Reference.Liveness.live_in_mem dense b r)
           (Dataflow.Liveness.Boundary.live_in_mem bound b r);
         check Alcotest.bool
           (Printf.sprintf "%s: live-out b%d %s" what b (Iloc.Reg.to_string r))
@@ -698,13 +760,13 @@ let liveness_prop =
   QCheck.Test.make ~count:60 ~name:"liveness matches naive per-register"
     Testutil.Gen_prog.arbitrary_cfg
     (fun cfg ->
-      let lv = Dataflow.Liveness.compute cfg in
+      let lv = Testutil.liveness cfg in
       Iloc.Reg.Set.for_all
         (fun r ->
           let naive = naive_live_in cfg r in
           let ok = ref true in
           for b = 0 to Cfg.n_blocks cfg - 1 do
-            if Dataflow.Liveness.live_in_mem lv b r <> naive.(b) then ok := false
+            if Reference.Liveness.live_in_mem lv b r <> naive.(b) then ok := false
           done;
           !ok)
         (Cfg.all_regs cfg))
@@ -753,9 +815,9 @@ let worklist_vs_round_robin_prop =
   QCheck.Test.make ~count:60 ~name:"worklist liveness matches round-robin"
     Testutil.Gen_prog.arbitrary_cfg
     (fun cfg ->
-      let lv = Dataflow.Liveness.compute cfg in
+      let lv = Testutil.liveness cfg in
       let rin, rout = round_robin_liveness cfg in
-      let reach = Dataflow.Order.reachable cfg in
+      let reach = Reference.Order.reachable cfg in
       let regs = Cfg.all_regs cfg in
       let ok = ref true in
       for b = 0 to Cfg.n_blocks cfg - 1 do
@@ -766,7 +828,7 @@ let worklist_vs_round_robin_prop =
           Iloc.Reg.Set.iter
             (fun r ->
               if
-                Dataflow.Liveness.live_in_mem lv b r <> Iloc.Reg.Set.mem r rin.(b)
+                Reference.Liveness.live_in_mem lv b r <> Iloc.Reg.Set.mem r rin.(b)
                 || Dataflow.Liveness.live_out_mem lv b r
                    <> Iloc.Reg.Set.mem r rout.(b)
               then ok := false)
@@ -780,8 +842,8 @@ let order_prop =
   QCheck.Test.make ~count:80 ~name:"postorder permutes the reachable blocks"
     Testutil.Gen_prog.arbitrary_cfg
     (fun cfg ->
-      let po = Dataflow.Order.postorder cfg in
-      let reach = Dataflow.Order.reachable cfg in
+      let po = Dataflow.Order.postorder_flat (Iloc.Flat.of_routine cfg) in
+      let reach = Reference.Order.reachable cfg in
       let n_reach =
         Array.fold_left (fun acc r -> if r then acc + 1 else acc) 0 reach
       in

@@ -245,7 +245,7 @@ let liveness_flat_prop (name, config) =
     QCheck.(make Gen.(int_bound 1_000_000))
     (fun seed ->
       let cfg = Fuzz.Gen.generate ~config seed in
-      let dense = Dataflow.Liveness.compute cfg in
+      let dense = Reference.Liveness.compute cfg in
       let bound = Dataflow.Liveness.Boundary.compute (Flat.of_routine cfg) in
       (* Boundary sets, reindexed through [uindex], must equal the
          structured dense sets exactly. *)
@@ -257,14 +257,17 @@ let liveness_flat_prop (name, config) =
         |> List.rev
       in
       let eq_regs a b = List.equal Reg.equal a b in
+      let arena = Testutil.liveness cfg in
       for b = 0 to Cfg.n_blocks cfg - 1 do
-        let open Dataflow.Liveness in
+        let open Reference.Liveness in
         if
           not
-            (eq_regs (live_in dense b) (Boundary.live_in bound b)
-            && eq_regs (live_out dense b) (bound_out b))
+            (eq_regs (live_in dense b) (Dataflow.Liveness.Boundary.live_in bound b)
+            && eq_regs (live_out dense b) (bound_out b)
+            && eq_regs (live_in dense b) (live_in arena b)
+            && eq_regs (live_out dense b) (live_out arena b))
         then
-          QCheck.Test.fail_reportf "seed %d: boundary sets differ at block %d"
+          QCheck.Test.fail_reportf "seed %d: boundary or arena sets differ at block %d"
             seed b
       done;
       true)
@@ -372,7 +375,7 @@ let graph_boundary_prop (name, config) =
       (* The structured reference: dense rows over the routine itself. *)
       let a =
         graph_fingerprint
-          (Reference.Interference.build ~k cfg (Dataflow.Liveness.compute cfg))
+          (Reference.Interference.build ~k cfg (Reference.Liveness.compute cfg))
       in
       let b =
         graph_fingerprint
@@ -441,7 +444,7 @@ let merge_agree_prop (name, config) =
       let cfg = Fuzz.Gen.generate ~config seed in
       let reference =
         G.build ~k:(Remat.Machine.k_for tiny) cfg
-          (Dataflow.Liveness.compute cfg)
+          (Reference.Liveness.compute cfg)
       in
       let arena = arena_graph cfg in
       let built = graph_fingerprint arena in
@@ -503,7 +506,7 @@ let test_arena_build_large_chain () =
   Alcotest.(check int) "chain nodes" n (Dataflow.Reg_index.count regs);
   let a =
     graph_fingerprint
-      (Reference.Interference.build ~k cfg (Dataflow.Liveness.compute cfg))
+      (Reference.Interference.build ~k cfg (Reference.Liveness.compute cfg))
   in
   let b =
     graph_fingerprint
@@ -535,14 +538,15 @@ let splice_ab_check ~seed ~pick ~mode cfg =
   let s_tags, s_inf, s_slots = side () in
   let s_cfg = Cfg.copy rn.Reference.Renumber.cfg in
   let s =
-    Remat.Spill_code.insert s_cfg ~tags:s_tags ~infinite:s_inf ~spilled
+    Reference.Spill_code.insert s_cfg ~tags:s_tags ~infinite:s_inf ~spilled
       ~slot_counter:s_slots
   in
   let f_tags, f_inf, f_slots = side () in
   let f, fl =
     Remat.Spill_code.insert_flat
       (Flat.of_routine rn.Reference.Renumber.cfg)
-      ~tags:f_tags ~infinite:f_inf ~spilled ~slot_counter:f_slots
+      ~phis:[||] ~tags:f_tags ~infinite:f_inf ~spilled
+      ~slots:(Reg.Tbl.create 8) ~slot_counter:f_slots
   in
   let f_cfg = Flat.to_routine fl in
   let keys tbl =

@@ -53,7 +53,7 @@ let coalesced_context mode cfg0 =
 let matches_rebuild (ctx : Remat.Context.t) =
   let g = Remat.Context.graph ctx in
   let coalesced = Iloc.Flat.to_routine (Remat.Context.flat ctx) in
-  let live = Dataflow.Liveness.compute coalesced in
+  let live = Reference.Liveness.compute coalesced in
   let fresh = Reference.Interference.build coalesced live in
   let n = Remat.Interference.n_nodes g in
   let alive =
@@ -143,7 +143,7 @@ let rewrite_tests =
             \  print r2\n\
             \  ret\n"
         in
-        let live = Dataflow.Liveness.compute cfg in
+        let live = Reference.Liveness.compute cfg in
         let g = Reference.Interference.build cfg live in
         (* r1 and r2 do not interfere (copy source dies at the copy), so
            both may receive color 0 — the copy becomes r0 <- copy r0. *)
@@ -173,7 +173,7 @@ let rewrite_tests =
             \  print r2\n\
             \  ret\n"
         in
-        let live = Dataflow.Liveness.compute cfg in
+        let live = Reference.Liveness.compute cfg in
         let g = Reference.Interference.build cfg live in
         let cfg =
           Iloc.Flat.to_routine

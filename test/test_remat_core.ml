@@ -320,7 +320,7 @@ let interference_unit =
           \  ret\n"
         in
         let cfg = Iloc.Parser.routine src in
-        let live = Dataflow.Liveness.compute cfg in
+        let live = Reference.Liveness.compute cfg in
         let g = Reference.Interference.build cfg live in
         let i r = Remat.Interference.index g (Reg.make r Reg.Int) in
         check Alcotest.bool "r1-r2" true (Remat.Interference.interfere g (i 1) (i 2));
@@ -339,7 +339,7 @@ let interference_unit =
           \  ret\n"
         in
         let cfg = Iloc.Parser.routine src in
-        let live = Dataflow.Liveness.compute cfg in
+        let live = Reference.Liveness.compute cfg in
         let g = Reference.Interference.build cfg live in
         let i r = Remat.Interference.index g (Reg.make r Reg.Int) in
         check Alcotest.bool "r1-r2" false
@@ -355,7 +355,7 @@ let interference_unit =
           \  ret\n"
         in
         let cfg = Iloc.Parser.routine src in
-        let live = Dataflow.Liveness.compute cfg in
+        let live = Reference.Liveness.compute cfg in
         let g = Reference.Interference.build cfg live in
         let ii = Remat.Interference.index g (Reg.make 1 Reg.Int) in
         let fi = Remat.Interference.index g (Reg.make 1 Reg.Float) in
@@ -366,7 +366,7 @@ let interference_unit =
         let cfg = Testutil.high_pressure () in
         let rn = Reference.Renumber.run Remat.Mode.Briggs_remat
             (Cfg.split_critical_edges cfg) in
-        let live = Dataflow.Liveness.compute rn.Reference.Renumber.cfg in
+        let live = Reference.Liveness.compute rn.Reference.Renumber.cfg in
         let g = Reference.Interference.build rn.Reference.Renumber.cfg live in
         for i = 0 to Remat.Interference.n_nodes g - 1 do
           check Alcotest.int "degree" (List.length (Remat.Interference.neighbors g i))
@@ -376,7 +376,7 @@ let interference_unit =
         let cfg = Testutil.fig1 () in
         let rn = Reference.Renumber.run Remat.Mode.Briggs_remat
             (Cfg.split_critical_edges cfg) in
-        let live = Dataflow.Liveness.compute rn.Reference.Renumber.cfg in
+        let live = Reference.Liveness.compute rn.Reference.Renumber.cfg in
         let g = Reference.Interference.build rn.Reference.Renumber.cfg live in
         let n = Remat.Interference.n_nodes g in
         for i = 0 to n - 1 do
@@ -434,7 +434,7 @@ let interference_unit =
                   Remat.Dump.interference_to_string
                     ~split_pairs:rn.Reference.Renumber.split_pairs
                     (Reference.Interference.build rn.Reference.Renumber.cfg
-                       (Dataflow.Liveness.compute rn.Reference.Renumber.cfg))
+                       (Reference.Liveness.compute rn.Reference.Renumber.cfg))
                 in
                 let fr =
                   Remat.Renumber.run_flat Remat.Mode.Briggs_remat
@@ -471,7 +471,7 @@ let spill_cost_unit =
         let c = rn.Reference.Renumber.cfg in
         let dom = Dataflow.Dominance.compute c in
         let loops = Dataflow.Loops.compute c dom in
-        let live = Dataflow.Liveness.compute c in
+        let live = Reference.Liveness.compute c in
         let g = Reference.Interference.build c live in
         let costs =
           Remat.Spill_cost.compute (Iloc.Flat.of_routine c) loops g ~live_in_iter:(dense_live_in_iter live) ~tags:rn.Reference.Renumber.tags
@@ -501,7 +501,7 @@ let spill_cost_unit =
         let c = rn.Reference.Renumber.cfg in
         let dom = Dataflow.Dominance.compute c in
         let loops = Dataflow.Loops.compute c dom in
-        let live = Dataflow.Liveness.compute c in
+        let live = Reference.Liveness.compute c in
         let g = Reference.Interference.build c live in
         let briggs_costs =
           Remat.Spill_cost.compute (Iloc.Flat.of_routine c) loops g ~live_in_iter:(dense_live_in_iter live) ~tags:rn.Reference.Renumber.tags
@@ -530,7 +530,7 @@ let spill_cost_unit =
           (briggs_costs.(i1) < no_remat_costs.(i1)));
     tc "infinite marking" (fun () ->
         let cfg = Testutil.straight () in
-        let live = Dataflow.Liveness.compute cfg in
+        let live = Reference.Liveness.compute cfg in
         let g = Reference.Interference.build cfg live in
         let dom = Dataflow.Dominance.compute cfg in
         let loops = Dataflow.Loops.compute cfg dom in
@@ -547,7 +547,7 @@ let spill_cost_unit =
 
 let color_unit =
   let build_graph cfg =
-    let live = Dataflow.Liveness.compute cfg in
+    let live = Reference.Liveness.compute cfg in
     Reference.Interference.build cfg live
   in
   [
@@ -751,7 +751,7 @@ let interference_prop =
   QCheck.Test.make ~count:40 ~name:"interference matches naive recomputation"
     Testutil.Gen_prog.arbitrary_cfg
     (fun cfg ->
-      let live = Dataflow.Liveness.compute cfg in
+      let live = Reference.Liveness.compute cfg in
       let g = Reference.Interference.build cfg live in
       (* naive: recompute the live set per instruction position *)
       let expected = Hashtbl.create 64 in
@@ -759,7 +759,7 @@ let interference_prop =
         (fun b ->
           let live_now =
             ref
-              (Reg.Set.of_list (Dataflow.Liveness.live_out live b.Iloc.Block.id))
+              (Reg.Set.of_list (Reference.Liveness.live_out live b.Iloc.Block.id))
           in
           List.iter
             (fun (i : Instr.t) ->

@@ -231,7 +231,7 @@ let allocate_by_rounds ~mode ~machine ~on_round input =
       ~tags:fr.Remat.Renumber.f_tags ~split_pairs ~stats flat
   in
   let module G = Remat.Interference in
-  let slot_counter = ref 0 in
+  let slots = Reg.Tbl.create 8 and slot_counter = ref 0 in
   let rec round r =
     if r > 64 then failwith "allocate_by_rounds: round limit";
     Remat.Context.set_round ctx r;
@@ -287,13 +287,37 @@ let allocate_by_rounds ~mode ~machine ~on_round input =
         in
         if spilled = [] then failwith "allocate_by_rounds: irreducible";
         let _, fl =
-          Remat.Spill_code.insert_flat (Remat.Context.flat ctx)
+          Remat.Spill_code.insert_flat (Remat.Context.flat ctx) ~phis:[||]
             ~tags:ctx.Remat.Context.tags ~infinite
             ~spilled:(List.map (G.reg g) spilled)
-            ~slot_counter
+            ~slots ~slot_counter
         in
         Remat.Context.invalidate ctx;
         ctx.Remat.Context.flat <- fl;
         round (r + 1)
   in
   round 1
+
+(* Dense liveness of a φ-free routine, through its arena. *)
+let liveness cfg =
+  Dataflow.Liveness.compute (Iloc.Flat.of_routine cfg) ~phis:[||]
+
+(* An SSA-form routine as the SSA family holds it: the arena of its
+   records and, beside it, each block's φs. *)
+let ssa_arena (cfg : Cfg.t) =
+  let plain = Cfg.copy cfg in
+  Cfg.iter_blocks (fun b -> b.Iloc.Block.phis <- []) plain;
+  let packed = Iloc.Flat.packed_of_reg in
+  let phis =
+    Array.init (Cfg.n_blocks cfg) (fun b ->
+        Array.of_list
+          (List.map
+             (fun (p : Iloc.Phi.t) ->
+               {
+                 Iloc.Flat.dst = packed p.Iloc.Phi.dst;
+                 args =
+                   List.map (fun (pred, a) -> (pred, packed a)) p.Iloc.Phi.args;
+               })
+             (Cfg.block cfg b).Iloc.Block.phis))
+  in
+  (Iloc.Flat.of_routine plain, phis)
