@@ -32,9 +32,10 @@ type result = {
    where the memory-φ store or the argument reload lands.  Indexed by
    [regs], the round's liveness numbering; each value's charges are
    summed in program order. *)
-let cost_table (fl : Flat.t) (phis : Flat.phi array array) loops tag_of regs =
+let cost_table (fl : Flat.t) (phis : Flat.phi array array) loops tag_of
+    (live : Liveness.t) =
+  let regs = live.Liveness.regs and map = live.Liveness.pmap in
   let nr = Reg_index.count regs in
-  let map = Reg_index.packed_map regs in
   let remat =
     Array.init nr (fun i -> Tag.is_inst (tag_of (Reg_index.reg regs i)))
   in
@@ -109,9 +110,8 @@ type selection = {
    test/reference.ml. *)
 let select (fl : Flat.t) (phis : Flat.phi array array) (live : Liveness.t) ~k
     ~cost ~spillable =
-  let regs = live.Liveness.regs in
+  let regs = live.Liveness.regs and map = live.Liveness.pmap in
   let nr = Reg_index.count regs in
-  let map = Reg_index.packed_map regs in
   let is_float = Array.init nr (fun i -> Reg.is_float (Reg_index.reg regs i)) in
   let k_int = k Reg.Int and k_float = k Reg.Float in
   let chosen = Bitset.create nr in
@@ -313,9 +313,8 @@ let select (fl : Flat.t) (phis : Flat.phi array array) (live : Liveness.t) ~k
    routine reachable from the entry. *)
 let color_chordal (fl : Flat.t) (phis : Flat.phi array array)
     (dom : Dataflow.Dominance.t) (live : Liveness.t) ~k =
-  let regs = live.Liveness.regs in
+  let regs = live.Liveness.regs and map = live.Liveness.pmap in
   let nr = Reg_index.count regs in
-  let map = Reg_index.packed_map regs in
   let color = Array.make nr (-1) in
   let is_float = Array.init nr (fun i -> Reg.is_float (Reg_index.reg regs i)) in
   let cls_idx i = if is_float.(i) then 1 else 0 in
@@ -502,7 +501,7 @@ let run ~mode ~machine ~max_rounds ~stats (cfg0 : Iloc.Cfg.t) =
     let sel =
       Stats.time stats ~round:r Stats.Costs (fun () ->
           let regs = live.Liveness.regs in
-          let cost = cost_table fl phis loops tag_of regs in
+          let cost = cost_table fl phis loops tag_of live in
           let spillable =
             Array.init (Reg_index.count regs) (fun i ->
                 not (Reg.Tbl.mem infinite (Reg_index.reg regs i)))
@@ -554,8 +553,7 @@ let run ~mode ~machine ~max_rounds ~stats (cfg0 : Iloc.Cfg.t) =
   let coalesced = ref 0 in
   let cfg =
     Stats.time stats ~round:nrounds Stats.Coalesce (fun () ->
-        let regs = live.Liveness.regs in
-        let map = Reg_index.packed_map regs in
+        let regs = live.Liveness.regs and map = live.Liveness.pmap in
         let phys p = (2 * color.(map.(p))) lor (p land 1) in
         let colored = Flat.rename fl phys in
         coalesced := Flat.n_instrs fl - Flat.n_instrs colored;

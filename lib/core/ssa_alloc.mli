@@ -68,11 +68,12 @@ val cost_table :
   Iloc.Flat.phi array array ->
   Dataflow.Loops.t ->
   (Iloc.Reg.t -> Tag.t) ->
-  Dataflow.Reg_index.t ->
+  Dataflow.Liveness.t ->
   float array
-(** [cost_table fl phis loops tag_of regs] — one spill round's cost per
-    value of the SSA arena [fl] with [phis] beside it, indexed by [regs]
-    (the round's {!Dataflow.Liveness.compute} numbering): 2 per store
+(** [cost_table fl phis loops tag_of live] — one spill round's cost per
+    value of the SSA arena [fl] with [phis] beside it, indexed by
+    [live.regs] (the round's {!Dataflow.Liveness.compute} numbering,
+    through its [pmap]): 2 per store
     and per reload, 1 per rematerialization, weighted by 10{^ loop
     depth}; φ traffic is charged at the predecessor's weight. *)
 

@@ -1,5 +1,6 @@
 type t = {
   regs : Reg_index.t;
+  pmap : int array;
   live_in : Bitset.t array;
   live_out : Bitset.t array;
   ue : Bitset.t array;
@@ -148,7 +149,7 @@ let compute (fl : Iloc.Flat.t) ~phis =
      order.  Unreachable blocks are not in the postorder and keep empty
      sets; edges from them are ignored. *)
   solve fl ~nr ~po:(Order.postorder_flat fl) ~live_in ~live_out ~ue ~kill;
-  { regs; live_in; live_out; ue; kill }
+  { regs; pmap = index; live_in; live_out; ue; kill }
 
 let live_out_mem t b r =
   match Reg_index.index_opt t.regs r with

@@ -39,32 +39,36 @@ let output_skippable (i : Instr.t) =
   | Instr.Copy | Instr.Spill _ | Instr.Reload _ -> true
   | op -> Instr.never_killed op
 
-let apply_input_skip st (i : Instr.t) =
+let apply_input_skip w (i : Instr.t) =
   match (i.op, i.dst) with
-  | Instr.Copy, Some d -> State.input_copy st ~dst:d ~src:i.srcs.(0)
-  | op, Some d when Instr.never_killed op -> State.input_const st ~vreg:d ~op
-  | _ -> st
+  | Instr.Copy, Some d ->
+      State.input_copy w ~dst:(State.vreg w d) ~src:(State.vreg w i.srcs.(0))
+  | op, Some d when Instr.never_killed op ->
+      State.input_const w ~vreg:(State.vreg w d) ~op:(State.op w op)
+  | _ -> ()
 
-let apply_output_skip stats st (i : Instr.t) =
+let apply_output_skip stats w (i : Instr.t) =
   match (i.op, i.dst) with
   | Instr.Copy, Some d ->
       stats.moves <- stats.moves + 1;
-      State.loc_copy st ~src:(Loc.Reg i.srcs.(0)) ~dst:(Loc.Reg d)
+      State.loc_copy w ~src:(State.reg_loc w i.srcs.(0)) ~dst:(State.reg_loc w d)
   | Instr.Spill slot, None ->
       stats.moves <- stats.moves + 1;
-      State.loc_copy st ~src:(Loc.Reg i.srcs.(0)) ~dst:(Loc.Slot slot)
+      State.loc_copy w ~src:(State.reg_loc w i.srcs.(0))
+        ~dst:(State.slot_loc w slot)
   | Instr.Reload slot, Some d ->
       stats.moves <- stats.moves + 1;
-      State.loc_copy st ~src:(Loc.Slot slot) ~dst:(Loc.Reg d)
+      State.loc_copy w ~src:(State.slot_loc w slot) ~dst:(State.reg_loc w d)
   | op, Some d when Instr.never_killed op ->
       stats.remats <- stats.remats + 1;
-      State.remat st ~loc:(Loc.Reg d) ~op
-  | _ -> st
+      State.remat w ~loc:(State.reg_loc w d) ~op:(State.op w op)
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* The lockstep walk over one anchored block pair.                     *)
 
 type ctx = {
+  w : State.work;
   name : string;
   emit : Error.t -> unit;
   stats : stats;
@@ -72,12 +76,13 @@ type ctx = {
   out_block : string -> Block.t option;
 }
 
-let check_uses ctx ~label ~index st (vin : Instr.t) (vout : Instr.t) =
+let check_uses ctx ~label ~index (vin : Instr.t) (vout : Instr.t) =
   Array.iteri
     (fun i p ->
       let v = vin.Instr.srcs.(i) in
       ctx.stats.uses <- ctx.stats.uses + 1;
-      if not (State.holds st v (Loc.Reg p)) then
+      if not (State.holds ctx.w (State.vreg ctx.w v) (State.reg_loc ctx.w p))
+      then
         ctx.emit
           (Error.instr_err ctx.name ~label ~index Error.Wrong_value
              (Printf.sprintf
@@ -86,49 +91,56 @@ let check_uses ctx ~label ~index st (vin : Instr.t) (vout : Instr.t) =
                 (Instr.to_string vout) i (Reg.to_string v) (Reg.to_string p))))
     vout.Instr.srcs
 
-let kill_out_def st (o : Instr.t) =
+let kill_out_def w (o : Instr.t) =
   match o.Instr.dst with
-  | Some pd -> State.kill_loc st (Loc.Reg pd)
-  | None -> st
+  | Some pd -> State.kill_loc w (State.reg_loc w pd)
+  | None -> ()
 
-let kill_in_def st (i : Instr.t) =
-  match i.Instr.dst with Some vd -> State.kill_vreg st vd | None -> st
+let kill_in_def w (i : Instr.t) =
+  match i.Instr.dst with
+  | Some vd -> State.kill_vreg w (State.vreg w vd)
+  | None -> ()
 
 (* Walk the two bodies.  Source-side skippables are folded first: a
    coalesced copy or a tag-recording never-killed definition commutes
    with any inserted output code, and folding it eagerly only adds
    facts the later checks may rely on. *)
-let walk_bodies ctx ~label st (ib : Block.t) (ob : Block.t) =
-  let rec go st ins outs index =
+let walk_bodies ctx ~label (ib : Block.t) (ob : Block.t) =
+  let w = ctx.w in
+  let rec go ins outs index =
     match (ins, outs) with
     | i :: ins', _ when input_skippable i ->
         ctx.stats.moves <- ctx.stats.moves + 1;
-        go (apply_input_skip st i) ins' outs index
+        apply_input_skip w i;
+        go ins' outs index
     | _, o :: outs' when output_skippable o ->
-        go (apply_output_skip ctx.stats st o) ins outs' (index + 1)
+        apply_output_skip ctx.stats w o;
+        go ins outs' (index + 1)
     | i :: ins', o :: outs' ->
         if i.Instr.op = o.Instr.op then (
-          check_uses ctx ~label ~index st i o;
+          check_uses ctx ~label ~index i o;
           ctx.stats.matched <- ctx.stats.matched + 1;
-          let st =
-            match (i.Instr.dst, o.Instr.dst) with
-            | Some vd, Some pd -> State.bind_def st ~vreg:vd ~loc:(Loc.Reg pd)
-            | _ -> st
-          in
-          go st ins' outs' (index + 1))
+          (match (i.Instr.dst, o.Instr.dst) with
+          | Some vd, Some pd ->
+              State.bind_def w ~vreg:(State.vreg w vd) ~loc:(State.reg_loc w pd)
+          | _ -> ());
+          go ins' outs' (index + 1))
         else (
           ctx.emit
             (Error.instr_err ctx.name ~label ~index Error.Unmatched
                (Printf.sprintf
                   "`%s` does not correspond to source instruction `%s`"
                   (Instr.to_string o) (Instr.to_string i)));
-          go (kill_in_def (kill_out_def st o) i) ins' outs' (index + 1))
+          kill_out_def w o;
+          kill_in_def w i;
+          go ins' outs' (index + 1))
     | [], o :: outs' ->
         ctx.emit
           (Error.instr_err ctx.name ~label ~index Error.Unmatched
              (Printf.sprintf "`%s` has no counterpart in the source block"
                 (Instr.to_string o)));
-        go (kill_out_def st o) [] outs' (index + 1)
+        kill_out_def w o;
+        go [] outs' (index + 1)
     | i :: ins', [] ->
         ctx.emit
           (Error.instr_err ctx.name ~label ~index Error.Unmatched
@@ -136,18 +148,22 @@ let walk_bodies ctx ~label st (ib : Block.t) (ob : Block.t) =
                 "source instruction `%s` has no counterpart in the allocated \
                  block"
                 (Instr.to_string i)));
-        go (kill_in_def st i) ins' [] index
-    | [], [] -> st
+        kill_in_def w i;
+        go ins' [] index
+    | [], [] -> ()
   in
-  go st ib.Block.body ob.Block.body 0
+  go ib.Block.body ob.Block.body 0
 
 (* Resolve an output branch target through any chain of
    allocator-inserted forwarding blocks (critical-edge splits),
    applying their inserted instructions to the edge state, until a
-   source-labelled block is reached. *)
-let resolve ctx st label0 =
-  let rec go visited st label =
-    if ctx.is_input_label label then Ok (label, st)
+   source-labelled block is reached.  [exit] is the branching block's
+   final state; a forwarding chain reloads it into the working state
+   and freezes the result. *)
+let resolve ctx exit label0 =
+  let w = ctx.w in
+  let rec go visited label =
+    if ctx.is_input_label label then Ok label
     else if List.mem label visited then
       Error
         (Error.routine_err ctx.name Error.Structure
@@ -162,11 +178,13 @@ let resolve ctx st label0 =
             (Error.routine_err ctx.name Error.Structure
                (Printf.sprintf "branch target %s is not a block" label))
       | Some b ->
-          let rec body st index = function
-            | [] -> Ok st
+          if visited = [] then State.load w (Lazy.force exit);
+          let rec body index = function
+            | [] -> Ok ()
             | o :: rest ->
-                if output_skippable o then
-                  body (apply_output_skip ctx.stats st o) (index + 1) rest
+                if output_skippable o then (
+                  apply_output_skip ctx.stats w o;
+                  body (index + 1) rest)
                 else
                   Error
                     (Error.instr_err ctx.name ~label:b.Block.label ~index
@@ -176,11 +194,11 @@ let resolve ctx st label0 =
                            allocator never inserts"
                           (Instr.to_string o)))
           in
-          (match body st 0 b.Block.body with
+          (match body 0 b.Block.body with
           | Error e -> Error e
-          | Ok st -> (
+          | Ok () -> (
               match b.Block.term.Instr.op with
-              | Instr.Jmp next -> go (label :: visited) st next
+              | Instr.Jmp next -> go (label :: visited) next
               | _ ->
                   Error
                     (Error.instr_err ctx.name ~label:b.Block.label
@@ -189,11 +207,14 @@ let resolve ctx st label0 =
                           "allocator-inserted block must end in jmp, not `%s`"
                           (Instr.to_string b.Block.term)))))
   in
-  go [] st label0
+  match go [] label0 with
+  | Error e -> Error e
+  | Ok label when ctx.is_input_label label0 -> Ok (label, Lazy.force exit)
+  | Ok label -> Ok (label, State.freeze w)
 
 (* Match terminators and compute the outgoing edges: pairs of (source
    label, state at entry to that block). *)
-let match_terms ctx ~label st (ib : Block.t) (ob : Block.t) =
+let match_terms ctx ~label (ib : Block.t) (ob : Block.t) =
   let index = List.length ob.Block.body in
   let it = ib.Block.term and ot = ob.Block.term in
   let bad_target resolved wanted =
@@ -204,8 +225,11 @@ let match_terms ctx ~label st (ib : Block.t) (ob : Block.t) =
              names %s"
             (Instr.to_string ot) resolved (Instr.to_string it) wanted))
   in
+  let w = ctx.w in
+  (* Freezing waits for the first edge: a return has none. *)
+  let exit = lazy (State.freeze w) in
   let edge wanted target =
-    match resolve ctx st target with
+    match resolve ctx exit target with
     | Ok (a, st') when String.equal a wanted -> [ (a, st') ]
     | Ok (a, _) ->
         bad_target a wanted;
@@ -217,7 +241,7 @@ let match_terms ctx ~label st (ib : Block.t) (ob : Block.t) =
   let check_cond () =
     ctx.stats.uses <- ctx.stats.uses + 1;
     let v = it.Instr.srcs.(0) and p = ot.Instr.srcs.(0) in
-    if not (State.holds st v (Loc.Reg p)) then
+    if not (State.holds w (State.vreg w v) (State.reg_loc w p)) then
       ctx.emit
         (Error.instr_err ctx.name ~label ~index Error.Wrong_value
            (Printf.sprintf
@@ -238,7 +262,7 @@ let match_terms ctx ~label st (ib : Block.t) (ob : Block.t) =
       | [||], [||] -> []
       | [| v |], [| p |] ->
           ctx.stats.uses <- ctx.stats.uses + 1;
-          if not (State.holds st v (Loc.Reg p)) then
+          if not (State.holds w (State.vreg w v) (State.reg_loc w p)) then
             ctx.emit
               (Error.instr_err ctx.name ~label ~index Error.Wrong_value
                  (Printf.sprintf
@@ -262,8 +286,9 @@ let match_terms ctx ~label st (ib : Block.t) (ob : Block.t) =
 let check_block ctx st (ib : Block.t) (ob : Block.t) =
   ctx.stats.blocks <- ctx.stats.blocks + 1;
   let label = ob.Block.label in
-  let st = walk_bodies ctx ~label st ib ob in
-  match_terms ctx ~label st ib ob
+  State.load ctx.w st;
+  walk_bodies ctx ~label ib ob;
+  match_terms ctx ~label ib ob
 
 (* ------------------------------------------------------------------ *)
 (* Whole-routine checks.                                               *)
@@ -425,8 +450,10 @@ let routine ~(input : Cfg.t) ~(output : Cfg.t) ~k_int ~k_float =
              (Cfg.entry_block output).Block.label
              (Cfg.entry_block input).Block.label)
         :: !errs;
+    let w = State.create () in
     let make_ctx emit stats =
       {
+        w;
         name;
         emit;
         stats;

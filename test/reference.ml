@@ -57,6 +57,7 @@ module Liveness = struct
 
   type t = Dataflow.Liveness.t = {
     regs : Reg_index.t;
+    pmap : int array;
     live_in : Bitset.t array;
     live_out : Bitset.t array;
     ue : Bitset.t array;
@@ -142,7 +143,7 @@ module Liveness = struct
       ~succs_iter:(fun b f -> List.iter f (Iloc.Cfg.succs cfg b))
       ~preds_iter:(fun b f -> List.iter f (Iloc.Cfg.preds cfg b))
       ~live_in ~live_out ~ue ~kill;
-    { regs; live_in; live_out; ue; kill }
+    { regs; pmap = Reg_index.packed_map regs; live_in; live_out; ue; kill }
 
   (* φ-aware liveness over an SSA-form routine, for the decoupled
      spill-then-color pipeline.  The equations treat a φ-node's arguments
@@ -193,7 +194,7 @@ module Liveness = struct
       ~succs_iter:(fun b f -> List.iter f (Iloc.Cfg.succs cfg b))
       ~preds_iter:(fun b f -> List.iter f (Iloc.Cfg.preds cfg b))
       ~live_in ~live_out ~ue ~kill;
-    { regs; live_in; live_out; ue; kill }
+    { regs; pmap = Reg_index.packed_map regs; live_in; live_out; ue; kill }
 
   (* Pointwise register pressure of an SSA routine, per block and class,
      from the boundary rows of {!compute_ssa}: one backward walk per block

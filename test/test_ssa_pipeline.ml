@@ -150,7 +150,7 @@ let selector_agrees cfg =
         Option.value (Reg.Tbl.find_opt tags r) ~default:Remat.Tag.Bottom
       in
       let ref_cost = Reference.Ssa_select.cost_table ssa loops tag_of in
-      let cost = Remat.Ssa_alloc.cost_table fl phis loops tag_of regs in
+      let cost = Remat.Ssa_alloc.cost_table fl phis loops tag_of live in
       for i = 0 to nr - 1 do
         let r = Reg_index.reg regs i in
         if not (Float.equal cost.(i) (ref_cost r)) then
