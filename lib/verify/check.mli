@@ -20,6 +20,14 @@
       (critical-edge splits), but must reach the same source label the
       source terminator names.
 
+    The abstract state lives in one {!State.work} per call: a walk loads
+    its block's entry snapshot into it, every instruction mutates it
+    through a transfer that touches only the facts it changes, and the
+    exit state is frozen into a snapshot for the successors, where it
+    meets their entry states.  Registers, locations and ops are interned
+    into dense ints by the working state's own hash tables as the walks
+    meet them.
+
     The fixpoint sweeps the blocks whose entry state changed in reverse
     postorder of the output CFG until a sweep changes nothing, so a
     block is walked about twice on typical routines however deeply
