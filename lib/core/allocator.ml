@@ -118,9 +118,8 @@ type snapshot = {
    immutable (coalescing and spill code replace [ctx.flat]), so the
    arena is shared; the graph is copied, since coalescing merges in
    place.  The boundary rows are the context's own: dropping its
-   liveness scratch detaches them, so a later recomputation (after
-   coalescing, or in round 2) allocates fresh rows instead of recycling
-   these. *)
+   liveness scratch detaches them, so the next recomputation (in round
+   2) allocates fresh rows instead of recycling these. *)
 let take_snapshot (ctx : Context.t) =
   let graph = Interference.copy (Context.graph ctx) in
   let boundary = Context.boundary ctx in

@@ -5,10 +5,6 @@ type phase = Unrestricted | Conservative
 
 type outcome = { changed : bool; coalesced : int }
 
-(* Unordered canonical form so a split is recognized no matter which side
-   the copy ends up writing. *)
-let norm_pair a b = if Reg.compare a b <= 0 then (a, b) else (b, a)
-
 (* Merge the graph nodes and fold the loser's tag and infinite-cost
    marking into the winner: tags meet, and the merged range stays
    infinite only when every constituent was. *)
@@ -30,137 +26,165 @@ let merge_into (ctx : Context.t) g ~keep ~drop =
 
 (* The copy worklist, harvested from the arena once per spill round
    (spill code can introduce new copies; sweeps cannot): the (dst, src)
-   pair of every copy record, in block-and-slot order — the order the
-   former whole-routine rescan visited them in. *)
-let harvest (fl : Flat.t) =
-  let acc = ref [] in
-  for slot = Flat.n_instrs fl - 1 downto 0 do
-    if Flat.Tag.is_copy (Flat.tag fl slot) then
-      acc :=
-        ( Flat.reg_of_packed (Flat.dst fl slot),
-          Flat.reg_of_packed (Flat.src fl slot 0) )
-        :: !acc
+   node pair of every copy record, in block-and-slot order, flattened
+   (entry [2c] is copy [c]'s destination).  Every register of the arena
+   is a node of the round's graph, so the packed map translates them
+   all. *)
+let harvest (fl : Flat.t) pmap =
+  let n = ref 0 in
+  for slot = 0 to Flat.n_instrs fl - 1 do
+    if Flat.Tag.is_copy (Flat.tag fl slot) then incr n
   done;
-  !acc
+  let copies = Array.make (2 * !n) 0 in
+  let c = ref 0 in
+  for slot = 0 to Flat.n_instrs fl - 1 do
+    if Flat.Tag.is_copy (Flat.tag fl slot) then begin
+      copies.(!c) <- pmap.(Flat.dst fl slot);
+      copies.(!c + 1) <- pmap.(Flat.src fl slot 0);
+      c := !c + 2
+    end
+  done;
+  copies
+
+(* The split pairs as node pairs of [g], in list order, [-1] for a
+   register that is not a node: spill code can take a pair's register
+   out of a later round's arena. *)
+let split_nodes (ctx : Context.t) g =
+  match ctx.Context.split_nodes with
+  | Some sp -> sp
+  | None ->
+      let pmap = Interference.packed_map g in
+      let node r =
+        let p = Reg.hash r in
+        if p < Array.length pmap then pmap.(p) else -1
+      in
+      let sp = Array.make (2 * List.length ctx.Context.split_pairs) (-1) in
+      List.iteri
+        (fun c (a, b) ->
+          sp.(2 * c) <- node a;
+          sp.((2 * c) + 1) <- node b)
+        ctx.Context.split_pairs;
+      ctx.Context.split_nodes <- Some sp;
+      sp
+
+(* Back to registers, once per round, after the last sweep: each node
+   to its representative's register, in list order, a pair whose two
+   sides became one live range dropped. *)
+let restore_split_pairs (ctx : Context.t) g =
+  match ctx.Context.split_nodes with
+  | None -> ()
+  | Some sp ->
+      ctx.Context.split_nodes <- None;
+      let name r i =
+        if i < 0 then r else Interference.reg g (Interference.find g i)
+      in
+      let rec go c = function
+        | [] -> []
+        | (a, b) :: rest ->
+            let a = name a sp.(2 * c) and b = name b sp.((2 * c) + 1) in
+            if Reg.equal a b then go (c + 1) rest else (a, b) :: go (c + 1) rest
+      in
+      ctx.Context.split_pairs <- go 0 ctx.Context.split_pairs
+
+(* Briggs' conservative test.  The graph is maintained in place after
+   every merge, so — unlike the rebuild-between-sweeps scheme — the
+   degrees consulted here are always current and several conservative
+   merges per sweep are sound.  One scan over both neighbor vectors
+   counts the union's significant members, deduplicated by
+   epoch-stamped marks, and stops at the [k]th: the merge is denied
+   then, whatever the rest of the union holds. *)
+let briggs_ok (ctx : Context.t) g di si =
+  Context.count ctx Stats.Briggs_tests 1;
+  let kk = ctx.Context.k (Reg.cls (Interference.reg g di)) in
+  let marks, e = Context.fresh_marks ctx (Interference.n_nodes g) in
+  let significant = ref 0 in
+  let enough nb =
+    nb <> di && nb <> si && marks.(nb) <> e
+    && Interference.significant g nb
+    && begin
+         marks.(nb) <- e;
+         incr significant;
+         !significant >= kk
+       end
+  in
+  let ok =
+    kk > 0
+    && not
+         (Interference.exists_neighbor enough g di
+         || Interference.exists_neighbor enough g si)
+  in
+  if not ok then Context.count ctx Stats.Briggs_denied 1;
+  ok
 
 let pass phase (ctx : Context.t) =
   let g = Context.graph ctx in
   Context.time ctx Stats.Coalesce (fun () ->
       Context.count ctx Stats.Coalesce_sweeps 1;
-      let worklist =
+      let copies =
         match ctx.Context.copies with
-        | Some l -> l
+        | Some a -> a
         | None ->
-            let l = harvest ctx.Context.flat in
-            ctx.Context.copies <- Some l;
-            l
+            let a = harvest ctx.Context.flat (Interference.packed_map g) in
+            ctx.Context.copies <- Some a;
+            a
       in
       (* Canonicalize every entry through [find] before the first merge
-         of this sweep: the names the copy would carry had the routine
-         been renamed after every earlier sweep.  The split-pair test
-         below must see those names, not the ones mid-sweep merges
-         would give it. *)
-      let entries =
-        List.map
-          (fun ((d0, s0) as e) ->
-            match
-              (Interference.index_opt g d0, Interference.index_opt g s0)
-            with
-            | Some di, Some si ->
-                ( Interference.reg g (Interference.find g di),
-                  Interference.reg g (Interference.find g si) )
-            | _ -> e)
-          worklist
-      in
+         of this sweep: the live ranges the copy would join had the
+         routine been renamed after every earlier sweep.  The split-pair
+         test below must see those, not the ones mid-sweep merges would
+         give it. *)
+      for e = 0 to Array.length copies - 1 do
+        copies.(e) <- Interference.find g copies.(e)
+      done;
+      let n = Interference.n_nodes g in
+      let key a b = if a < b then (a * n) + b else (b * n) + a in
       let split_set = Hashtbl.create 16 in
-      List.iter
-        (fun (a, b) -> Hashtbl.replace split_set (norm_pair a b) ())
-        ctx.Context.split_pairs;
-      let is_split d s = Hashtbl.mem split_set (norm_pair d s) in
-      (* Briggs' conservative test.  The graph is maintained in place
-         after every merge, so — unlike the rebuild-between-sweeps
-         scheme — the degrees consulted here are always current and
-         several conservative merges per sweep are sound.
-
-         Fast path: the union of the two neighbor sets has at most
-         sig_neighbors(di) + sig_neighbors(si) significant members
-         (di ∉ adj(si) here, so neither count includes the other node),
-         and when even that bound is below k the merge is safe without
-         touching adjacency.  Otherwise one pass over both vectors
-         counts the union exactly, deduplicated by epoch-stamped marks
-         instead of sort_uniq on freshly allocated lists. *)
-      let briggs_ok di si =
-        Context.count ctx Stats.Briggs_tests 1;
-        let kk = ctx.Context.k (Reg.cls (Interference.reg g di)) in
-        let ok =
-          Interference.sig_neighbors g di + Interference.sig_neighbors g si
-          < kk
-          ||
-          let marks, e = Context.fresh_marks ctx (Interference.n_nodes g) in
-          let significant = ref 0 in
-          let visit nb =
-            if
-              nb <> di && nb <> si && marks.(nb) <> e
-              && Interference.significant g nb
-            then begin
-              marks.(nb) <- e;
-              incr significant
-            end
-          in
-          Interference.iter_neighbors visit g di;
-          Interference.iter_neighbors visit g si;
-          !significant < kk
-        in
-        if not ok then Context.count ctx Stats.Briggs_denied 1;
-        ok
-      in
+      let sp = split_nodes ctx g in
+      for c = 0 to (Array.length sp / 2) - 1 do
+        let a = sp.(2 * c) and b = sp.((2 * c) + 1) in
+        if a >= 0 && b >= 0 then
+          Hashtbl.replace split_set
+            (key (Interference.find g a) (Interference.find g b))
+            ()
+      done;
+      let is_split d s = Hashtbl.mem split_set (key d s) in
       let coalesced = ref 0 in
       let interfering = ref 0 in
-      let survivors = ref [] in
-      List.iter
-        (fun ((d, s) as e) ->
-          match (Interference.index_opt g d, Interference.index_opt g s) with
-          | Some d0, Some s0 ->
-              let di = Interference.find g d0
-              and si = Interference.find g s0 in
-              if di = si then ()
-                (* became an identity copy: [rewrite] deletes it *)
-              else if Interference.interfere g di si then
-                (* interference between representatives only grows under
-                   merging, so this copy can never be coalesced: retire
-                   it from the worklist for good *)
-                incr interfering
-              else begin
-                let ok =
-                  match phase with
-                  | Unrestricted -> not (is_split d s)
-                  | Conservative -> is_split d s && briggs_ok di si
-                in
-                if ok then begin
-                  merge_into ctx g ~keep:di ~drop:si;
-                  incr coalesced
-                end
-                else survivors := e :: !survivors
-              end
-          | _ ->
-              (* not nodes: cannot happen for renumbered code *)
-              survivors := e :: !survivors)
-        entries;
-      ctx.Context.copies <- Some (List.rev !survivors);
+      (* Survivors are compacted to the front of [copies] in place: the
+         write position never passes the read position. *)
+      let kept = ref 0 in
+      for c = 0 to (Array.length copies / 2) - 1 do
+        let d = copies.(2 * c) and s = copies.((2 * c) + 1) in
+        let di = Interference.find g d and si = Interference.find g s in
+        if di = si then ()
+          (* became an identity copy: [rewrite] deletes it *)
+        else if Interference.interfere g di si then
+          (* interference between representatives only grows under
+             merging, so this copy can never be coalesced: retire it
+             from the worklist for good *)
+          incr interfering
+        else begin
+          let ok =
+            match phase with
+            | Unrestricted -> not (is_split d s)
+            | Conservative -> is_split d s && briggs_ok ctx g di si
+          in
+          if ok then begin
+            merge_into ctx g ~keep:di ~drop:si;
+            incr coalesced
+          end
+          else begin
+            copies.(2 * !kept) <- d;
+            copies.((2 * !kept) + 1) <- s;
+            incr kept
+          end
+        end
+      done;
+      if 2 * !kept < Array.length copies then
+        ctx.Context.copies <- Some (Array.sub copies 0 (2 * !kept));
       Context.count ctx Stats.Interfering_copies !interfering;
       if !coalesced = 0 then { changed = false; coalesced = 0 }
       else begin
-        let rename r =
-          match Interference.index_opt g r with
-          | None -> r
-          | Some i -> Interference.reg g (Interference.find g i)
-        in
-        ctx.Context.split_pairs <-
-          List.filter_map
-            (fun (a, b) ->
-              let a = rename a and b = rename b in
-              if Reg.equal a b then None else Some (a, b))
-            ctx.Context.split_pairs;
         ctx.Context.coalesced <- ctx.Context.coalesced + !coalesced;
         Context.count ctx Stats.Coalesced_copies !coalesced;
         { changed = true; coalesced = !coalesced }
@@ -175,8 +199,10 @@ let rename g id fl =
 let rewrite (ctx : Context.t) =
   let g = Context.graph ctx in
   Context.time ctx Stats.Coalesce (fun () ->
+      restore_split_pairs ctx g;
       ctx.Context.flat <-
         rename g (fun i -> Reg.id (Interference.reg g i)) ctx.Context.flat);
-  (* The graph was maintained merge by merge; only liveness is now
-     stale (merged ranges, renamed registers). *)
+  (* The graph was maintained merge by merge; only the liveness rows
+     are now stale (merged ranges, renamed registers).  Nothing later in
+     the round reads them, so they are dropped, not recomputed. *)
   Context.invalidate_liveness ctx

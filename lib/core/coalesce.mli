@@ -27,24 +27,36 @@ type outcome = {
 
 val pass : phase -> Context.t -> outcome
 (** One sweep over the copy {e worklist}.  The worklist is harvested
-    from the routine once per spill round (cached on the context;
-    dropped by {!Context.invalidate}) instead of re-scanning every block
-    each sweep, and it only shrinks: a copy leaves it when it is merged,
-    becomes an identity, or its live ranges are found to interfere —
-    interference between representatives only grows under merging, so
-    such a copy can never become coalescable again.  Entry registers are
-    canonicalized through {!Interference.find} at sweep start: the names
-    the copy would carry had the text been renamed after every earlier
-    sweep.
+    from the routine once per spill round, as node pairs of the round's
+    graph (cached on the context; dropped by {!Context.invalidate})
+    instead of re-scanning every block each sweep, and it only shrinks:
+    a copy leaves it when it is merged, becomes an identity, or its live
+    ranges are found to interfere — interference between
+    representatives only grows under merging, so such a copy can never
+    become coalescable again.  Entries are canonicalized through
+    {!Interference.find} at sweep start: the live ranges the copy would
+    name had the text been renamed after every earlier sweep.  The split
+    pairs are read as node pairs too ([Context.split_nodes], made by the
+    round's first sweep), so a sweep hashes no register.
 
-    Mutates the context's graph, tag table, infinite-cost table and
-    split pairs (not its arena), and records [Coalesce] time plus
-    sweep/merge/Briggs counters in the context's stats. *)
+    Briggs' test counts the significant neighbors of the would-be
+    merged node in one scan of both adjacency vectors and stops at the
+    [k]th, which decides a denial.
+
+    Mutates the context's graph, tag table, infinite-cost table, copy
+    worklist and split pairs' node form (not its arena, nor
+    [split_pairs] itself: {!rewrite} updates those), and records
+    [Coalesce] time plus sweep/merge/Briggs counters in the context's
+    stats. *)
 
 val rewrite : Context.t -> unit
-(** After sweeps that merged: {!rename} the context's arena to live-range
-    representatives (identity copies drop out) and invalidate liveness.
-    Timed as [Coalesce]. *)
+(** After the round's last sweep, when some sweep merged: turn the
+    split pairs' node form back into [Context.split_pairs] (each node to
+    its representative's register, in list order, pairs whose sides
+    became one live range dropped), {!rename} the context's arena to
+    live-range representatives (identity copies drop out) and drop the
+    liveness rows, which nothing later in the round reads.  Timed as
+    [Coalesce]. *)
 
 val rename : Interference.t -> (int -> int) -> Iloc.Flat.t -> Iloc.Flat.t
 (** [rename g id fl]: {!Iloc.Flat.rename} taking each register of node

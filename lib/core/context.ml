@@ -15,7 +15,8 @@ type t = {
   mutable boundary : Dataflow.Liveness.Boundary.t option;
   mutable lr_index : Dataflow.Reg_index.t option;
   mutable graph : Interference.t option;
-  mutable copies : (Reg.t * Reg.t) list option;
+  mutable copies : int array option;
+  mutable split_nodes : int array option;
   mutable flat : Iloc.Flat.t;
   mutable mark : int array;
   mutable mark_epoch : int;
@@ -44,6 +45,7 @@ let create ~mode ~machine ~loops ~tags ~split_pairs ~stats flat =
     lr_index = None;
     graph = None;
     copies = None;
+    split_nodes = None;
     flat;
     mark = [||];
     mark_epoch = 0;
@@ -133,6 +135,7 @@ let invalidate t =
   t.graph <- None;
   t.order <- None;
   t.copies <- None;
+  t.split_nodes <- None;
   t.lr_index <- None
 
 (* Epoch-stamped scratch: "clearing" is an epoch bump, so phases that

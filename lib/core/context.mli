@@ -20,6 +20,9 @@
     coalescing calls {!invalidate_liveness} (the graph it maintains
     itself; the block order survives, since no phase adds or removes
     blocks); spill-code insertion calls {!invalidate} (every cache).
+    Nothing after coalescing reads liveness — spill costs decide which
+    ranges cross a block boundary from their own arena sweep — so a
+    cold spill round computes {!boundary} once, for its build.
 
     Rebuilds also recycle storage through one {!Interference.scratch}:
     the previous round's emission buffer (one word per candidate pair)
@@ -51,10 +54,17 @@ type t = {
           arena ([Dataflow.Reg_index.of_flat]): the graph build and its
           consumers size every per-node structure by its count *)
   mutable graph : Interference.t option;  (** cache; kept current *)
-  mutable copies : (Iloc.Reg.t * Iloc.Reg.t) list option;
-      (** coalescing's copy worklist, harvested from the arena once per
-          spill round; dropped by {!invalidate} (spill code can
-          introduce new copies) *)
+  mutable copies : int array option;
+      (** coalescing's copy worklist as node pairs of the round's graph,
+          flattened (entry [2c] is copy [c]'s destination node, [2c+1]
+          its source), harvested from the arena once per spill round;
+          dropped by {!invalidate} (spill code can introduce new
+          copies) *)
+  mutable split_nodes : int array option;
+      (** [split_pairs] as node pairs of the round's graph, flattened
+          the same way and in the same order, [-1] for a register that
+          is not a node; made by the round's first coalescing sweep,
+          turned back into [split_pairs] after its last *)
   mutable flat : Iloc.Flat.t;  (** the routine under allocation *)
   mutable mark : int array;  (** see {!fresh_marks} *)
   mutable mark_epoch : int;
@@ -82,6 +92,10 @@ val count : t -> Stats.counter -> int -> unit
 
 val flat : t -> Iloc.Flat.t
 
+val block_order : t -> int array
+(** Cached {!Dataflow.Order.postorder_flat} of the arena: the blocks
+    reachable from the entry, the only ones {!boundary} solves over. *)
+
 val boundary : t -> Dataflow.Liveness.Boundary.t
 (** Cached global liveness of the arena, as
     {!Dataflow.Liveness.Boundary.compute} — rows |U| bits wide instead
@@ -96,10 +110,13 @@ val graph : t -> Interference.t
 
 val invalidate_liveness : t -> unit
 (** The arena was renamed in a way the graph tracks incrementally but
-    liveness does not (coalescing).  The block order stays valid. *)
+    liveness does not (coalescing): the boundary rows and the
+    live-range numbering drop, and are not recomputed until a phase
+    asks for them.  The block order stays valid. *)
 
 val invalidate : t -> unit
-(** The arena was replaced by spill code: every cache drops. *)
+(** The arena was replaced by spill code: every cache drops, the copy
+    worklist and the split pairs' node form included. *)
 
 val fresh_marks : t -> int -> (int array * int)
 (** [fresh_marks t n] returns a scratch array of length ≥ [n] together

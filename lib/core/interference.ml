@@ -24,7 +24,6 @@ type t = {
   alive : bool array;
   forward : int array;
   thresh : int array;
-  sig_nb : int array;
   mutable stamp : int array;  (* [merge]'s epoch marks; never shared *)
   mutable epoch : int;
   mutable n_edges : int;
@@ -46,7 +45,6 @@ let copy t =
     alive = Array.copy t.alive;
     forward = Array.copy t.forward;
     thresh = Array.copy t.thresh;
-    sig_nb = Array.copy t.sig_nb;
     stamp = [||];
     epoch = 0;
   }
@@ -63,6 +61,7 @@ let interfere t i j =
 let packed_map t = t.pmap
 let neighbors t i = Int_vec.to_list t.adj.(i)
 let iter_neighbors f t i = Int_vec.iter f t.adj.(i)
+let exists_neighbor f t i = Int_vec.exists f t.adj.(i)
 let fold_neighbors f t i init = Int_vec.fold f t.adj.(i) init
 let degree t i = t.degree.(i)
 let reg t i = Reg_index.reg t.regs i
@@ -73,7 +72,6 @@ let n_edges t = t.n_edges
 let alive t i = t.alive.(i)
 let n_alive t = t.n_alive
 let significant t i = t.degree.(i) >= t.thresh.(i)
-let sig_neighbors t i = t.sig_nb.(i)
 
 let rec find t i =
   if t.alive.(i) then i
@@ -87,31 +85,13 @@ let rec find t i =
 (* Insert an edge known to be absent.  Adjacency vectors stay
    deduplicated — every caller checks membership first — so [degree] is
    always the vector's length and [n_edges] can be maintained as a
-   counter instead of a fold over degrees.
-
-   [sig_nb] is kept exact under every mutation: inserting or deleting an
-   edge adjusts the two endpoints for each other's significance, and an
-   endpoint whose own degree change moved it across its threshold
-   propagates the flip to its (other) current neighbors.  Degrees move
-   by one per edge operation, so at most one flip per endpoint per
-   operation. *)
+   counter instead of a fold over degrees. *)
 let push_edge t i j =
-  let was_i = significant t i and was_j = significant t j in
   Int_vec.push t.adj.(i) j;
   Int_vec.push t.adj.(j) i;
   t.degree.(i) <- t.degree.(i) + 1;
   t.degree.(j) <- t.degree.(j) + 1;
-  t.n_edges <- t.n_edges + 1;
-  if (not was_i) && significant t i then
-    Int_vec.iter
-      (fun x -> if x <> j then t.sig_nb.(x) <- t.sig_nb.(x) + 1)
-      t.adj.(i);
-  if (not was_j) && significant t j then
-    Int_vec.iter
-      (fun x -> if x <> i then t.sig_nb.(x) <- t.sig_nb.(x) + 1)
-      t.adj.(j);
-  if significant t j then t.sig_nb.(i) <- t.sig_nb.(i) + 1;
-  if significant t i then t.sig_nb.(j) <- t.sig_nb.(j) + 1
+  t.n_edges <- t.n_edges + 1
 
 let add_edge t i j = if i <> j && not (interfere t i j) then push_edge t i j
 
@@ -136,25 +116,14 @@ let merge t ~keep ~drop =
      [drop]'s vector order and pushed as they come, which is the order
      an edge-set-deduplicated [add_edge] per neighbor would push them.
      [drop]'s own vector is only read here — the loop touches the
-     vectors of [keep] and [x], never [drop]'s.
-
-     [drop]'s degree (hence significance) is frozen during the loop: its
-     pre-merge contribution to each neighbor's significant count is
-     retired edge by edge, and flips are only processed for the
-     surviving side, so [sig_nb] is exact for every alive node when the
-     loop ends. *)
+     vectors of [keep] and [x], never [drop]'s. *)
   let e = stamp_neighbors t keep in
   let stamp = t.stamp in
-  let drop_was_sig = significant t drop in
   Int_vec.iter
     (fun x ->
       Int_vec.remove_value t.adj.(x) drop;
-      let was_x = significant t x in
       t.degree.(x) <- t.degree.(x) - 1;
       t.n_edges <- t.n_edges - 1;
-      if drop_was_sig then t.sig_nb.(x) <- t.sig_nb.(x) - 1;
-      if was_x && not (significant t x) then
-        Int_vec.iter (fun y -> t.sig_nb.(y) <- t.sig_nb.(y) - 1) t.adj.(x);
       if x <> keep && Array.unsafe_get stamp x <> e then begin
         push_edge t keep x;
         t.union_edges <- t.union_edges + 1
@@ -162,7 +131,6 @@ let merge t ~keep ~drop =
     t.adj.(drop);
   Int_vec.clear t.adj.(drop);
   t.degree.(drop) <- 0;
-  t.sig_nb.(drop) <- 0;
   t.alive.(drop) <- false;
   t.forward.(drop) <- keep;
   t.n_alive <- t.n_alive - 1
@@ -180,28 +148,9 @@ let thresholds ?k regs n =
   | None -> Array.make n max_int
 
 (* A graph over [regs] whose adjacency vectors are [adj] (deduplicated,
-   [degree.(i)] long) with [n_edges] edges.  [sig_nb] is read off the
-   vectors: the caller has no significance to maintain while it fills
-   them. *)
+   [degree.(i)] long) with [n_edges] edges. *)
 let of_adjacency ?k regs pmap adj degree n_edges =
   let n = Array.length adj in
-  let thresh = thresholds ?k regs n in
-  let sig_nb = Array.make n 0 in
-  (match k with
-  | None -> ()  (* thresholds are max_int: no node is ever significant *)
-  | Some _ ->
-      let s = Bytes.make (max n 1) '\000' in
-      for i = 0 to n - 1 do
-        if Array.unsafe_get degree i >= Array.unsafe_get thresh i then
-          Bytes.unsafe_set s i '\001'
-      done;
-      for i = 0 to n - 1 do
-        Array.unsafe_set sig_nb i
-          (Int_vec.fold
-             (fun x acc ->
-               if Bytes.unsafe_get s x <> '\000' then acc + 1 else acc)
-             (Array.unsafe_get adj i) 0)
-      done);
   {
     regs;
     pmap;
@@ -210,8 +159,7 @@ let of_adjacency ?k regs pmap adj degree n_edges =
     degree;
     alive = Array.make n true;
     forward = Array.init n (fun i -> i);
-    thresh;
-    sig_nb;
+    thresh = thresholds ?k regs n;
     stamp = [||];
     epoch = 0;
     n_edges;
@@ -251,8 +199,7 @@ let of_edges ?k n edges =
    appends each pair to both of its endpoints' arrays, and each array is
    deduplicated in place — keeping the first occurrence of every
    neighbor, via a per-node stamp — and adopted as the node's adjacency
-   vector, with the duplicates' slots left as spare capacity.  The
-   significant-neighbor counts are then read off the vectors.
+   vector, with the duplicates' slots left as spare capacity.
 
    Ordering argument: both builds visit definitions in the same order
    and, within one definition, candidates in ascending node index

@@ -116,6 +116,12 @@ val neighbors : t -> int -> int list
     paths.  Neighbor order is unspecified (vectors use swap-removal). *)
 
 val iter_neighbors : (int -> unit) -> t -> int -> unit
+
+val exists_neighbor : (int -> bool) -> t -> int -> bool
+(** Visits the node's neighbors in vector order until [f] accepts one:
+    a scan that can stop early, as Briggs' test does once it has seen
+    [k] significant neighbors. *)
+
 val fold_neighbors : (int -> 'a -> 'a) -> t -> int -> 'a -> 'a
 val degree : t -> int -> int
 val reg : t -> int -> Iloc.Reg.t
@@ -132,14 +138,9 @@ val n_alive : t -> int
 val significant : t -> int -> bool
 (** [degree ≥ k] for the node's class — the Briggs criterion's notion of
     a constrained node.  Always [false] when the graph was built without
-    [?k]. *)
-
-val sig_neighbors : t -> int -> int
-(** Number of {e currently significant} neighbors, maintained
-    incrementally (exactly) by {!add_edge} and {!merge}.
-    The conservative-coalescing fast path reads this instead of scanning
-    adjacency: the union of two neighbor sets has at most
-    [sig_neighbors a + sig_neighbors b] significant members. *)
+    [?k].  Read off the current degree; no per-node count of significant
+    neighbors is kept, since only Briggs' test would read one and its
+    early-exit scan needs none. *)
 
 val find : t -> int -> int
 (** Current representative of a node: itself while alive, else the node

@@ -8,7 +8,9 @@ let run (g : Interference.t) ~k ~costs =
      the start and never push them. *)
   let removed = Array.init n (fun i -> not (Interference.alive g i)) in
   let queued = Array.make n false in
-  let k_of i = k (Reg.cls (Interference.reg g i)) in
+  (* Each node's color count, read once: [remove] consults it on every
+     neighbor visit. *)
+  let k_of = Array.init n (fun i -> k (Reg.cls (Interference.reg g i))) in
   let trivial = Queue.create () in
   (* Constrained nodes go into a lazy min-heap keyed exactly like the
      former whole-graph rescan's preference — cost/degree ascending,
@@ -28,7 +30,7 @@ let run (g : Interference.t) ~k ~costs =
   let heap = Worklist.Heap.create ~cap:n () in
   for i = 0 to n - 1 do
     if not removed.(i) then
-      if deg.(i) < k_of i then begin
+      if deg.(i) < k_of.(i) then begin
         Queue.add i trivial;
         queued.(i) <- true
       end
@@ -44,7 +46,7 @@ let run (g : Interference.t) ~k ~costs =
       (fun nb ->
         if not removed.(nb) then begin
           deg.(nb) <- deg.(nb) - 1;
-          if deg.(nb) < k_of nb && not queued.(nb) then begin
+          if deg.(nb) < k_of.(nb) && not queued.(nb) then begin
             Queue.add nb trivial;
             queued.(nb) <- true
           end

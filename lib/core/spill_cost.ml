@@ -5,14 +5,10 @@ let load_store_cycles = 2
 let remat_cycles = 1
 
 let compute (fl : Flat.t) (loops : Dataflow.Loops.t) (g : Interference.t)
-    ~(live_in_iter : int -> (Reg.t -> unit) -> unit) ~tags ~infinite =
+    ~order ~tags ~infinite =
   let n = Interference.n_nodes g in
   let costs = Array.make n 0. in
   let pmap = Interference.packed_map g in
-  let node r =
-    let h = Reg.hash r in
-    if h < Array.length pmap then pmap.(h) else -1
-  in
   let inst = Bytes.make n '\000' in
   for i = 0 to n - 1 do
     match Reg.Tbl.find_opt tags (Interference.reg g i) with
@@ -22,15 +18,27 @@ let compute (fl : Flat.t) (loops : Dataflow.Loops.t) (g : Interference.t)
   (* Futile-spill guard: find ranges confined to a two-instruction window
      of a single block.  Spilling one would keep a register occupied at
      every occurrence anyway, so it cannot relieve pressure.  Positions
-     count from the block's first slot, terminator included. *)
+     count from the block's first slot, terminator included.
+
+     A range crosses a block boundary when it occurs in two blocks, or
+     when it is live into its one block: its first occurrence there is
+     a use (sources are read before the destination is written) and
+     liveness reaches the block.  Boundary liveness solves over the
+     blocks of [order] only, so an unreachable block's live-in set is
+     empty, and a range of one block is live into no other.  [opening]
+     records each range's first occurrence in the sweep: ['\001'] a
+     definition, ['\002'] a use — for a range of one block, the first in
+     that block. *)
   let first_pos = Array.make n max_int and last_pos = Array.make n min_int in
   let home_block = Array.make n (-2) in
   let crosses = Array.make n false in
+  let opening = Bytes.make n '\000' in
   let code = fl.Flat.code in
   let remat = float_of_int remat_cycles
   and load_store = float_of_int load_store_cycles in
   let use w p =
     let ui = pmap.(p) in
+    if Bytes.get opening ui = '\000' then Bytes.set opening ui '\002';
     let per_use =
       if Bytes.get inst ui <> '\000' then remat else load_store
     in
@@ -64,16 +72,20 @@ let compute (fl : Flat.t) (loops : Dataflow.Loops.t) (g : Interference.t)
       let d = code.(o + Flat.f_dst) in
       if d >= 0 then begin
         let di = pmap.(d) in
+        if Bytes.get opening di = '\000' then Bytes.set opening di '\001';
         (* Rematerializable values are never stored (§3.2). *)
         if Bytes.get inst di = '\000' then
           costs.(di) <- costs.(di) +. (load_store *. w)
       end
     done
   done;
-  for b = 0 to Flat.n_blocks fl - 1 do
-    live_in_iter b (fun r ->
-        let ri = node r in
-        if ri >= 0 then crosses.(ri) <- true)
+  let reachable = Bytes.make (Flat.n_blocks fl) '\000' in
+  Array.iter (fun b -> Bytes.set reachable b '\001') order;
+  for ri = 0 to n - 1 do
+    if
+      Bytes.get opening ri = '\002'
+      && Bytes.get reachable home_block.(ri) <> '\000'
+    then crosses.(ri) <- true
   done;
   let tiny ri =
     (not crosses.(ri))
@@ -88,18 +100,9 @@ let compute (fl : Flat.t) (loops : Dataflow.Loops.t) (g : Interference.t)
 
 let phase (ctx : Context.t) =
   let g = Context.graph ctx in
-  (* Fetched after coalescing: the context recomputes liveness when the
-     coalescer invalidated it, so crossing-block detection sees the
-     merged live ranges.  Crossing only asks for set membership, so the
-     |U|-compressed boundary rows answer it exactly. *)
-  let bl = Context.boundary ctx in
-  let fl = Context.flat ctx in
-  let uindex = bl.Dataflow.Liveness.Boundary.uindex in
-  let live_in_iter b f =
-    Dataflow.Bitset.iter
-      (fun u -> f (Dataflow.Reg_index.reg uindex u))
-      bl.Dataflow.Liveness.Boundary.live_in.(b)
-  in
+  (* The arena is the coalesced routine; the block order survives
+     coalescing, which adds and removes no blocks or edges. *)
+  let order = Context.block_order ctx in
   Context.time ctx Stats.Costs (fun () ->
-      compute fl ctx.Context.loops g ~live_in_iter ~tags:ctx.Context.tags
-        ~infinite:ctx.Context.infinite)
+      compute (Context.flat ctx) ctx.Context.loops g ~order
+        ~tags:ctx.Context.tags ~infinite:ctx.Context.infinite)

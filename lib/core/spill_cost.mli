@@ -15,28 +15,32 @@ val compute :
   Iloc.Flat.t ->
   Dataflow.Loops.t ->
   Interference.t ->
-  live_in_iter:(int -> (Iloc.Reg.t -> unit) -> unit) ->
+  order:int array ->
   tags:Tag.t Iloc.Reg.Tbl.t ->
   infinite:unit Iloc.Reg.Tbl.t ->
   float array
 (** Cost per interference-graph node, read off the arena encoding of the
     routine the graph describes: one sweep in block then slot order,
     with node indices through {!Dataflow.Reg_index.packed_map} and the
-    tags resolved once per node.  [live_in_iter b f] must apply [f]
-    to every register in block [b]'s live-in set (any order; it only
-    feeds crossing-block detection) — dense liveness rows or the
-    |U|-compressed boundary rows both qualify.  Two kinds of live range
-    are marked [infinity]: spill temporaries from earlier rounds (the
-    [infinite] table), and {e tiny} ranges — confined to one block with
-    all occurrences within two instructions of each other — whose
-    spilling would insert a load or store adjacent to every occurrence
-    without shortening the range (Chaitin's classic futile-spill
-    guard). *)
+    tags resolved once per node.  Two kinds of live range are marked
+    [infinity]: spill temporaries from earlier rounds (the [infinite]
+    table), and {e tiny} ranges — confined to one block with all
+    occurrences within two instructions of each other — whose spilling
+    would insert a load or store adjacent to every occurrence without
+    shortening the range (Chaitin's classic futile-spill guard).
+
+    A range is confined to its block when it occurs in no other block
+    and is not live into it.  The sweep decides both, with no liveness
+    run: the range is live into its one block exactly when its first
+    occurrence there is a use and the block is in [order], the arena's
+    {!Dataflow.Order.postorder_flat} — boundary liveness solves over
+    those blocks only, so an unreachable block's live-in set is
+    empty. *)
 
 val phase : Context.t -> float array
-(** {!compute} on the context's arena, graph and (fresh) boundary
-    liveness, timed as [Costs].  The arena is the coalesced routine:
-    coalescing renamed it before the fetch. *)
+(** {!compute} on the context's arena, graph and block order, timed as
+    [Costs].  The arena is the coalesced routine: coalescing renamed it
+    before the call. *)
 
 val load_store_cycles : int
 (** Cycles charged per inserted load or store (2, matching §5.1). *)

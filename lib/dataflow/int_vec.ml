@@ -52,6 +52,11 @@ let iter f t =
     f (Array.unsafe_get t.data i)
   done
 
+let exists f t =
+  let data = t.data and len = t.len in
+  let rec go i = i < len && (f (Array.unsafe_get data i) || go (i + 1)) in
+  go 0
+
 let fold f t init =
   let acc = ref init in
   iter (fun x -> acc := f x !acc) t;

@@ -41,4 +41,8 @@ val copy : t -> t
 
 val iter : (int -> unit) -> t -> unit
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
+
+val exists : (int -> bool) -> t -> bool
+(** In vector order, stopping at the first element [f] accepts. *)
+
 val to_list : t -> int list

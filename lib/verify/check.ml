@@ -293,24 +293,34 @@ let check_block ctx st (ib : Block.t) (ob : Block.t) =
 (* ------------------------------------------------------------------ *)
 (* Whole-routine checks.                                               *)
 
+(* Reads each instruction's destination and sources where they stand:
+   no instruction, definition or use lists are built. *)
 let check_over_k ~k_int ~k_float ~name errs (output : Cfg.t) =
   let k_of r = match Reg.cls r with Reg.Int -> k_int | Reg.Float -> k_float in
+  let check label index (i : Instr.t) r =
+    if Reg.id r >= k_of r then
+      errs :=
+        Error.instr_err name ~label ~index Error.Over_k
+          (Printf.sprintf
+             "`%s` mentions %s, beyond the %d available %s registers"
+             (Instr.to_string i) (Reg.to_string r) (k_of r)
+             (Reg.cls_to_string (Reg.cls r)))
+        :: !errs
+  in
   Cfg.iter_blocks
     (fun b ->
-      List.iteri
-        (fun index (i : Instr.t) ->
-          let bad r =
-            errs :=
-              Error.instr_err name ~label:b.Block.label ~index Error.Over_k
-                (Printf.sprintf
-                   "`%s` mentions %s, beyond the %d available %s registers"
-                   (Instr.to_string i) (Reg.to_string r) (k_of r)
-                   (Reg.cls_to_string (Reg.cls r)))
-              :: !errs
-          in
-          List.iter (fun r -> if Reg.id r >= k_of r then bad r) (Instr.defs i);
-          List.iter (fun r -> if Reg.id r >= k_of r then bad r) (Instr.uses i))
-        (Block.instrs b))
+      let label = b.Block.label in
+      let index = ref 0 in
+      Block.iter_instrs
+        (fun (i : Instr.t) ->
+          (match i.Instr.dst with
+          | Some r -> check label !index i r
+          | None -> ());
+          for s = 0 to Array.length i.Instr.srcs - 1 do
+            check label !index i i.Instr.srcs.(s)
+          done;
+          incr index)
+        b)
     output
 
 (* Gate probes, precise: an unsupported rejection names the first

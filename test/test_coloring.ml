@@ -1,5 +1,5 @@
 (* The coloring-core rewrite (worklist simplify, epoch-scratch select,
-   worklist coalescing, incremental significant-degree counts) against
+   worklist coalescing, early-exit Briggs tests) against
    the retained pre-optimization code in [Reference]: on random routines
    the two must produce byte-identical results — same simplify stack,
    same colors and spill set, same coalesced routine.  Plus directed
@@ -45,8 +45,10 @@ let partners_of ctx g =
     ctx.Remat.Context.split_pairs;
   partners
 
-(* Recompute every node's significant-neighbor count from scratch and
-   compare with the incrementally maintained one. *)
+(* Count every node's significant neighbors from their degrees and the
+   class's [k], and compare with the count read through the graph's own
+   [significant]: its thresholds must follow the degrees through builds
+   and merges, or Briggs' test would count the wrong neighbors. *)
 let check_sig_counts what ~k g =
   for i = 0 to Interference.n_nodes g - 1 do
     if Interference.alive g i then begin
@@ -59,10 +61,10 @@ let check_sig_counts what ~k g =
             else acc)
           g i 0
       in
-      if expect <> Interference.sig_neighbors g i then
+      if expect <> Testutil.sig_neighbors g i then
         QCheck.Test.fail_reportf "%s: node %d: sig_neighbors %d, expected %d"
           what i
-          (Interference.sig_neighbors g i)
+          (Testutil.sig_neighbors g i)
           expect
     end
   done
@@ -291,7 +293,8 @@ let simplify_tests =
           stack);
   ]
 
-(* --- directed: significant-degree counts under mutation --- *)
+(* --- directed: significance under mutation (counts derived from
+   adjacency; the graph keeps none) --- *)
 
 let sig_tests =
   [
@@ -299,7 +302,7 @@ let sig_tests =
         let k = const_k 2 in
         let g = Interference.of_edges ~k 4 [ (0, 1) ] in
         check int "no significant neighbors yet" 0
-          (Interference.sig_neighbors g 0);
+          (Testutil.sig_neighbors g 0);
         (* Raise node 1 to degree 2 = k: node 0 and 2 must see it. *)
         Interference.add_edge g 1 2;
         let expect i =
@@ -312,7 +315,7 @@ let sig_tests =
           check int
             (Printf.sprintf "node %d" i)
             (expect i)
-            (Interference.sig_neighbors g i)
+            (Testutil.sig_neighbors g i)
         done);
     test_case "counts survive merge" `Quick (fun () ->
         let k = const_k 2 in
@@ -332,9 +335,9 @@ let sig_tests =
             check int
               (Printf.sprintf "node %d" i)
               (expect i)
-              (Interference.sig_neighbors g i)
+              (Testutil.sig_neighbors g i)
         done;
-        check int "dropped node cleared" 0 (Interference.sig_neighbors g 2));
+        check int "dropped node cleared" 0 (Testutil.sig_neighbors g 2));
   ]
 
 (* --- directed: stats rows --- *)
@@ -360,7 +363,9 @@ let stats_tests =
 
 (* --- the graph after every round's build–coalesce, pinned --- *)
 
-(* Every node's [alive], [find], [degree], [sig_neighbors] and neighbor
+(* Every node's [alive], [find], [degree], significant-neighbor count
+   ([Testutil.sig_neighbors]: derived since the graph stopped keeping
+   it, with the digest unchanged) and neighbor
    list (in iteration order: simplify's trivial queue and the spill
    victim tie-break both read that order) after each round's
    build–coalesce loop, over the 49 kernels under Briggs and Chaitin on
@@ -423,7 +428,7 @@ let shape_corpus () =
     for i = 0 to Interference.n_nodes g - 1 do
       Printf.bprintf b "%d %b %d %d %d:" i (Interference.alive g i)
         (Interference.find g i) (Interference.degree g i)
-        (Interference.sig_neighbors g i);
+        (Testutil.sig_neighbors g i);
       List.iter (Printf.bprintf b " %d") (Interference.neighbors g i);
       Buffer.add_char b '\n'
     done
@@ -464,7 +469,12 @@ let shape_tests =
         let on_round key ctx =
           incr rounds;
           let g = Remat.Context.graph ctx in
-          let bl = Remat.Context.boundary ctx in
+          (* Real liveness of the coalesced arena, computed here: the
+             production phase decides which ranges cross a block from
+             its own sweep. *)
+          let bl =
+            Dataflow.Liveness.Boundary.compute (Remat.Context.flat ctx)
+          in
           let uindex = bl.Dataflow.Liveness.Boundary.uindex in
           let live_in_iter b f =
             Dataflow.Bitset.iter

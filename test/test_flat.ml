@@ -351,7 +351,7 @@ let graph_fingerprint g =
     Buffer.add_string buf (Reg.to_string (Remat.Interference.reg g i));
     Buffer.add_char buf ':';
     Buffer.add_string buf
-      (string_of_int (Remat.Interference.sig_neighbors g i));
+      (string_of_int (Testutil.sig_neighbors g i));
     (* Adjacency is compared in vector order: the boundary-fed build must
        insert the same edges in the same sequence, not just the same
        set. *)

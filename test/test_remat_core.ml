@@ -307,7 +307,7 @@ let interference_unit =
         check Alcotest.bool "significant at k" true
           (Remat.Interference.significant g 0);
         check Alcotest.int "sig neighbors" 1
-          (Remat.Interference.sig_neighbors g 0));
+          (Testutil.sig_neighbors g 0));
     tc "simultaneously live values interfere" (fun () ->
         let src =
           "routine x\n\
@@ -458,10 +458,29 @@ let interference_unit =
 
 (* --- spill costs --- *)
 
-let dense_live_in_iter (live : Dataflow.Liveness.t) b f =
-  Dataflow.Bitset.iter
-    (fun li -> f (Dataflow.Reg_index.reg live.Dataflow.Liveness.regs li))
-    live.Dataflow.Liveness.live_in.(b)
+let spill_costs c loops g ~tags ~infinite =
+  let fl = Iloc.Flat.of_routine c in
+  Remat.Spill_cost.compute fl loops g ~order:(Dataflow.Order.postorder_flat fl)
+    ~tags ~infinite
+
+(* [src]'s routine as it stands (no renumbering): its graph, and its
+   spill costs from the arena sweep and from the structured reference
+   walk fed boundary liveness of the same arena. *)
+let costs_and_reference src =
+  let cfg = Iloc.Parser.routine src in
+  let loops = Dataflow.Loops.compute cfg (Dataflow.Dominance.compute cfg) in
+  let g = Reference.Interference.build cfg (Reference.Liveness.compute cfg) in
+  let bl = Dataflow.Liveness.Boundary.compute (Iloc.Flat.of_routine cfg) in
+  let uindex = bl.Dataflow.Liveness.Boundary.uindex in
+  let live_in_iter b f =
+    Dataflow.Bitset.iter
+      (fun u -> f (Dataflow.Reg_index.reg uindex u))
+      bl.Dataflow.Liveness.Boundary.live_in.(b)
+  in
+  let tags = Reg.Tbl.create 1 and infinite = Reg.Tbl.create 1 in
+  ( g,
+    spill_costs cfg loops g ~tags ~infinite,
+    Reference.Spill_cost.compute cfg loops g ~live_in_iter ~tags ~infinite )
 
 let spill_cost_unit =
   [
@@ -474,7 +493,7 @@ let spill_cost_unit =
         let live = Reference.Liveness.compute c in
         let g = Reference.Interference.build c live in
         let costs =
-          Remat.Spill_cost.compute (Iloc.Flat.of_routine c) loops g ~live_in_iter:(dense_live_in_iter live) ~tags:rn.Reference.Renumber.tags
+          spill_costs c loops g ~tags:rn.Reference.Renumber.tags
             ~infinite:(Reg.Tbl.create 1)
         in
         (* the accumulator lives in the loop: cost must include 10x
@@ -504,12 +523,12 @@ let spill_cost_unit =
         let live = Reference.Liveness.compute c in
         let g = Reference.Interference.build c live in
         let briggs_costs =
-          Remat.Spill_cost.compute (Iloc.Flat.of_routine c) loops g ~live_in_iter:(dense_live_in_iter live) ~tags:rn.Reference.Renumber.tags
+          spill_costs c loops g ~tags:rn.Reference.Renumber.tags
             ~infinite:(Reg.Tbl.create 1)
         in
         let bottom_tags = Reg.Tbl.create 8 in
         let no_remat_costs =
-          Remat.Spill_cost.compute (Iloc.Flat.of_routine c) loops g ~live_in_iter:(dense_live_in_iter live) ~tags:bottom_tags
+          spill_costs c loops g ~tags:bottom_tags
             ~infinite:(Reg.Tbl.create 1)
         in
         (* Renumber renames registers, so locate the laddr-tagged live
@@ -537,10 +556,51 @@ let spill_cost_unit =
         let infinite = Reg.Tbl.create 4 in
         Reg.Tbl.replace infinite (Reg.make 1 Reg.Int) ();
         let costs =
-          Remat.Spill_cost.compute (Iloc.Flat.of_routine cfg) loops g ~live_in_iter:(dense_live_in_iter live) ~tags:(Reg.Tbl.create 1) ~infinite
+          spill_costs cfg loops g ~tags:(Reg.Tbl.create 1) ~infinite
         in
         let i1 = Remat.Interference.index g (Reg.make 1 Reg.Int) in
         check Alcotest.bool "infinite" true (costs.(i1) = infinity));
+    tc "a range exposed only in an unreachable block stays tiny" (fun () ->
+        (* r2 is used before it is defined, but only in [dead]: liveness
+           reaches no block it is live into, so it crosses nothing and
+           its two-instruction window makes it tiny. *)
+        let g, costs, expect =
+          costs_and_reference
+            "routine x\n\
+             entry:\n\
+            \  r1 <- ldi 1\n\
+            \  print r1\n\
+            \  ret\n\
+             dead:\n\
+            \  r2 <- addi r2 1\n\
+            \  print r2\n\
+            \  ret\n"
+        in
+        let i2 = Remat.Interference.index g (Reg.make 2 Reg.Int) in
+        check Alcotest.bool "infinite" true (costs.(i2) = infinity);
+        check (Alcotest.array (Alcotest.float 0.)) "= reference" expect costs);
+    tc "a range used before its definition around a back edge crosses"
+      (fun () ->
+        (* r2 occurs only in [loop], within two instructions, but its
+           use reads the value the previous iteration defined: it is
+           live into [loop], so it is not tiny and is charged a use and
+           a store at loop weight 10. *)
+        let g, costs, expect =
+          costs_and_reference
+            "routine x\n\
+             entry:\n\
+            \  r1 <- ldi 1\n\
+            \  jmp loop\n\
+             loop:\n\
+            \  print r2\n\
+            \  r2 <- ldi 5\n\
+            \  cbr r1 loop out\n\
+             out:\n\
+            \  ret\n"
+        in
+        let i2 = Remat.Interference.index g (Reg.make 2 Reg.Int) in
+        check (Alcotest.float 0.) "cost" 40. costs.(i2);
+        check (Alcotest.array (Alcotest.float 0.)) "= reference" expect costs);
   ]
 
 (* --- simplify and select --- *)

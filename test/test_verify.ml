@@ -242,6 +242,47 @@ let hand_tests =
                  (fun (e : Verify.Error.t) ->
                    e.Verify.Error.kind = Verify.Error.Over_k)
                  es));
+    tc "over-k errors: every operand, in instruction order" (fun () ->
+        (* Destinations before sources, a source named twice reported
+           twice, the terminator last: the order and text of the list
+           the checker returns. *)
+        let r8 = Reg.make 8 Reg.Int and r9 = Reg.make 9 Reg.Int in
+        let output =
+          hand_output
+            [
+              Instr.ldi r0 1; Instr.ldi r9 2; Instr.add r8 r9 r9;
+              Instr.print_ r8;
+            ]
+            ~ret:(Some r8)
+        in
+        let machine = Remat.Machine.make ~name:"k4" ~k_int:4 ~k_float:4 in
+        match verify ~machine (hand_input ()) output with
+        | Ok _ ->
+            Alcotest.fail "verifier accepted r8 and r9 on a 4-register machine"
+        | Error es ->
+            check
+              Alcotest.(list string)
+              "over-k errors"
+              (List.map
+                 (fun (index, instr, r) ->
+                   Printf.sprintf
+                     "hand/entry#%d: [over-k] `%s` mentions %s, beyond the 4 \
+                      available int registers"
+                     index instr r)
+                 [
+                   (1, "r9 <- ldi 2", "r9");
+                   (2, "r8 <- add r9 r9", "r8");
+                   (2, "r8 <- add r9 r9", "r9");
+                   (2, "r8 <- add r9 r9", "r9");
+                   (3, "print r8", "r8");
+                   (4, "ret r8", "r8");
+                 ])
+              (List.filter_map
+                 (fun (e : Verify.Error.t) ->
+                   if e.Verify.Error.kind = Verify.Error.Over_k then
+                     Some (Verify.Error.to_string e)
+                   else None)
+                 es));
     tc "branch retarget is rejected" (fun () ->
         let v = Reg.make 10 Reg.Int in
         let input =

@@ -192,6 +192,14 @@ module Gen_prog = struct
 end
 
 
+(* The number of [i]'s neighbors that are significant now, read off the
+   adjacency: the graph keeps no such count, since Briggs' test scans
+   the two neighbor vectors itself and stops early. *)
+let sig_neighbors g i =
+  Remat.Interference.fold_neighbors
+    (fun nb acc -> if Remat.Interference.significant g nb then acc + 1 else acc)
+    g i 0
+
 (* ------------------------------------------------------------------ *)
 (* Round-by-round allocation                                           *)
 (* ------------------------------------------------------------------ *)
