@@ -119,10 +119,12 @@ let bechamel () =
       (* Figure 3 engine: renumber with tag propagation. *)
       Test.make ~name:"fig3/renumber-briggs"
         (Staged.stage (fun () ->
+             let fl =
+               Iloc.Flat.of_routine (Iloc.Cfg.split_critical_edges fig1_cfg)
+             in
              ignore
                (Remat.Renumber.run_flat Remat.Mode.Briggs_remat
-                  (Iloc.Flat.of_routine
-                     (Iloc.Cfg.split_critical_edges fig1_cfg)))));
+                  ~dom:(Dataflow.Dominance.compute_flat fl) fl)));
       (* Figure 4 engine: the interpreter. *)
       Test.make ~name:"fig4/interp-tomcatv"
         (Staged.stage (fun () -> ignore (Sim.Interp.run tomcatv)));

@@ -78,21 +78,14 @@ let stmts_for ?(mk = config) ~target seed =
     if target - n_of !lo <= n_of !hi - target then !lo else !hi
   end
 
-(* The allocator's own preprocessing, up to the first build–coalesce:
-   critical-edge splitting, loop analysis, renumbering.  Returns the
-   renumbered routine beside the context, for the reference coalescer,
-   which renames it in place. *)
+(* The allocator's own front half, up to the first build–coalesce.
+   Returns the renumbered routine beside the context, for the reference
+   coalescer, which renames it in place. *)
 let fresh_ctx cfg =
-  let cfg0 = Cfg.split_critical_edges cfg in
-  let dom = Dataflow.Dominance.compute cfg0 in
-  let loops = Dataflow.Loops.compute cfg0 dom in
-  let fr = Remat.Renumber.run_flat mode (Iloc.Flat.of_routine cfg0) in
-  let renumbered = Iloc.Flat.to_routine fr.Remat.Renumber.fl in
-  ( Remat.Context.create ~mode ~machine ~loops ~tags:fr.Remat.Renumber.f_tags
-      ~split_pairs:fr.Remat.Renumber.f_split_pairs
-      ~stats:(Remat.Stats.create ())
-      fr.Remat.Renumber.fl,
-    renumbered )
+  let ctx =
+    Remat.Allocator.context ~mode ~machine (Remat.Allocator.front_half cfg)
+  in
+  (ctx, Iloc.Flat.to_routine (Remat.Context.flat ctx))
 
 let time_min ~repeats f =
   let best = ref infinity in
@@ -230,16 +223,7 @@ let measure ~repeats ~target seed =
     time_min ~repeats (fun () -> ignore (Remat.Simplify.run g ~k ~costs))
   in
   let order = new_stack in
-  let partners = Array.make (Interference.n_nodes g) [] in
-  List.iter
-    (fun (a, b) ->
-      match (Interference.index_opt g a, Interference.index_opt g b) with
-      | Some ia, Some ib ->
-          let ia = Interference.find g ia and ib = Interference.find g ib in
-          partners.(ia) <- ib :: partners.(ia);
-          partners.(ib) <- ia :: partners.(ib)
-      | _ -> ())
-    ctx.Remat.Context.split_pairs;
+  let partners = Remat.Select.partners ctx in
   let old_sel = Reference.Select.run g ~k ~order ~partners in
   let new_sel = Remat.Select.run g ~k ~order ~partners in
   check_equal "select colorings"

@@ -396,20 +396,16 @@ let dot_cmd =
     or_die (fun () ->
         let cfg = prepare src opt_flag in
         if interference then begin
-          (* The allocator's own front half, on the arena. *)
-          let fr =
-            Remat.Renumber.run_flat Remat.Mode.Briggs_remat
-              (Iloc.Flat.of_routine (Iloc.Cfg.split_critical_edges cfg))
-          in
-          let fl = fr.Remat.Renumber.fl in
-          let g =
-            Remat.Interference.build_flat_boundary
-              (Dataflow.Reg_index.of_flat fl) fl
-              (Dataflow.Liveness.Boundary.compute fl)
+          (* The allocator's own front half and first build. *)
+          let ctx =
+            Remat.Allocator.context ~mode:Remat.Mode.Briggs_remat
+              ~machine:Remat.Machine.standard
+              (Remat.Allocator.front_half cfg)
           in
           print_string
             (Remat.Dump.interference_to_string
-               ~split_pairs:fr.Remat.Renumber.f_split_pairs g)
+               ~split_pairs:ctx.Remat.Context.split_pairs
+               (Remat.Context.graph ctx))
         end
         else print_string (Iloc.Dot.cfg_to_string cfg))
   in

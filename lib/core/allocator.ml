@@ -60,15 +60,6 @@ let rewrite_physical fl g (colors : int option array) =
     (fun i -> match colors.(i) with Some c -> c | None -> assert false)
     fl
 
-let validate_input input =
-  match Iloc.Validate.routine input with
-  | Ok () -> ()
-  | Error es ->
-      raise
-        (Allocation_error
-           (Printf.sprintf "invalid input routine: %s"
-              (String.concat "; " (List.map Iloc.Validate.error_to_string es))))
-
 let verify_output ~input ~output ~(machine : Machine.t) =
   match
     Verify.Check.routine ~input ~output ~k_int:machine.Machine.k_int
@@ -82,16 +73,59 @@ let verify_output ~input ~output ~(machine : Machine.t) =
   | Error errs ->
       raise (Verification_error (List.map Verify.Error.to_string errs))
 
+(* Where every allocation starts, in both families and from every entry
+   point: validate; then, as round 0's [cfa], split critical edges,
+   encode once, and compute the one dominator tree and loop nest on that
+   arena.  No later phase adds a block or an edge, so both hold to the
+   end. *)
+type front = {
+  stats : Stats.t;
+  flat : Iloc.Flat.t;
+  dom : Dataflow.Dominance.t;
+  loops : Dataflow.Loops.t;
+}
+
+let front_half input =
+  (match Iloc.Validate.routine input with
+  | Ok () -> ()
+  | Error es ->
+      raise
+        (Allocation_error
+           (Printf.sprintf "invalid input routine: %s"
+              (String.concat "; " (List.map Iloc.Validate.error_to_string es)))));
+  let stats = Stats.create () in
+  Stats.time stats ~round:0 Stats.Cfa (fun () ->
+      let flat = Iloc.Flat.of_routine (Cfg.split_critical_edges input) in
+      let dom = Dataflow.Dominance.compute_flat flat in
+      { stats; flat; dom; loops = Dataflow.Loops.compute_flat flat dom })
+
+(* The Chaitin–Briggs family's start on the front half: renumber, the
+   mode's §6 loop scheme, and the context the rounds run in. *)
+let renumber ~mode ~machine (f : front) =
+  let fr =
+    Stats.time f.stats ~round:0 Stats.Renum (fun () ->
+        Renumber.run_flat mode ~dom:f.dom f.flat)
+  in
+  let split_pairs, flat =
+    Splitting.phase mode f.stats ~loops:f.loops ~tags:fr.Renumber.f_tags
+      ~split_pairs:fr.Renumber.f_split_pairs fr.Renumber.fl
+  in
+  ( fr,
+    Context.create ~mode ~machine ~loops:f.loops ~tags:fr.Renumber.f_tags
+      ~split_pairs ~stats:f.stats flat )
+
+let context ~mode ~machine f = snd (renumber ~mode ~machine f)
+
 (* Incremental re-allocation.
 
    A snapshot captures everything a {e small edit} of the routine leaves
    valid: the renumbered arena (pristine, before any coalescing),
    boundary liveness and the freshly built interference graph.  A cold
    allocation takes it from its own first round, after the build and
-   before the first coalescing sweep, so the front half runs once per
-   allocation.  Liveness and the graph depend only on which registers
-   each instruction defines and uses, on which instructions are copies,
-   and on terminator targets — never on immediate/offset payloads or
+   before the first coalescing sweep, so none of it is computed twice.
+   Liveness and the graph depend only on which registers each
+   instruction defines and uses, on which instructions are copies, and
+   on terminator targets — never on immediate/offset payloads or
    source-operand order — so an edit that preserves that skeleton
    (after renumbering) can skip the from-scratch liveness + build and go
    straight to coalescing on a private copy of the cached graph.
@@ -107,14 +141,13 @@ let verify_output ~input ~output ~(machine : Machine.t) =
 type snapshot = {
   snap_mode : Mode.t;
   snap_machine : Machine.t;
-  snap_loops : Dataflow.Loops.t;
   snap_flat : Iloc.Flat.t;
   snap_split_pairs : (Reg.t * Reg.t) list;
   snap_boundary : Dataflow.Liveness.Boundary.t;
   snap_graph : Interference.t;
 }
 
-(* Round 1's front half, before coalescing touches it.  Arenas are
+(* Round 1's start, before coalescing touches it.  Arenas are
    immutable (coalescing and spill code replace [ctx.flat]), so the
    arena is shared; the graph is copied, since coalescing merges in
    place.  The boundary rows are the context's own: dropping its
@@ -127,7 +160,6 @@ let take_snapshot (ctx : Context.t) =
   {
     snap_mode = ctx.Context.mode;
     snap_machine = ctx.Context.machine;
-    snap_loops = ctx.Context.loops;
     snap_flat = ctx.Context.flat;
     snap_split_pairs = ctx.Context.split_pairs;
     snap_boundary = boundary;
@@ -159,17 +191,7 @@ let color_rounds ~capture ~verify ~n_values ~n_live_ranges
     let g = Context.graph ctx in
     let costs = Spill_cost.phase ctx in
     let order = Simplify.phase ctx ~costs in
-    let partners = Array.make (Interference.n_nodes g) [] in
-    List.iter
-      (fun (a, b) ->
-        match (Interference.index_opt g a, Interference.index_opt g b) with
-        | Some ia, Some ib ->
-            let ia = Interference.find g ia and ib = Interference.find g ib in
-            partners.(ia) <- ib :: partners.(ia);
-            partners.(ib) <- ia :: partners.(ib)
-        | _ -> ())
-      ctx.Context.split_pairs;
-    let selection = Select.phase ctx ~order ~partners in
+    let selection = Select.phase ctx ~order in
     match selection.Select.spilled with
     | [] ->
         let fl = rewrite_physical ctx.Context.flat g selection.Select.colors in
@@ -260,14 +282,12 @@ let color_rounds ~capture ~verify ~n_values ~n_live_ranges
     !snap )
 
 (* The decoupled SSA pipeline (§ Ssa_alloc): spill to MaxLive ≤ k on SSA
-   form, color the chordal graph greedily, destruct on colored code.
-   The flat-arena and counting-scatter machinery is specific to the
-   interference-graph pipeline and does not apply here. *)
-let allocate_ssa ~verify ~mode ~machine (input : Cfg.t) =
-  let stats = Stats.create () in
-  let cfg0 = Cfg.split_critical_edges input in
+   form, color the chordal graph greedily, destruct on colored code. *)
+let allocate_ssa ~verify ~mode ~machine (input : Cfg.t) (f : front) =
   let r =
-    try Ssa_alloc.run ~mode ~machine ~max_rounds ~stats cfg0
+    try
+      Ssa_alloc.run ~mode ~machine ~max_rounds ~stats:f.stats ~dom:f.dom
+        ~loops:f.loops f.flat
     with Spill_code.Pressure_too_high msg -> raise (Allocation_error msg)
   in
   let cfg = r.Ssa_alloc.cfg in
@@ -286,44 +306,21 @@ let allocate_ssa ~verify ~mode ~machine (input : Cfg.t) =
     n_live_ranges = r.Ssa_alloc.n_values;
     n_splits = 0;
     coalesced_copies = r.Ssa_alloc.coalesced;
-    stats;
+    stats = f.stats;
   }
 
-(* Control-flow analysis: dominators and loop structure.  Renumber and
-   the splitting schemes do not add or remove blocks, so loop depths
-   computed here remain valid throughout allocation. *)
-let loops_of (cfg0 : Cfg.t) =
-  Dataflow.Loops.compute cfg0 (Dataflow.Dominance.compute cfg0)
-
 (* The cold path.  A §6 loop scheme rewrites the routine after renumber,
-   so its first round's front half describes no routine an edit can
-   renumber to: no snapshot is taken. *)
+   so its first round's snapshot would describe no routine an edit can
+   renumber to: none is taken. *)
 let allocate_cold ~capture ~verify ~mode ~machine (input : Cfg.t) =
-  validate_input input;
-  if Mode.is_ssa mode then
-    (allocate_ssa ~verify ~mode ~machine input, None)
-  else begin
-    let stats = Stats.create () in
-    let cfg0 = Cfg.split_critical_edges input in
-    let loops = Stats.time stats ~round:0 Stats.Cfa (fun () -> loops_of cfg0) in
-    let fr =
-      Stats.time stats ~round:0 Stats.Renum (fun () ->
-          Renumber.run_flat mode (Iloc.Flat.of_routine cfg0))
-    in
-    (* §6 loop-boundary splitting schemes, layered after renumber. *)
-    let split_pairs, flat =
-      Splitting.phase mode stats ~tags:fr.Renumber.f_tags
-        ~split_pairs:fr.Renumber.f_split_pairs fr.Renumber.fl
-    in
-    let ctx =
-      Context.create ~mode ~machine ~loops
-        ~tags:fr.Renumber.f_tags ~split_pairs ~stats flat
-    in
+  let f = front_half input in
+  if Mode.is_ssa mode then (allocate_ssa ~verify ~mode ~machine input f, None)
+  else
+    let fr, ctx = renumber ~mode ~machine f in
     color_rounds
       ~capture:(capture && Mode.loop_scheme mode = None)
       ~verify ~n_values:fr.Renumber.f_n_values
       ~n_live_ranges:fr.Renumber.f_n_live_ranges input ctx
-  end
 
 let allocate ?(verify = false) ?(mode = Mode.Briggs_remat)
     ?(machine = Machine.standard) input =
@@ -385,32 +382,18 @@ let skeleton_equal (a : Iloc.Flat.t) (b : Iloc.Flat.t) =
 type path = Incremental | Cold
 
 (* A snapshot exists only for modes without a loop scheme, so the
-   renumbered arena is the routine coloring starts from. *)
+   renumbered arena is the routine coloring starts from.  The edit runs
+   the whole front half, like any allocation; only the first round's
+   liveness and build can be skipped. *)
 let allocate_incremental (snap : snapshot) (input : Cfg.t) =
-  let verify = false in
-  validate_input input;
-  let mode = snap.snap_mode and machine = snap.snap_machine in
-  let stats = Stats.create () in
-  let cfg0 = Cfg.split_critical_edges input in
-  let fr =
-    Stats.time stats ~round:0 Stats.Renum (fun () ->
-        Renumber.run_flat mode (Iloc.Flat.of_routine cfg0))
+  let fr, ctx =
+    renumber ~mode:snap.snap_mode ~machine:snap.snap_machine (front_half input)
   in
   let reuse =
     skeleton_equal snap.snap_flat fr.Renumber.fl
     && List.equal
          (fun (a, b) (c, d) -> Reg.equal a c && Reg.equal b d)
          snap.snap_split_pairs fr.Renumber.f_split_pairs
-  in
-  (* A skeleton miss continues cold from the arena just renumbered:
-     only the edited routine's loops are missing. *)
-  let loops =
-    if reuse then snap.snap_loops
-    else Stats.time stats ~round:0 Stats.Cfa (fun () -> loops_of cfg0)
-  in
-  let ctx =
-    Context.create ~mode ~machine ~loops ~tags:fr.Renumber.f_tags
-      ~split_pairs:fr.Renumber.f_split_pairs ~stats fr.Renumber.fl
   in
   (* On reuse, prime the caches: boundary liveness is shared read-only
      (no phase ever writes a row, and the context recycles only rows it
@@ -422,7 +405,7 @@ let allocate_incremental (snap : snapshot) (input : Cfg.t) =
     ctx.Context.graph <- Some (Interference.copy snap.snap_graph)
   end;
   match
-    color_rounds ~capture:(not reuse) ~verify
+    color_rounds ~capture:(not reuse) ~verify:false
       ~n_values:fr.Renumber.f_n_values
       ~n_live_ranges:fr.Renumber.f_n_live_ranges input ctx
   with

@@ -8,11 +8,15 @@
     {!allocate} drives the whole loop for a chosen {!Mode} and
     {!Machine}, threading a {!Context.t} through the phases so each one
     reads the cached liveness and interference graph instead of
-    recomputing them.  Every phase of the Chaitin–Briggs family runs on
+    recomputing them.  Every allocation — either family, any entry
+    point — starts with the same {!front_half}: one encoding of the
+    input and one control-flow analysis of it (one dominator tree, one
+    loop nest), which every later phase reads.  Every phase of the Chaitin–Briggs family runs on
     the flat arena form ({!Iloc.Flat}), from renumbering to the final
     rewrite to physical registers; the arena is bridged to the
     structured routine once, after coloring.  The structured form is
-    the interchange form for splitting, the input and the output.
+    the interchange form for the §6 splitting schemes, the input and
+    the output.
     Per-phase wall times (Table 2) and event counters land in the
     context's {!Stats.t}.  On success the routine's registers have been
     rewritten to physical registers [r0 .. r(k_int-1)] /
@@ -73,10 +77,37 @@ val allocate :
     to judge (kind [Unsupported] — e.g. an input that already contains
     spill code) pass silently. *)
 
+type front = private {
+  stats : Stats.t;
+      (** the allocation's statistics, holding round 0's [Cfa] row *)
+  flat : Iloc.Flat.t;
+      (** the input with critical edges split, encoded once *)
+  dom : Dataflow.Dominance.t;  (** {!Dataflow.Dominance.compute_flat} of [flat] *)
+  loops : Dataflow.Loops.t;  (** {!Dataflow.Loops.compute_flat} of [flat] *)
+}
+(** The front half of an allocation: what every later phase of either
+    family reads about the routine's control flow.  No phase adds or
+    removes a block or an edge, so the tree and the nest stay valid
+    from renumbering to the final rewrite. *)
+
+val front_half : Iloc.Cfg.t -> front
+(** Validate the input (raising {!Allocation_error} if it is invalid);
+    then, timed as round 0's [Cfa], split its critical edges, encode it
+    ({!Iloc.Flat.of_routine}) and compute its dominator tree and loop
+    nest on that arena.  {!allocate}, {!allocate_snapshot} and
+    {!allocate_incremental} all start here; the input is not mutated. *)
+
+val context : mode:Mode.t -> machine:Machine.t -> front -> Context.t
+(** The Chaitin–Briggs family's next steps on a front half, as
+    {!allocate} takes them: renumber with the front half's dominator
+    tree (timed as [Renum]), run the mode's §6 loop scheme with its loop
+    nest (timed as [Splitting]), and create the context the spill rounds
+    run in, before any round.  For tools and tests that drive the
+    rounds themselves. *)
+
 type snapshot = private {
   snap_mode : Mode.t;
   snap_machine : Machine.t;
-  snap_loops : Dataflow.Loops.t;
   snap_flat : Iloc.Flat.t;
       (** the pristine renumbered arena, before any coalescing *)
   snap_split_pairs : (Iloc.Reg.t * Iloc.Reg.t) list;
@@ -85,8 +116,8 @@ type snapshot = private {
           own, never recycled by a later round *)
   snap_graph : Interference.t;  (** the graph built from [snap_flat] *)
 }
-(** Everything a small edit of a routine leaves valid: the front half
-    of an allocation's first round — the renumbered arena, boundary
+(** Everything a small edit of a routine leaves valid: the start of an
+    allocation's first round — the renumbered arena, boundary
     liveness ({!Dataflow.Liveness.Boundary}) and the interference
     graph, as built, before the first coalescing sweep.  Liveness and
     the graph see only def/use registers, copies and terminator
@@ -99,7 +130,7 @@ val allocate_snapshot :
   ?mode:Mode.t -> ?machine:Machine.t -> Iloc.Cfg.t -> result * snapshot option
 (** {!allocate} with its defaults, also capturing the snapshot for later
     {!allocate_incremental} calls.  The snapshot is taken from round
-    1's own context — the front half runs once — at the cost of a graph
+    1's own context — nothing is computed twice — at the cost of a graph
     copy; the result is byte-identical to {!allocate}'s, counters
     included.  No snapshot is taken for modes with a §6 loop-splitting
     scheme (splitting rewrites the routine after renumber) or for the
@@ -114,8 +145,8 @@ val allocate_incremental :
   snapshot -> Iloc.Cfg.t -> path * result * snapshot
 (** Allocate an edited variant of the snapshotted routine with the
     snapshot's mode and machine, and {!allocate}'s other defaults.  The
-    edited routine is always renumbered (tag unioning can change under
-    payload edits).  If its live-range skeleton matches the snapshot's,
+    edit runs the whole {!front_half}, loop nest included, and is always
+    renumbered (tag unioning can change under payload edits).  If its live-range skeleton matches the snapshot's,
     the first round skips the from-scratch liveness and graph build by
     priming the context from the snapshot: it performs no [Full_builds]
     and no [Liveness_runs] (observable in [result.stats]: [Full_builds]

@@ -49,6 +49,11 @@ val pass : phase -> Context.t -> outcome
     [Coalesce] time plus sweep/merge/Briggs counters in the context's
     stats. *)
 
+val split_nodes : Context.t -> Interference.t -> int array
+(** [Context.split_nodes], made from [Context.split_pairs] through the
+    graph's packed map when absent: entries [2c] and [2c+1] are pair
+    [c]'s nodes, [-1] for a register that is not a node. *)
+
 val rewrite : Context.t -> unit
 (** After the round's last sweep, when some sweep merged: turn the
     split pairs' node form back into [Context.split_pairs] (each node to

@@ -40,6 +40,8 @@ type t = {
   infinite : unit Iloc.Reg.Tbl.t;
       (** spill temporaries from earlier rounds (never re-spilled) *)
   loops : Dataflow.Loops.t;
+      (** the allocation's one loop nest, from the allocator's front
+          half: spill costs weight every round by it *)
   stats : Stats.t;
   mutable round : int;
   mutable split_pairs : (Iloc.Reg.t * Iloc.Reg.t) list;
@@ -64,7 +66,8 @@ type t = {
       (** [split_pairs] as node pairs of the round's graph, flattened
           the same way and in the same order, [-1] for a register that
           is not a node; made by the round's first coalescing sweep,
-          turned back into [split_pairs] after its last *)
+          turned back into [split_pairs] after its last, and remade by
+          select's partner lists if that dropped it *)
   mutable flat : Iloc.Flat.t;  (** the routine under allocation *)
   mutable mark : int array;  (** see {!fresh_marks} *)
   mutable mark_epoch : int;

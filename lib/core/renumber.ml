@@ -25,7 +25,7 @@ type flat_result = {
    both paths hand out fresh registers in the same visit order, and the
    remaining analyses (IDF, boundary liveness, tag propagation) are
    order-independent fixpoints. *)
-let run_flat mode (fl0 : Flat.t) =
+let run_flat mode ~dom (fl0 : Flat.t) =
   let nb = Flat.n_blocks fl0 in
   let ns = Flat.n_instrs fl0 in
   let code = fl0.Flat.code in
@@ -33,7 +33,7 @@ let run_flat mode (fl0 : Flat.t) =
   let base = fl0.Flat.supply_last in
   let pred_idx = fl0.Flat.pred_idx and pred = fl0.Flat.pred in
   (* Steps 1-3: liveness, pruned φ placement and renaming. *)
-  let sv = Ssa.Construct.run_flat fl0 in
+  let sv = Ssa.Construct.run_flat ~dom fl0 in
   let slot_dst_val = sv.Ssa.Construct.slot_def in
   let slot_src_val = sv.Ssa.Construct.slot_use in
   let val_packed = sv.Ssa.Construct.value_reg in

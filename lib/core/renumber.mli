@@ -11,7 +11,7 @@ type flat_result = {
   f_n_live_ranges : int;  (** live ranges after steps 5–6 *)
 }
 
-val run_flat : Mode.t -> Iloc.Flat.t -> flat_result
+val run_flat : Mode.t -> dom:Dataflow.Dominance.t -> Iloc.Flat.t -> flat_result
 (** The six steps of the paper's modified renumber:
 
     + liveness at each basic block;
@@ -36,7 +36,13 @@ val run_flat : Mode.t -> Iloc.Flat.t -> flat_result
     {!Ssa.Parallel_copy}); scratch registers introduced there are reported
     as ordinary live ranges carrying their source's tag.
 
-    Routine-in/routine-out on the arena: dominance, pruned φ placement
+    [dom] is the arena's dominator tree
+    ({!Dataflow.Dominance.compute_flat}), passed through to
+    {!Ssa.Construct.run_flat}: the allocator's front half computes it
+    once per allocation, as its [cfa] phase, and renumbering computes
+    none of its own.
+
+    Routine-in/routine-out on the arena: frontiers, pruned φ placement
     and renaming operate on packed records and side arrays — SSA exists
     only as per-slot value indices, never as a routine — and a
     {!Iloc.Flat.Splice} builder re-emits the renamed arena.

@@ -102,11 +102,27 @@ let run (g : Interference.t) ~k ~order ~partners =
     fallback_hits = !fallback_hits;
   }
 
-let phase (ctx : Context.t) ~order ~partners =
+(* Each pair's sides pushed onto each other's lists, in list order, read
+   off the pairs' node form ([Coalesce.split_nodes] remakes it if need be). *)
+let partners (ctx : Context.t) =
+  let g = Context.graph ctx in
+  let sp = Coalesce.split_nodes ctx g in
+  let partners = Array.make (Interference.n_nodes g) [] in
+  for c = 0 to (Array.length sp / 2) - 1 do
+    let a = sp.(2 * c) and b = sp.((2 * c) + 1) in
+    if a >= 0 && b >= 0 then begin
+      let a = Interference.find g a and b = Interference.find g b in
+      partners.(a) <- b :: partners.(a);
+      partners.(b) <- a :: partners.(b)
+    end
+  done;
+  partners
+
+let phase (ctx : Context.t) ~order =
   let g = Context.graph ctx in
   let sel =
     Context.time ctx Stats.Select (fun () ->
-        run g ~k:ctx.Context.k ~order ~partners)
+        run g ~k:ctx.Context.k ~order ~partners:(partners ctx))
   in
   Context.count ctx Stats.Select_partner_hits sel.partner_hits;
   Context.count ctx Stats.Select_lookahead_hits sel.lookahead_hits;

@@ -30,6 +30,13 @@ val run :
   partners:int list array ->
   t
 
-val phase : Context.t -> order:int list -> partners:int list array -> t
-(** {!run} on the context's graph and machine, timed as [Select]; the
-    bias-outcome tallies are recorded as [Select_*] counters. *)
+val partners : Context.t -> int list array
+(** Per node of the context's graph, the nodes its split pairs
+    ([Context.split_pairs], through {!Interference.find}) connect it to,
+    latest pair first; pairs whose registers are not both nodes are
+    skipped. *)
+
+val phase : Context.t -> order:int list -> t
+(** {!run} on the context's graph and machine with the context's
+    {!partners}, timed as [Select]; the bias-outcome tallies are
+    recorded as [Select_*] counters. *)

@@ -76,10 +76,8 @@ let split_one (cfg : Cfg.t) ~tags ~pairs (loop : Dataflow.Loops.loop)
     cfg;
   r'
 
-let run (scheme : scheme) (cfg : Cfg.t) ~tags =
+let run (scheme : scheme) (cfg : Cfg.t) ~tags ~(loops : Dataflow.Loops.t) =
   let pairs = ref [] in
-  let dom = Dataflow.Dominance.compute cfg in
-  let loops = Dataflow.Loops.compute cfg dom in
   (* Outermost first: inner splits then operate on the outer loop's fresh
      name, chaining naturally. *)
   let ordered =
@@ -127,11 +125,11 @@ let run (scheme : scheme) (cfg : Cfg.t) ~tags =
     chosen;
   !pairs
 
-let phase mode stats ~tags ~split_pairs flat =
+let phase mode stats ~loops ~tags ~split_pairs flat =
   match Mode.loop_scheme mode with
   | None -> (split_pairs, flat)
   | Some scheme ->
       Stats.time stats ~round:0 Stats.Splitting (fun () ->
           let cfg = Iloc.Flat.to_routine flat in
-          let pairs = run scheme cfg ~tags in
+          let pairs = run scheme cfg ~tags ~loops in
           (split_pairs @ pairs, Iloc.Flat.of_routine cfg))

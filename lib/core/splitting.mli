@@ -24,7 +24,10 @@
     routine is unchanged.
 
     Requires critical edges to have been split.  Mutates the routine and
-    the tag table in place and returns the new split pairs. *)
+    the tag table in place and returns the new split pairs.  The loop
+    nest is the caller's: renumbering and splitting add no blocks and
+    no edges, so the allocation's one loop nest, computed by its front
+    half before renumbering, describes the routine split here. *)
 
 type scheme = [ `All_loops | `Outer_loops | `Unreferenced ]
 
@@ -32,12 +35,16 @@ val run :
   scheme ->
   Iloc.Cfg.t ->
   tags:Tag.t Iloc.Reg.Tbl.t ->
+  loops:Dataflow.Loops.t ->
   (Iloc.Reg.t * Iloc.Reg.t) list
-(** Returns the split pairs inserted (to be appended to renumber's). *)
+(** Returns the split pairs inserted (to be appended to renumber's).
+    [loops] is the routine's loop nest; its loop order decides the
+    order splits are made in. *)
 
 val phase :
   Mode.t ->
   Stats.t ->
+  loops:Dataflow.Loops.t ->
   tags:Tag.t Iloc.Reg.Tbl.t ->
   split_pairs:(Iloc.Reg.t * Iloc.Reg.t) list ->
   Iloc.Flat.t ->

@@ -425,22 +425,15 @@ let color_chordal (fl : Flat.t) (phis : Flat.phi array array)
 (* ------------------------------------------------------------------ *)
 (* The pipeline                                                        *)
 
-let run ~mode ~machine ~max_rounds ~stats (cfg0 : Iloc.Cfg.t) =
+let run ~mode ~machine ~max_rounds ~stats ~dom ~loops (fl0 : Flat.t) =
   let k = Machine.k_for machine in
-  let dom, loops =
-    Stats.time stats ~round:0 Stats.Cfa (fun () ->
-        let dom = Dataflow.Dominance.compute cfg0 in
-        (dom, Dataflow.Loops.compute cfg0 dom))
-  in
-  (* The routine's one encoding, SSA construction on it, and tag
-     propagation.  Construction adds φs but never blocks or edges, so
-     dominance and loop weights stay valid for the SSA form.  Value [v]
-     is register [value_reg v]; the SSA arena is the input's records
-     with every operand renamed to its value. *)
+  (* SSA construction on the front half's encoding, and tag propagation.
+     Construction adds φs but no blocks or edges, so [dom] and [loops]
+     hold for the SSA form.  Value [v] is register [value_reg v]; the
+     SSA arena is the input's records with every operand renamed. *)
   let fl, phis, tags, n_values =
     Stats.time stats ~round:0 Stats.Renum (fun () ->
-        let fl0 = Flat.of_routine cfg0 in
-        let sv = Ssa.Construct.run_flat fl0 in
+        let sv = Ssa.Construct.run_flat ~dom fl0 in
         let value_reg v = Dataflow.Int_vec.get sv.Ssa.Construct.value_reg v in
         let n = sv.Ssa.Construct.n_values in
         let code = Array.copy fl0.Flat.code in

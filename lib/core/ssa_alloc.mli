@@ -32,8 +32,9 @@
 
     From SSA construction to the bridge before destruction the routine
     lives on the flat arena, with each block's φs kept beside it
-    ([Iloc.Flat.phi array array]): the input is encoded once
-    ({!Iloc.Flat.of_routine}), built into SSA on the arena
+    ([Iloc.Flat.phi array array]): the allocator's front half encodes
+    the input once ({!Iloc.Flat.of_routine}) and analyses its control
+    flow there; the pipeline builds it into SSA on the arena
     ({!Ssa.Construct.run_flat}), spilled, colored and renamed there,
     and bridged to [Cfg.t] once, for {!Ssa.Destruct.run_colored}.
 
@@ -107,11 +108,19 @@ val run :
   machine:Machine.t ->
   max_rounds:int ->
   stats:Stats.t ->
-  Iloc.Cfg.t ->
+  dom:Dataflow.Dominance.t ->
+  loops:Dataflow.Loops.t ->
+  Iloc.Flat.t ->
   result
-(** [run ~mode ~machine ~max_rounds ~stats cfg0] allocates [cfg0]
-    (already validated and critical-edge-split; not mutated).  Raises
-    {!Spill_code.Pressure_too_high} when some program point's
-    irreducible pressure (instruction operands, φ-congruence traffic)
-    exceeds the machine, and {!Allocator.Allocation_error} via the
-    caller when [max_rounds] is exhausted. *)
+(** [run ~mode ~machine ~max_rounds ~stats ~dom ~loops fl0] allocates
+    the arena [fl0] — the allocator's front half's encoding of the
+    validated, critical-edge-split input — with [dom] and [loops] its
+    {!Dataflow.Dominance.compute_flat} tree and
+    {!Dataflow.Loops.compute_flat} nest, which the front half has
+    already timed as round 0's [cfa].  The same tree drives SSA
+    construction and the chordal coloring's preorder; the loop nest
+    weights spill costs.  Raises {!Spill_code.Pressure_too_high} when
+    some program point's irreducible pressure (instruction operands,
+    φ-congruence traffic) exceeds the machine, and
+    {!Allocator.Allocation_error} via the caller when [max_rounds] is
+    exhausted. *)

@@ -3,8 +3,11 @@
 
     The allocator records one timing row per (round, phase) execution;
     [rows] returns them in execution order.  Phase names match the
-    allocator pipeline: [cfa] (control-flow analysis: dominators,
-    frontiers, loops), [renum], [split] (the §6 loop-splitting schemes),
+    allocator pipeline: [cfa] (the front half's one control-flow
+    analysis, in round 0: splitting critical edges, encoding the
+    routine onto the arena, its dominator tree and its loop nest —
+    dominance frontiers belong to [renum], which places φs with them),
+    [renum], [split] (the §6 loop-splitting schemes),
     [live] (liveness), [build] (one from-scratch interference-graph
     construction), [coalesce] (the in-place coalescing sweeps), [costs],
     [simplify], [select], [spill] (spill-code insertion).

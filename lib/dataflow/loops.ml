@@ -13,8 +13,7 @@ type t = {
 
 (* Blocks that reach [t] without passing through [h], walked backwards
    over predecessor edges, plus [h] itself. *)
-let natural_loop (cfg : Iloc.Cfg.t) ~h ~t:tail =
-  let n = Iloc.Cfg.n_blocks cfg in
+let natural_loop ~n ~preds ~h ~t:tail =
   let body = Bitset.create n in
   Bitset.add body h;
   let stack = ref [] in
@@ -30,26 +29,27 @@ let natural_loop (cfg : Iloc.Cfg.t) ~h ~t:tail =
     | [] -> ()
     | b :: rest ->
         stack := rest;
-        List.iter push (Iloc.Cfg.preds cfg b);
+        List.iter push (preds b);
         drain ()
   in
   drain ();
   body
 
-let compute (cfg : Iloc.Cfg.t) (dom : Dominance.t) =
-  let n = Iloc.Cfg.n_blocks cfg in
+(* Both entry points, like {!Dominance.compute_generic}: equal edge lists
+   meet the back edges, and number the loops, in the same order. *)
+let compute_generic ~n ~succs ~preds (dom : Dominance.t) =
   (* Collect back edges and merge natural loops sharing a header. *)
   let by_header = Hashtbl.create 8 in
   for b = 0 to n - 1 do
     List.iter
       (fun s ->
         if Dominance.dominates dom s b then begin
-          let body = natural_loop cfg ~h:s ~t:b in
+          let body = natural_loop ~n ~preds ~h:s ~t:b in
           match Hashtbl.find_opt by_header s with
           | None -> Hashtbl.add by_header s body
           | Some acc -> ignore (Bitset.union_into ~dst:acc body)
         end)
-      (Iloc.Cfg.succs cfg b)
+      (succs b)
   done;
   let raw =
     Hashtbl.fold (fun header body acc -> (header, body) :: acc) by_header []
@@ -97,5 +97,13 @@ let compute (cfg : Iloc.Cfg.t) (dom : Dominance.t) =
         l.body)
     loops;
   { loops; depth; innermost }
+
+let compute (cfg : Iloc.Cfg.t) dom =
+  compute_generic ~n:(Iloc.Cfg.n_blocks cfg) ~succs:(Iloc.Cfg.succs cfg)
+    ~preds:(Iloc.Cfg.preds cfg) dom
+
+let compute_flat (fl : Iloc.Flat.t) dom =
+  compute_generic ~n:(Iloc.Flat.n_blocks fl) ~succs:(Iloc.Flat.succs_list fl)
+    ~preds:(Iloc.Flat.preds_list fl) dom
 
 let weight t b = 10. ** float_of_int t.depth.(b)

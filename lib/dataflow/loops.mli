@@ -21,6 +21,11 @@ type t = {
 
 val compute : Iloc.Cfg.t -> Dominance.t -> t
 
+val compute_flat : Iloc.Flat.t -> Dominance.t -> t
+(** Same loop nest computed from the flat arena's CSR edges — identical
+    to [compute (Flat.to_routine fl)], loop order included, without
+    bridging.  The allocator's front half runs this one. *)
+
 val weight : t -> int -> float
 (** [weight t b] is [10 ^ depth(b)], the spill-cost multiplier for
     instructions in block [b]. *)

@@ -15,8 +15,8 @@
       every item owns its parsed routine, and the only shared structure
       is an immutable {!Remat.Allocator.snapshot} (incremental items
       deep-copy its graph before mutating).  Each item makes one
-      allocator call, so the front half (renumber, liveness, build)
-      runs once per item: an edit with a cached base snapshot calls
+      allocator call, so its front half, renumbering, liveness and
+      build run once per item: an edit with a cached base snapshot calls
       [allocate_incremental], which continues cold when the skeleton
       check fails; any other item calls [allocate_snapshot], whose
       snapshot is its own first round's and is kept in the cache entry

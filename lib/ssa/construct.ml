@@ -169,7 +169,7 @@ type values = {
   phi_args : int array;
 }
 
-let run_flat (fl0 : Iloc.Flat.t) =
+let run_flat ~(dom : Dataflow.Dominance.t) (fl0 : Iloc.Flat.t) =
   let nb = Iloc.Flat.n_blocks fl0 in
   let ns = Iloc.Flat.n_instrs fl0 in
   let code = fl0.Iloc.Flat.code in
@@ -190,9 +190,8 @@ let run_flat (fl0 : Iloc.Flat.t) =
     !mx + 2
   in
   (* Step 1: boundary liveness for φ pruning (membership answers equal
-     the dense rows'), dominator tree, dominance frontiers. *)
+     the dense rows') and dominance frontiers over the caller's tree. *)
   let bl = Dataflow.Liveness.Boundary.compute fl0 in
-  let dom = Dataflow.Dominance.compute_flat fl0 in
   let df = Dataflow.Dominance.frontiers_flat fl0 dom in
   let umap = Dataflow.Reg_index.packed_map bl.Dataflow.Liveness.Boundary.uindex in
   let ulen = Array.length umap in

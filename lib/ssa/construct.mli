@@ -17,7 +17,7 @@ val run : Iloc.Cfg.t -> Iloc.Cfg.t
     [Dataflow.Int_vec.get value_reg v] (packed), numbered
     [supply_last + 1 + v] in its original's class — the register {!run}
     gives the same definition.  Shared by the Chaitin–Briggs renumber
-    and the SSA family's front half. *)
+    and the SSA family's construction. *)
 type values = {
   n_values : int;
   value_reg : Dataflow.Int_vec.t;  (** packed register of each value *)
@@ -34,7 +34,10 @@ type values = {
           [phi_args.(phi_arg_idx.(i) + j)] *)
 }
 
-val run_flat : Iloc.Flat.t -> values
+val run_flat : dom:Dataflow.Dominance.t -> Iloc.Flat.t -> values
 (** Boundary liveness, dominance frontiers, pruned φ placement and
-    renaming over the dominator tree.  Same preconditions as {!run};
-    only blocks reachable from the entry are renamed. *)
+    renaming over the dominator tree [dom], which must be
+    {!Dataflow.Dominance.compute_flat} of the arena: the allocator's
+    front half computes it once and hands the same tree to every later
+    reader.  Same preconditions as {!run}; only blocks reachable from
+    the entry are renamed. *)

@@ -125,7 +125,9 @@ let fig3 ppf =
       (Remat.Tag.to_string tags.(v))
   done;
   let rn =
-    Remat.Renumber.run_flat Mode.Briggs_remat (Iloc.Flat.of_routine src)
+    let fl = Iloc.Flat.of_routine src in
+    Remat.Renumber.run_flat Mode.Briggs_remat
+      ~dom:(Dataflow.Dominance.compute_flat fl) fl
   in
   Format.fprintf ppf
     "@.--- After steps 5-6: live ranges with minimal splits ---@.%a@."

@@ -180,7 +180,25 @@ let quality =
         check Alcotest.bool "has build" true
           (List.exists (fun r -> r.Remat.Stats.phase = Remat.Stats.Build) rows);
         check Alcotest.bool "nonnegative" true
-          (List.for_all (fun r -> r.Remat.Stats.seconds >= 0.) rows));
+          (List.for_all (fun r -> r.Remat.Stats.seconds >= 0.) rows);
+        (* One control-flow analysis per allocation, in round 0, in
+           every mode, cold and snapshotting, on a routine that spills
+           over several rounds at 6+6. *)
+        let cfg = Suite.Kernels.cfg_of ~optimize:true (Suite.Kernels.find "tomcatv") in
+        let machine = Machine.make ~name:"6+6" ~k_int:6 ~k_float:6 in
+        List.iter
+          (fun mode ->
+            let name = Mode.to_string mode in
+            let cold = Remat.Allocator.allocate ~mode ~machine cfg in
+            check Alcotest.bool (name ^ ": spills") true
+              (cold.Remat.Allocator.rounds > 1);
+            check (Alcotest.list Alcotest.int) (name ^ ": cold cfa rows") [ 0 ]
+              (Testutil.cfa_rounds cold.Remat.Allocator.stats);
+            let snap, _ = Remat.Allocator.allocate_snapshot ~mode ~machine cfg in
+            check (Alcotest.list Alcotest.int)
+              (name ^ ": snapshot cfa rows") [ 0 ]
+              (Testutil.cfa_rounds snap.Remat.Allocator.stats))
+          Mode.all);
   ]
 
 (* --- the local-allocator baseline (§5.4's reference point) --- *)

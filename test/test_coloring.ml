@@ -32,6 +32,9 @@ let fresh_ctx ~mode ~machine cfg =
       (Iloc.Flat.of_routine rn.Reference.Renumber.cfg),
     rn.Reference.Renumber.cfg )
 
+(* Select's partner lists, through the graph's register table:
+   [Remat.Select.partners] maps registers through the packed map and
+   must build the same lists, in the same order. *)
 let partners_of ctx g =
   let partners = Array.make (Interference.n_nodes g) [] in
   List.iter
@@ -98,6 +101,9 @@ let check_seed ~config ~machine seed =
       machine.Remat.Machine.name;
   let order = new_stack in
   let partners = partners_of ctx g in
+  if Remat.Select.partners ctx <> partners then
+    QCheck.Test.fail_reportf "seed %d on %s: partner lists differ" seed
+      machine.Remat.Machine.name;
   let old_sel = Reference.Select.run g ~k ~order ~partners in
   let new_sel = Remat.Select.run g ~k ~order ~partners in
   if old_sel.Reference.Select.colors <> new_sel.Remat.Select.colors then

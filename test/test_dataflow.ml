@@ -294,6 +294,37 @@ let naive_dominators (cfg : Cfg.t) =
   done;
   dom
 
+(* The arena's control-flow analysis against the structured one, field
+   by field: the allocator runs only the arena's, and [Splitting] and
+   the spill weights read the loop order and nest it produces.  The
+   first field that differs, if any. *)
+let cfa_mismatch cfg =
+  let module D = Dataflow.Dominance in
+  let module L = Dataflow.Loops in
+  let fl = Iloc.Flat.of_routine cfg in
+  let d = D.compute cfg and fd = D.compute_flat fl in
+  let l = L.compute cfg d and fl_loops = L.compute_flat fl fd in
+  let elements df = Array.map Bitset.elements df in
+  let loop_fields (x : L.loop) =
+    (x.L.header, Bitset.elements x.L.body, x.L.parent, x.L.depth)
+  in
+  List.find_map
+    (fun (field, same) -> if same then None else Some field)
+    [
+      ("idom", d.D.idom = fd.D.idom);
+      ("children", d.D.children = fd.D.children);
+      ("order", d.D.order = fd.D.order);
+      ("tin", d.D.tin = fd.D.tin);
+      ("tout", d.D.tout = fd.D.tout);
+      ( "frontiers",
+        elements (D.frontiers cfg d) = elements (D.frontiers_flat fl fd) );
+      ( "loops",
+        Array.map loop_fields l.L.loops = Array.map loop_fields fl_loops.L.loops
+      );
+      ("depth", l.L.depth = fl_loops.L.depth);
+      ("innermost", l.L.innermost = fl_loops.L.innermost);
+    ]
+
 let dominance_unit =
   [
     tc "diamond idoms" (fun () ->
@@ -366,7 +397,22 @@ let dominance_unit =
                   (Dataflow.Dominance.dominates d a b)
               done
             done)
-          (Testutil.all_fixed ()))
+          (Testutil.all_fixed ()));
+    tc "arena CFA equals the structured one on every kernel" (fun () ->
+        List.iter
+          (fun (k : Suite.Kernels.kernel) ->
+            List.iter
+              (fun optimize ->
+                let cfg =
+                  Cfg.split_critical_edges (Suite.Kernels.cfg_of ~optimize k)
+                in
+                match cfa_mismatch cfg with
+                | None -> ()
+                | Some field ->
+                    Alcotest.failf "%s (optimize %b): %s differs"
+                      k.Suite.Kernels.name optimize field)
+              [ false; true ])
+          Suite.Kernels.all);
   ]
 
 let loops_unit =
@@ -854,12 +900,16 @@ let order_prop =
       && po.(Array.length po - 1) = cfg.Cfg.entry)
 
 (* dominators on random structured programs match the naive quadratic
-   set-based computation *)
+   set-based computation, and the arena's dominators, frontiers and loop
+   nest equal the structured ones *)
 let dominance_prop =
   QCheck.Test.make ~count:60 ~name:"dominators match naive on random CFGs"
     Testutil.Gen_prog.arbitrary_cfg
     (fun cfg ->
       let cfg = Cfg.split_critical_edges cfg in
+      Option.iter
+        (QCheck.Test.fail_reportf "arena CFA: %s differs")
+        (cfa_mismatch cfg);
       let d = Dataflow.Dominance.compute cfg in
       let naive = naive_dominators cfg in
       let ok = ref true in

@@ -283,7 +283,10 @@ let tag_list tbl =
 let renumber_ab_check ~what ~mode cfg =
   let cfg = Cfg.split_critical_edges cfg in
   let s = Reference.Renumber.run mode cfg in
-  let f = Remat.Renumber.run_flat mode (Flat.of_routine cfg) in
+  let fl = Flat.of_routine cfg in
+  let f =
+    Remat.Renumber.run_flat mode ~dom:(Dataflow.Dominance.compute_flat fl) fl
+  in
   let fcfg = Flat.to_routine f.Remat.Renumber.fl in
   if not (Cfg.structural_equal fcfg s.Reference.Renumber.cfg) then
     Alcotest.failf "%s: flat renumber differs:@.%s@.vs@.%s" what

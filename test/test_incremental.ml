@@ -267,10 +267,52 @@ let liveness_tests =
           check Alcotest.bool "some allocations spill" true (!spilled > 0)))
     [ Remat.Mode.Chaitin_remat; Remat.Mode.Briggs_remat ]
 
+(* One control-flow analysis per allocation on the incremental paths
+   too: an edit runs the whole front half, in round 0, whether the
+   snapshot's liveness and graph are reused or not.  Every mode that
+   takes a snapshot; a routine against its own snapshot always reuses
+   it, an unrelated one always misses.  The other five modes take no
+   snapshot, so their edits are cold allocations, pinned in
+   test_allocator. *)
+let cfa_tests =
+  [
+    tc "one cfa per allocation, incremental reuse and miss" (fun () ->
+        let machine = Remat.Machine.make ~name:"8+8" ~k_int:8 ~k_float:8 in
+        List.iter
+          (fun mode ->
+            for seed = 0 to 9 do
+              let what path =
+                Printf.sprintf "%s seed %d %s" (Remat.Mode.to_string mode) seed
+                  path
+              in
+              let base = Fuzz.Gen.generate seed in
+              match Remat.Allocator.allocate_snapshot ~mode ~machine base with
+              | _, None -> Alcotest.failf "%s: no snapshot" (what "")
+              | _, Some snap ->
+                  List.iter
+                    (fun (path, edit, expected) ->
+                      let got, res, _ =
+                        Remat.Allocator.allocate_incremental snap edit
+                      in
+                      check Alcotest.bool (what path ^ ": path") true
+                        (got = expected);
+                      check (Alcotest.list Alcotest.int)
+                        (what path ^ ": cfa rows") [ 0 ]
+                        (Testutil.cfa_rounds res.Remat.Allocator.stats))
+                    [
+                      ("reuse", base, Remat.Allocator.Incremental);
+                      ("miss", Fuzz.Gen.generate (seed + 1000), Remat.Allocator.Cold);
+                    ]
+            done)
+          Remat.Mode.
+            [ No_remat; Chaitin_remat; Briggs_remat; Briggs_remat_phi_splits ]);
+  ]
+
 let () =
   Alcotest.run "incremental"
     [
       ("graph-isomorphism", property_tests);
       ("rewrite-physical", rewrite_tests);
       ("build-counters", kernel_tests @ liveness_tests);
+      ("front-half", cfa_tests);
     ]

@@ -436,18 +436,15 @@ let interference_unit =
                     (Reference.Interference.build rn.Reference.Renumber.cfg
                        (Reference.Liveness.compute rn.Reference.Renumber.cfg))
                 in
-                let fr =
-                  Remat.Renumber.run_flat Remat.Mode.Briggs_remat
-                    (Iloc.Flat.of_routine cfg)
+                let ctx =
+                  Remat.Allocator.context ~mode:Remat.Mode.Briggs_remat
+                    ~machine:Remat.Machine.standard
+                    (Remat.Allocator.front_half cfg)
                 in
-                let fl = fr.Remat.Renumber.fl in
                 let arena =
                   Remat.Dump.interference_to_string
-                    ~split_pairs:fr.Remat.Renumber.f_split_pairs
-                    (Remat.Interference.build_flat_boundary
-                       (Dataflow.Reg_index.of_flat fl)
-                       fl
-                       (Dataflow.Liveness.Boundary.compute fl))
+                    ~split_pairs:ctx.Remat.Context.split_pairs
+                    (Remat.Context.graph ctx)
                 in
                 if not (String.equal reference arena) then
                   Alcotest.failf "kernel %s (optimize %b): graphs differ"
@@ -726,6 +723,13 @@ let splitting_unit =
   let renumbered mode cfg =
     Reference.Renumber.run mode (Cfg.split_critical_edges cfg)
   in
+  (* [Splitting.run] on a renumbered routine, with that routine's loop
+     nest. *)
+  let split scheme (rn : Reference.Renumber.result) =
+    let cfg = rn.Reference.Renumber.cfg in
+    Remat.Splitting.run scheme cfg ~tags:rn.Reference.Renumber.tags
+      ~loops:(Dataflow.Loops.compute cfg (Dataflow.Dominance.compute cfg))
+  in
   [
     tc "all-loops splitting preserves behaviour" (fun () ->
         List.iter
@@ -733,8 +737,7 @@ let splitting_unit =
             let cfg = Cfg.split_critical_edges cfg in
             let rn = renumbered Remat.Mode.Briggs_remat cfg in
             let pairs =
-              Remat.Splitting.run `All_loops rn.Reference.Renumber.cfg
-                ~tags:rn.Reference.Renumber.tags
+              split `All_loops rn
             in
             ignore pairs;
             (match Iloc.Validate.routine rn.Reference.Renumber.cfg with
@@ -756,8 +759,7 @@ let splitting_unit =
             0 rn.Reference.Renumber.cfg
         in
         let pairs =
-          Remat.Splitting.run `Unreferenced rn.Reference.Renumber.cfg
-            ~tags:rn.Reference.Renumber.tags
+          split `Unreferenced rn
         in
         check Alcotest.bool "pairs recorded" true (pairs <> []);
         let after_copies =
@@ -798,8 +800,7 @@ let splitting_unit =
     tc "dag routines are untouched" (fun () ->
         let rn = renumbered Remat.Mode.Briggs_remat (Testutil.diamond ()) in
         let pairs =
-          Remat.Splitting.run `All_loops rn.Reference.Renumber.cfg
-            ~tags:rn.Reference.Renumber.tags
+          split `All_loops rn
         in
         check Alcotest.int "no pairs" 0 (List.length pairs));
   ]

@@ -24,9 +24,10 @@ let ssa_configs =
 (* Direct access to the pipeline's result record — the chordality bound
    is not observable through [Allocator.allocate]. *)
 let ssa_run ~mode ~(machine : Remat.Machine.t) cfg =
+  let f = Remat.Allocator.front_half cfg in
   Remat.Ssa_alloc.run ~mode ~machine ~max_rounds:64
-    ~stats:(Remat.Stats.create ())
-    (Cfg.split_critical_edges cfg)
+    ~stats:f.Remat.Allocator.stats ~dom:f.Remat.Allocator.dom
+    ~loops:f.Remat.Allocator.loops f.Remat.Allocator.flat
 
 (* The full per-config obligation, one generated routine at a time:
    allocation succeeds, output is a valid φ-free routine within k, the

@@ -212,6 +212,15 @@ let counter_in_round stats ~round counter =
     0
     (Remat.Stats.counters stats)
 
+(* The rounds of [stats]'s [Cfa] rows: [[0]] when the allocation
+   analysed its control flow exactly once, in its front half. *)
+let cfa_rounds stats =
+  List.filter_map
+    (fun (r : Remat.Stats.row) ->
+      if r.Remat.Stats.phase = Remat.Stats.Cfa then Some r.Remat.Stats.round
+      else None)
+    (Remat.Stats.rows stats)
+
 let max_per_round stats counter =
   List.fold_left
     (fun acc (_, c, n) -> if c = counter then max acc n else acc)
@@ -226,17 +235,8 @@ let max_per_round stats counter =
    one.  Raises [Remat.Spill_code.Pressure_too_high] like the
    allocator does. *)
 let allocate_by_rounds ~mode ~machine ~on_round input =
-  let cfg0 = Cfg.split_critical_edges input in
-  let loops = Dataflow.Loops.compute cfg0 (Dataflow.Dominance.compute cfg0) in
-  let fr = Remat.Renumber.run_flat mode (Iloc.Flat.of_routine cfg0) in
-  let stats = Remat.Stats.create () in
-  let split_pairs, flat =
-    Remat.Splitting.phase mode stats ~tags:fr.Remat.Renumber.f_tags
-      ~split_pairs:fr.Remat.Renumber.f_split_pairs fr.Remat.Renumber.fl
-  in
   let ctx =
-    Remat.Context.create ~mode ~machine ~loops
-      ~tags:fr.Remat.Renumber.f_tags ~split_pairs ~stats flat
+    Remat.Allocator.context ~mode ~machine (Remat.Allocator.front_half input)
   in
   let module G = Remat.Interference in
   let slots = Reg.Tbl.create 8 and slot_counter = ref 0 in
@@ -248,17 +248,7 @@ let allocate_by_rounds ~mode ~machine ~on_round input =
     let g = Remat.Context.graph ctx in
     let costs = Remat.Spill_cost.phase ctx in
     let order = Remat.Simplify.phase ctx ~costs in
-    let partners = Array.make (G.n_nodes g) [] in
-    List.iter
-      (fun (a, b) ->
-        match (G.index_opt g a, G.index_opt g b) with
-        | Some ia, Some ib ->
-            let ia = G.find g ia and ib = G.find g ib in
-            partners.(ia) <- ib :: partners.(ia);
-            partners.(ib) <- ia :: partners.(ib)
-        | _ -> ())
-      ctx.Remat.Context.split_pairs;
-    let sel = Remat.Select.phase ctx ~order ~partners in
+    let sel = Remat.Select.phase ctx ~order in
     match sel.Remat.Select.spilled with
     | [] ->
         (* The allocator's final rewrite: every register to its node's
