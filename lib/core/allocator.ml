@@ -66,15 +66,13 @@ let verify_output ~input ~output ~(machine : Machine.t) =
       ~k_float:machine.Machine.k_float
   with
   | Ok _ -> ()
-  | Error errs when List.for_all Verify.Error.is_unsupported errs ->
-      (* Outside the checker's domain (e.g. the input already carried
-         spill code); nothing is proved, nothing is rejected. *)
-      ()
   | Error errs ->
       raise (Verification_error (List.map Verify.Error.to_string errs))
 
 (* Where every allocation starts, in both families and from every entry
-   point: validate; then, as round 0's [cfa], split critical edges,
+   point: validate, and refuse a routine outside the verifier's source
+   domain (spill code already in it would share frame slots with the
+   allocator's own); then, as round 0's [cfa], split critical edges,
    encode once, and compute the one dominator tree and loop nest on that
    arena.  No later phase adds a block or an edge, so both hold to the
    end. *)
@@ -86,13 +84,17 @@ type front = {
 }
 
 let front_half input =
+  let invalid msgs =
+    raise
+      (Allocation_error
+         (Printf.sprintf "invalid input routine: %s" (String.concat "; " msgs)))
+  in
   (match Iloc.Validate.routine input with
   | Ok () -> ()
-  | Error es ->
-      raise
-        (Allocation_error
-           (Printf.sprintf "invalid input routine: %s"
-              (String.concat "; " (List.map Iloc.Validate.error_to_string es)))));
+  | Error es -> invalid (List.map Iloc.Validate.error_to_string es));
+  Option.iter
+    (fun e -> invalid [ Verify.Error.to_string e ])
+    (Verify.Check.source_gate input);
   let stats = Stats.create () in
   Stats.time stats ~round:0 Stats.Cfa (fun () ->
       let flat = Iloc.Flat.of_routine (Cfg.split_critical_edges input) in
@@ -423,20 +425,13 @@ let allocate_incremental (snap : snapshot) (input : Cfg.t) =
         } )
 
 let check (res : result) =
-  let errs = ref [] in
-  (match Iloc.Validate.routine res.cfg with
-  | Ok () -> ()
-  | Error es -> errs := List.map Iloc.Validate.error_to_string es);
-  let k = Machine.k_for res.machine in
-  Cfg.iter_instrs
-    (fun b i ->
-      List.iter
-        (fun r ->
-          if Reg.id r >= k (Reg.cls r) then
-            errs :=
-              Printf.sprintf "%s/%s: %s exceeds machine registers"
-                res.cfg.Cfg.name b.Iloc.Block.label (Reg.to_string r)
-              :: !errs)
-        (Instr.defs i @ Instr.uses i))
-    res.cfg;
-  match !errs with [] -> Ok () | es -> Error es
+  let { Machine.k_int; k_float; _ } = res.machine in
+  let invalid =
+    match Iloc.Validate.routine res.cfg with
+    | Ok () -> []
+    | Error es -> List.map Iloc.Validate.error_to_string es
+  in
+  let over = Verify.Check.over_k ~k_int ~k_float res.cfg in
+  match invalid @ List.map Verify.Error.to_string over with
+  | [] -> Ok ()
+  | es -> Error es

@@ -23,6 +23,9 @@
     [f0 .. f(k_float-1)]. *)
 
 exception Allocation_error of string
+(** Allocation gave up.  An input refused by {!Iloc.Validate.routine} or
+    {!Verify.Check.source_gate} draws ["invalid input routine: "]
+    followed by the errors, each naming its block and instruction. *)
 
 exception Verification_error of string list
 (** Raised by {!allocate} with [~verify:true] when the independent
@@ -65,17 +68,16 @@ val allocate :
 (** [mode] defaults to {!Mode.Briggs_remat}, [machine] to
     {!Machine.standard}.  Every path gives up after 64 spill
     rounds.  The input routine must pass
-    {!Iloc.Validate.routine}; it is not mutated (allocation works on a
-    critical-edge-split copy).  Raises {!Allocation_error} when the input
-    is invalid or the round limit is hit, and
-    {!Spill_code.Pressure_too_high} when the register set is too small for
-    the routine.
+    {!Iloc.Validate.routine} and {!Verify.Check.source_gate}; it is not
+    mutated (allocation works on a critical-edge-split copy).  Raises
+    {!Allocation_error} when the input is invalid or the round limit is
+    hit, and {!Spill_code.Pressure_too_high} when the register set is
+    too small for the routine.
 
     With [~verify:true] (default false), the result is handed to the
-    independent translation validator before being returned: a
-    rejection raises {!Verification_error}.  Pairs the checker declines
-    to judge (kind [Unsupported] — e.g. an input that already contains
-    spill code) pass silently. *)
+    independent translation validator before being returned: any error
+    raises {!Verification_error}.  The source gate has refused every
+    input it cannot judge, so the allocation is proved or rejected. *)
 
 type front = private {
   stats : Stats.t;
@@ -91,7 +93,8 @@ type front = private {
     from renumbering to the final rewrite. *)
 
 val front_half : Iloc.Cfg.t -> front
-(** Validate the input (raising {!Allocation_error} if it is invalid);
+(** Validate the input and gate it ({!Verify.Check.source_gate}),
+    raising {!Allocation_error} if either refuses it;
     then, timed as round 0's [Cfa], split its critical edges, encode it
     ({!Iloc.Flat.of_routine}) and compute its dominator tree and loop
     nest on that arena.  {!allocate}, {!allocate_snapshot} and
@@ -159,4 +162,5 @@ val allocate_incremental :
 
 val check : result -> (unit, string list) Result.t
 (** Post-allocation sanity check: the code is valid ILOC and every
-    register id is below the machine's [k] for its class. *)
+    register id is below the machine's [k] for its class
+    ({!Verify.Check.over_k}). *)

@@ -5,21 +5,20 @@ module Reg = Iloc.Reg
 
 type scheme = [ `All_loops | `Outer_loops | `Unreferenced ]
 
-(* Occurrence summary of a register within a loop body. *)
-type presence = { used : bool; defined : bool }
-
-let presence_in (cfg : Cfg.t) (body : Dataflow.Bitset.t) r =
-  let used = ref false and defined = ref false in
+(* Every register an instruction of the loop body uses or defines. *)
+let referenced_in (cfg : Cfg.t) (body : Dataflow.Bitset.t) =
+  let seen = Reg.Tbl.create 64 in
+  let note r = Reg.Tbl.replace seen r () in
   Cfg.iter_blocks
     (fun b ->
       if Dataflow.Bitset.mem body b.Block.id then
         Block.iter_instrs
           (fun i ->
-            if List.exists (Reg.equal r) (Instr.uses i) then used := true;
-            if List.exists (Reg.equal r) (Instr.defs i) then defined := true)
+            Option.iter note i.Instr.dst;
+            Array.iter note i.Instr.srcs)
           b)
     cfg;
-  { used = !used; defined = !defined }
+  seen
 
 (* Split [r] around one loop: rename it to a fresh [r'] inside the body,
    with [r' <- r] on every entry edge and [r <- r'] on every exit edge
@@ -109,12 +108,10 @@ let run (scheme : scheme) (cfg : Cfg.t) ~tags ~(loops : Dataflow.Loops.t) =
         match scheme with
         | `All_loops | `Outer_loops -> candidates
         | `Unreferenced ->
+            let referenced = referenced_in cfg l.Dataflow.Loops.body in
             List.filter
               (fun r ->
-                (not (Reg.Tbl.mem no_resplit r))
-                &&
-                let p = presence_in cfg l.Dataflow.Loops.body r in
-                (not p.used) && not p.defined)
+                not (Reg.Tbl.mem no_resplit r || Reg.Tbl.mem referenced r))
               candidates
       in
       List.iter

@@ -1,11 +1,7 @@
-module Cfg = Iloc.Cfg
-module Instr = Iloc.Instr
-module Reg = Iloc.Reg
-
 type divergence =
   | Crash of { phase : string; exn : string }
   | Validator_rejection of Iloc.Validate.error list
-  | Over_k of string list
+  | Over_k of Verify.Error.t list
   | Static_rejection of Verify.Error.t list
   | Sim_error of string
   | Wrong_outcome of string
@@ -56,8 +52,9 @@ let describe = function
       Printf.sprintf "invalid output ILOC: %s"
         (first_line
            (String.concat "; " (List.map Iloc.Validate.error_to_string es)))
-  | Over_k rs ->
-      Printf.sprintf "registers above k in output: %s" (String.concat " " rs)
+  | Over_k es ->
+      Printf.sprintf "registers above k in output: %s"
+        (first_line (String.concat "; " (List.map Verify.Error.to_string es)))
   | Static_rejection es ->
       Printf.sprintf "static verifier rejected the allocation: %s"
         (first_line (String.concat "; " (List.map Verify.Error.to_string es)))
@@ -146,31 +143,24 @@ let check_config ~reference cfg config =
           match Iloc.Validate.routine out with
           | Error es -> Some (Validator_rejection es)
           | Ok () -> (
-              let k = Remat.Machine.k_for config.machine in
-              let over = ref [] in
-              Cfg.iter_instrs
-                (fun _ i ->
-                  List.iter
-                    (fun r ->
-                      if Reg.id r >= k (Reg.cls r) then
-                        over := Reg.to_string r :: !over)
-                    (Instr.defs i @ Instr.uses i))
-                out;
-              match List.sort_uniq String.compare !over with
-              | _ :: _ as rs -> Some (Over_k rs)
-              | [] -> (
-                  (* Static translation validation: independent of the
-                     simulator, so a bad allocation is caught even when no
-                     dynamic input exercises the broken path. *)
+              (* Static translation validation: independent of the
+                 simulator, so a bad allocation is caught even when no
+                 dynamic input exercises the broken path. *)
+              match
+                Verify.Check.routine ~input:prepared ~output:out
+                  ~k_int:config.machine.Remat.Machine.k_int
+                  ~k_float:config.machine.Remat.Machine.k_float
+              with
+              | Error es -> (
                   match
-                    Verify.Check.routine ~input:prepared ~output:out
-                      ~k_int:config.machine.Remat.Machine.k_int
-                      ~k_float:config.machine.Remat.Machine.k_float
+                    List.filter
+                      (fun (e : Verify.Error.t) ->
+                        e.Verify.Error.kind = Verify.Error.Over_k)
+                      es
                   with
-                  | Error es
-                    when not (List.for_all Verify.Error.is_unsupported es) ->
-                      Some (Static_rejection es)
-                  | Ok _ | Error _ -> (
+                  | [] -> Some (Static_rejection es)
+                  | over -> Some (Over_k over))
+              | Ok _ -> (
                   match Sim.Interp.run ~fuel out with
                   | exception Sim.Interp.Runtime_error m -> Some (Sim_error m)
                   | exception e ->
@@ -178,7 +168,7 @@ let check_config ~reference cfg config =
                   | outcome ->
                       if Sim.Interp.outcome_equal reference outcome then None
                       else Some (Wrong_outcome (outcome_diff reference outcome))
-                  )))))
+                  ))))
 
 let check cfg =
   match reference cfg with

@@ -15,8 +15,9 @@ type divergence =
           or ["sim"] *)
   | Validator_rejection of Iloc.Validate.error list
       (** the allocated routine fails {!Iloc.Validate.routine} *)
-  | Over_k of string list
-      (** registers above the machine's [k] survive in the output *)
+  | Over_k of Verify.Error.t list
+      (** registers above the machine's [k] survive in the output: the
+          {!Verify.Check.over_k} errors among the validator's *)
   | Static_rejection of Verify.Error.t list
       (** the independent translation validator ({!Verify.Check}) cannot
           prove the allocation faithful — caught with no simulator run *)

@@ -295,8 +295,10 @@ let check_block ctx st (ib : Block.t) (ob : Block.t) =
 
 (* Reads each instruction's destination and sources where they stand:
    no instruction, definition or use lists are built. *)
-let check_over_k ~k_int ~k_float ~name errs (output : Cfg.t) =
+let over_k ~k_int ~k_float (cfg : Cfg.t) =
+  let name = cfg.Cfg.name in
   let k_of r = match Reg.cls r with Reg.Int -> k_int | Reg.Float -> k_float in
+  let errs = ref [] in
   let check label index (i : Instr.t) r =
     if Reg.id r >= k_of r then
       errs :=
@@ -321,64 +323,50 @@ let check_over_k ~k_int ~k_float ~name errs (output : Cfg.t) =
           done;
           incr index)
         b)
-    output
-
-(* Gate probes, precise: an unsupported rejection names the first
-   offending block (and instruction), so a caller that fed the checker a
-   pre-spilled or still-SSA routine learns exactly where — not merely
-   that — its input left the checker's domain. *)
-let first_phi cfg =
-  let found = ref None in
-  Cfg.iter_blocks
-    (fun b ->
-      if !found = None then
-        match b.Block.phis with
-        | p :: _ -> found := Some (b.Block.label, p.Phi.dst)
-        | [] -> ())
     cfg;
-  !found
+  List.rev !errs
 
-let first_spill_op cfg =
-  let found = ref None in
-  Cfg.iter_blocks
+(* Plain recursion, no per-block closure: the allocator gates every
+   input, and a routine inside the domain allocates nothing here. *)
+let find_block f (cfg : Cfg.t) =
+  let rec go id =
+    if id = Cfg.n_blocks cfg then None
+    else match f (Cfg.block cfg id) with None -> go (id + 1) | e -> e
+  in
+  go 0
+
+let rec first_spill index = function
+  | [] -> None
+  | (i : Instr.t) :: rest -> (
+      match i.Instr.op with
+      | Instr.Spill _ | Instr.Reload _ -> Some (index, i)
+      | _ -> first_spill (index + 1) rest)
+
+(* One walk, in block order; the error names the first offending block
+   and, for spill code, the instruction. *)
+let source_gate (cfg : Cfg.t) =
+  let name = cfg.Cfg.name in
+  find_block
     (fun b ->
-      if !found = None then
-        List.iteri
-          (fun idx (i : Instr.t) ->
-            if !found = None then
-              match i.Instr.op with
-              | Instr.Spill s -> found := Some (b.Block.label, idx, "spill", s)
-              | Instr.Reload s -> found := Some (b.Block.label, idx, "reload", s)
-              | _ -> ())
-          b.Block.body)
-    cfg;
-  !found
-
-let phi_gate name which cfg =
-  match first_phi cfg with
-  | None -> None
-  | Some (label, dst) ->
-      Some
-        [
-          Error.block_err name ~label Error.Unsupported
-            (Printf.sprintf
-               "%s routine is in SSA form: φ-function defining %s — destruct \
-                φs before verifying"
-               which (Reg.to_string dst));
-        ]
-
-let spill_gate name cfg =
-  match first_spill_op cfg with
-  | None -> None
-  | Some (label, idx, op, slot) ->
-      Some
-        [
-          Error.instr_err name ~label ~index:idx Error.Unsupported
-            (Printf.sprintf
-               "source routine already contains spill code: %s of frame slot \
-                %d — the checker needs a slot-free source to validate against"
-               op slot);
-        ]
+      let label = b.Block.label in
+      match b.Block.phis with
+      | p :: _ ->
+          Some
+            (Error.block_err name ~label Error.Unsupported
+               (Printf.sprintf
+                  "source routine is in SSA form: φ-function defining %s"
+                  (Reg.to_string p.Phi.dst)))
+      | [] -> (
+          match first_spill 0 b.Block.body with
+          | None -> None
+          | Some (index, i) ->
+              Some
+                (Error.instr_err name ~label ~index Error.Unsupported
+                   (Printf.sprintf
+                      "source routine already contains spill code: `%s` — \
+                       allocation numbers frame slots itself"
+                      (Instr.to_string i)))))
+    cfg
 
 (* Reverse postorder of the output CFG from its entry, by an iterative
    DFS (no recursion: routines reach 10^6 instructions), followed by any
@@ -417,16 +405,19 @@ let sweep_order (cfg : Cfg.t) =
 
 let routine ~(input : Cfg.t) ~(output : Cfg.t) ~k_int ~k_float =
   let name = output.Cfg.name in
-  match
-    match phi_gate name "source" input with
-    | Some _ as e -> e
-    | None -> (
-        match phi_gate name "allocated" output with
-        | Some _ as e -> e
-        | None -> spill_gate name input)
-  with
-  | Some errs -> Result.Error errs
-  | None -> begin
+  let output_phi (b : Block.t) =
+    match b.Block.phis with
+    | p :: _ ->
+        Some
+          (Error.block_err name ~label:b.Block.label Error.Structure
+             (Printf.sprintf
+                "allocated routine is in SSA form: φ-function defining %s"
+                (Reg.to_string p.Phi.dst)))
+    | [] -> None
+  in
+  match (source_gate input, find_block output_phi output) with
+  | Some e, _ | None, Some e -> Result.Error [ e ]
+  | None, None -> begin
     let errs = ref [] in
     if not (String.equal input.Cfg.name output.Cfg.name) then
       errs :=
@@ -439,7 +430,7 @@ let routine ~(input : Cfg.t) ~(output : Cfg.t) ~k_int ~k_float =
         Error.routine_err name Error.Structure
           "static data symbols differ from the source"
         :: !errs;
-    check_over_k ~k_int ~k_float ~name errs output;
+    errs := List.rev_append (over_k ~k_int ~k_float output) !errs;
     let in_labels = Hashtbl.create 16 in
     Cfg.iter_blocks
       (fun b -> Hashtbl.replace in_labels b.Block.label b)

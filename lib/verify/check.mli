@@ -67,7 +67,19 @@ val routine :
   k_int:int ->
   k_float:int ->
   (report, Error.t list) result
-(** Errors of kind {!Error.Unsupported} mean the pair is outside the
-    checker's domain (SSA form, or spill opcodes already present in the
-    input); nothing is proved either way.  Any other kind is a genuine
-    rejection. *)
+(** A source outside the checker's domain draws only {!source_gate}'s
+    error (kind {!Error.Unsupported}): nothing is proved either way.  A
+    φ-function in [output] is a {!Error.Structure} error.  Any other
+    error is a genuine rejection. *)
+
+val source_gate : Cfg.t -> Error.t option
+(** The source domain, which is also the allocator's input contract: no
+    φ-function and no [spill]/[reload] (allocation numbers frame slots
+    itself).  Returns the first φ-function (naming its block) or spill
+    opcode (naming block and body index) as an {!Error.Unsupported}
+    error, or [None].  [Remat.Allocator] refuses every input it names,
+    so only direct callers of {!routine} meet [Unsupported]. *)
+
+val over_k : k_int:int -> k_float:int -> Cfg.t -> Error.t list
+(** An {!Error.Over_k} error for each register operand at or above its
+    class's [k], in instruction order; {!routine} reports these too. *)

@@ -9,14 +9,15 @@
 
 type kind =
   | Unsupported
-      (** the pair of routines is outside the checker's domain (SSA
-          form, or spill opcodes already present in the input); nothing
-          is proved either way *)
+      (** the source routine is outside the checker's domain — it holds
+          a φ-function or spill code ({!Check.source_gate}); nothing is
+          proved either way.  The allocator refuses such a source, so
+          only a direct caller of {!Check.routine} meets this kind *)
   | Structure
       (** the allocated routine's shape cannot be mapped back onto the
-          input: unknown entry label, a branch whose resolved target
-          disagrees with the source terminator, a non-[jmp] terminator
-          in an allocator-inserted block *)
+          input: a φ-function, unknown entry label, a branch whose
+          resolved target disagrees with the source terminator, a
+          non-[jmp] terminator in an allocator-inserted block *)
   | Unmatched
       (** instruction alignment failed: an output instruction is
           neither allocator-inserted (copy, spill, reload,

@@ -80,6 +80,41 @@ let correctness =
           (Iloc.Printer.routine_to_string cfg));
   ]
 
+(* A source holding spill code is outside what either family can
+   allocate: every entry point refuses it, naming the spill. *)
+let refusal =
+  [
+    tc "pre-spilled source refused by every entry point, every mode"
+      (fun () ->
+        let pre = Iloc.Parser.routine Testutil.pre_spilled_text in
+        let refused what f =
+          match f () with
+          | _ -> Alcotest.failf "%s: allocated a pre-spilled source" what
+          | exception Remat.Allocator.Allocation_error msg ->
+              if
+                not (String.starts_with ~prefix:Testutil.pre_spilled_refusal msg)
+              then
+                Alcotest.failf "%s: refusal does not start %S: %s" what
+                  Testutil.pre_spilled_refusal msg
+        in
+        List.iter
+          (fun mode ->
+            let m = Mode.to_string mode in
+            refused (m ^ " allocate") (fun () ->
+                ignore (Remat.Allocator.allocate ~verify:true ~mode pre));
+            refused (m ^ " allocate_snapshot") (fun () ->
+                ignore (Remat.Allocator.allocate_snapshot ~mode pre));
+            match
+              snd (Remat.Allocator.allocate_snapshot ~mode
+                     (Testutil.counted_loop ()))
+            with
+            | None -> ()
+            | Some snap ->
+                refused (m ^ " allocate_incremental") (fun () ->
+                    ignore (Remat.Allocator.allocate_incremental snap pre)))
+          Mode.all);
+  ]
+
 (* Dynamic spill cost: cycles on the target machine minus cycles on the
    huge machine, following §5.2. *)
 let spill_cost_of mode machine cfg =
@@ -289,6 +324,7 @@ let () =
   Alcotest.run "allocator"
     [
       ("correctness", correctness);
+      ("refusal", refusal);
       ("quality", quality);
       ("local-baseline", local_alloc);
       ("local-props", List.map QCheck_alcotest.to_alcotest [ local_prop ]);

@@ -299,8 +299,7 @@ let destruct_fault_tests =
             check Alcotest.bool "an error pinpoints block and instruction" true
               (List.exists
                  (fun (e : Verify.Error.t) ->
-                   (not (Verify.Error.is_unsupported e))
-                   && e.Verify.Error.block <> None
+                   e.Verify.Error.block <> None
                    && e.Verify.Error.index <> None)
                  es));
     tc "reducer shrinks the destruction repro to <= 15 instructions"

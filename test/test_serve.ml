@@ -620,6 +620,36 @@ let live_tests =
                Domain.join in the harness proves it exits either way. *)
             let whole = Frame.to_string "ralloc/1 stats\n" in
             Frame.write_all raw (String.sub whole 0 (String.length whole - 4))));
+    tc "pre-spilled alloc and edit draw Errs; the stream serves on"
+      (fun () ->
+        with_connection (fun client _raw ->
+            let config = Protocol.standard_config in
+            let request r = expect_ok (Client.request client r) in
+            let base =
+              expect_allocated
+                (request (Protocol.Alloc { config; text = routine_of_seed 32 }))
+            in
+            let refused what = function
+              | Protocol.Err e ->
+                  check Alcotest.bool (what ^ ": alloc kind") true
+                    (e.kind = Protocol.Alloc_error);
+                  check Alcotest.bool (what ^ ": names the spill") true
+                    (String.starts_with ~prefix:Testutil.pre_spilled_refusal
+                       e.msg)
+              | r ->
+                  Alcotest.failf "%s: expected Err, got %s" what
+                    (Protocol.encode_response r)
+            in
+            let text = Testutil.pre_spilled_text in
+            refused "alloc" (request (Protocol.Alloc { config; text }));
+            refused "edit"
+              (request (Protocol.Edit { config; base = base.hash; text }));
+            let next =
+              expect_allocated
+                (request (Protocol.Alloc { config; text = routine_of_seed 33 }))
+            in
+            check Alcotest.bool "next request allocated cold" true
+              (next.source = Protocol.Cold)));
     tc "a well-framed garbage payload draws an Err; the connection survives"
       (fun () ->
         with_connection (fun client raw ->

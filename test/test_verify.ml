@@ -457,7 +457,7 @@ let planted_tests =
                 | None -> Alcotest.fail "oracle missed the biased remat")));
   ]
 
-(* --- domain gate: precise unsupported errors --- *)
+(* --- domain gate: precise errors --- *)
 
 let first_phi_label cfg =
   let found = ref None in
@@ -492,8 +492,8 @@ let gate_tests =
         | Ok _ -> Alcotest.fail "accepted an SSA output"
         | Error es ->
             let e = List.hd es in
-            check Alcotest.bool "unsupported" true
-              (Verify.Error.is_unsupported e);
+            check Alcotest.string "kind" "structure"
+              (Verify.Error.kind_to_string e.Verify.Error.kind);
             check
               Alcotest.(option string)
               "φ block named"
@@ -527,31 +527,6 @@ let gate_tests =
             check
               Alcotest.(option int)
               "spill's index named" (Some 1) e.Verify.Error.index);
-    tc "allocator's verify tolerates the gate (nothing proved, nothing \
-        rejected)" (fun () ->
-        (* SSA-mode allocation of a routine the gate cannot validate —
-           input containing spill code — must not raise. *)
-        let pre =
-          Iloc.Parser.routine
-            (Iloc.Printer.routine_to_string
-               (let res = Remat.Allocator.allocate (Testutil.counted_loop ()) in
-                res.Remat.Allocator.cfg))
-        in
-        if
-          Cfg.fold_blocks
-            (fun acc b ->
-              acc
-              || List.exists
-                   (fun (i : Instr.t) ->
-                     match i.Instr.op with
-                     | Instr.Spill _ | Instr.Reload _ -> true
-                     | _ -> false)
-                   b.Block.body)
-            false pre
-        then
-          ignore
-            (Remat.Allocator.allocate ~verify:true ~mode:Remat.Mode.Ssa_remat
-               pre));
   ]
 
 (* --- fixpoint cost --- *)

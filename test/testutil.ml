@@ -125,6 +125,41 @@ let high_pressure ?(n = 24) () =
     ~term:(Instr.ret (Some acc));
   Builder.finish b
 
+(* A source that already holds spill code: its slot 0 would collide
+   with the allocator's own first spill slot, so every allocator entry
+   point must refuse it, naming the [spill] as [entry]'s instruction 3. *)
+let pre_spilled_text =
+  String.concat "\n"
+    [
+      "routine pre2";
+      "entry:";
+      "  r100 <- ldi 7";
+      "  r101 <- ldi 0";
+      "  r102 <- add r100 r101";
+      "  spill r102 -> [0]";
+      "  r1 <- add r101 r101";
+      "  r2 <- addi r1 2";
+      "  r3 <- addi r2 3";
+      "  r4 <- addi r3 4";
+      "  r5 <- addi r4 5";
+      "  r6 <- add r1 r2";
+      "  r7 <- add r6 r3";
+      "  r8 <- add r7 r4";
+      "  r9 <- add r8 r5";
+      "  r10 <- add r9 r1";
+      "  r11 <- add r10 r2";
+      "  r12 <- add r11 r3";
+      "  r13 <- add r12 r4";
+      "  r14 <- add r13 r5";
+      "  r20 <- reload [0]";
+      "  print r20";
+      "  print r14";
+      "  ret";
+      "";
+    ]
+
+let pre_spilled_refusal = "invalid input routine: pre2/entry#3: "
+
 let all_fixed () =
   [
     ("straight", straight ());
