@@ -402,10 +402,10 @@ let dot_cmd =
               ~machine:Remat.Machine.standard
               (Remat.Allocator.front_half cfg)
           in
+          let g = Remat.Allocator.build ctx in
           print_string
             (Remat.Dump.interference_to_string
-               ~split_pairs:ctx.Remat.Context.split_pairs
-               (Remat.Context.graph ctx))
+               ~split_pairs:ctx.Remat.Context.split_pairs g)
         end
         else print_string (Iloc.Dot.cfg_to_string cfg))
   in
@@ -772,7 +772,7 @@ let serve_cmd =
      frames, see DESIGN.md §15) arrive on stdin or a Unix socket; \
      allocations fan out across a worker pool, results are memoized by \
      routine content hash, and edited routines re-allocate incrementally \
-     from the cached context.  Responses are deterministic: byte-identical \
+     from the cached snapshot.  Responses are deterministic: byte-identical \
      for any --jobs value."
   in
   Cmd.v (Cmd.info "serve" ~doc)

@@ -23,18 +23,46 @@ type result = {
 (* Spill rounds any path runs before giving up with {!Allocation_error}. *)
 let max_rounds = 64
 
-(* The build–coalesce loop, incremental (§2, §4.2): one from-scratch
-   graph build per spill round; every coalescing sweep after it updates
-   the graph in place (Chaitin's neighbor-set union), so iterating to the
-   coalescing fixpoint costs sweeps over the copies, not rebuilds.
-   Unrestricted copies first, then conservative coalescing of splits;
-   the arena is renamed once, after the last sweep. *)
-let build_coalesce (ctx : Context.t) =
-  ignore (Context.graph ctx);
+(* A round's from-scratch start: boundary liveness of the arena over the
+   front half's block order, then the live-range numbering and the
+   graph build.  Post-renumber register names are sparse in id space
+   (live-range representatives survive unioning), so the graph indexes
+   nodes through the dense numbering ([Reg_index.of_flat]) rather than
+   anything id-width; boundary rows feed the build directly, so dense
+   liveness is never materialized.  Both working sets recycle the
+   previous round's storage through the context's scratches. *)
+let build (ctx : Context.t) =
+  let fl = ctx.Context.flat in
+  let bl =
+    Context.time ctx Stats.Liveness (fun () ->
+        Dataflow.Liveness.Boundary.compute ~order:ctx.Context.order
+          ~scratch:ctx.Context.boundary_scratch fl)
+  in
+  Context.count ctx Stats.Liveness_runs 1;
+  let on_pairs ~emitted ~dropped =
+    Context.count ctx Stats.Build_pairs emitted;
+    Context.count ctx Stats.Build_dupes dropped
+  in
+  let g =
+    Context.time ctx Stats.Build (fun () ->
+        Interference.build_flat_boundary ~scratch:ctx.Context.build_scratch
+          ~on_pairs ~k:ctx.Context.k (Dataflow.Reg_index.of_flat fl) fl bl)
+  in
+  Context.count ctx Stats.Full_builds 1;
+  g
+
+(* The coalescing loop, incremental (§2, §4.2): every sweep after the
+   round's one build updates the graph in place (Chaitin's neighbor-set
+   union), so iterating to the coalescing fixpoint costs sweeps over the
+   copies, not rebuilds.  Unrestricted copies first, then conservative
+   coalescing of splits; the arena is renamed once, after the last
+   sweep. *)
+let coalesce (ctx : Context.t) g =
+  let wl = Coalesce.worklist ctx g in
   let before = ctx.Context.coalesced in
   let phase = ref Coalesce.Unrestricted in
   let rec loop () =
-    let outcome = Coalesce.pass !phase ctx in
+    let outcome = Coalesce.pass !phase ctx g wl in
     if outcome.Coalesce.changed then loop ()
     else
       match !phase with
@@ -44,12 +72,12 @@ let build_coalesce (ctx : Context.t) =
       | Coalesce.Unrestricted | Coalesce.Conservative -> ()
   in
   loop ();
-  if ctx.Context.coalesced > before then Coalesce.rewrite ctx;
-  (* The graph object is this round's build, mutated in place by the
-     sweeps above; the union edges their merges added are this round's
-     growth beyond the build. *)
-  Context.count ctx Stats.Build_overlay
-    (Interference.union_edges (Context.graph ctx))
+  if ctx.Context.coalesced > before then Coalesce.rewrite ctx g wl;
+  (* The graph is this round's build, mutated in place by the sweeps
+     above; the union edges their merges added are this round's growth
+     beyond the build. *)
+  Context.count ctx Stats.Build_overlay (Interference.union_edges g);
+  wl
 
 (* Identity copies — split or ordinary copies whose two live ranges
    received the same color, the situation biased coloring sets up — are
@@ -89,13 +117,14 @@ let front_half input =
       (Allocation_error
          (Printf.sprintf "invalid input routine: %s" (String.concat "; " msgs)))
   in
-  (match Iloc.Validate.routine input with
-  | Ok () -> ()
-  | Error es -> invalid (List.map Iloc.Validate.error_to_string es));
-  Option.iter
-    (fun e -> invalid [ Verify.Error.to_string e ])
-    (Verify.Check.source_gate input);
   let stats = Stats.create () in
+  Stats.time stats ~round:0 Stats.Validate (fun () ->
+      (match Iloc.Validate.routine input with
+      | Ok () -> ()
+      | Error es -> invalid (List.map Iloc.Validate.error_to_string es));
+      Option.iter
+        (fun e -> invalid [ Verify.Error.to_string e ])
+        (Verify.Check.source_gate input));
   Stats.time stats ~round:0 Stats.Cfa (fun () ->
       let flat = Iloc.Flat.of_routine (Cfg.split_critical_edges input) in
       let dom = Dataflow.Dominance.compute_flat flat in
@@ -108,73 +137,118 @@ let renumber ~mode ~machine (f : front) =
     Stats.time f.stats ~round:0 Stats.Renum (fun () ->
         Renumber.run_flat mode ~dom:f.dom f.flat)
   in
+  let order = Dataflow.Dominance.postorder f.dom in
   let split_pairs, flat =
-    Splitting.phase mode f.stats ~loops:f.loops ~tags:fr.Renumber.f_tags
+    Splitting.phase mode f.stats ~loops:f.loops ~order ~tags:fr.Renumber.f_tags
       ~split_pairs:fr.Renumber.f_split_pairs fr.Renumber.fl
   in
   ( fr,
-    Context.create ~mode ~machine ~loops:f.loops ~tags:fr.Renumber.f_tags
-      ~split_pairs ~stats:f.stats flat )
+    Context.create ~mode ~machine ~loops:f.loops ~order
+      ~tags:fr.Renumber.f_tags ~split_pairs ~stats:f.stats flat )
 
 let context ~mode ~machine f = snd (renumber ~mode ~machine f)
 
 (* Incremental re-allocation.
 
    A snapshot captures everything a {e small edit} of the routine leaves
-   valid: the renumbered arena (pristine, before any coalescing),
-   boundary liveness and the freshly built interference graph.  A cold
-   allocation takes it from its own first round, after the build and
-   before the first coalescing sweep, so none of it is computed twice.
-   Liveness and the graph depend only on which registers each
-   instruction defines and uses, on which instructions are copies, and
-   on terminator targets — never on immediate/offset payloads or
-   source-operand order — so an edit that preserves that skeleton
-   (after renumbering) can skip the from-scratch liveness + build and go
-   straight to coalescing on a private copy of the cached graph.
+   valid: the renumbered arena (pristine, before any coalescing) and the
+   freshly built interference graph.  A cold allocation takes it from
+   its own first round, after the build and before the first coalescing
+   sweep, so none of it is computed twice.  The graph depends only on
+   which registers each instruction defines and uses, on which
+   instructions are copies, and on terminator targets — never on
+   immediate/offset payloads or source-operand order — so an edit that
+   preserves that skeleton (after renumbering) can skip the from-scratch
+   liveness + build and go straight to coalescing on a private copy of
+   the snapshot's graph.
 
    Renumbering itself is {e not} skipped: tag unioning can coincide
    differently under a payload change (two values whose remat tags were
    accidentally equal stop being unioned, or start), which changes the
    live-range skeleton.  The skeleton check below detects exactly that,
    and the edit then continues cold from the arena it has renumbered,
-   so reuse is always sound: primed caches are used only when they
-   provably describe the edited routine too. *)
+   so reuse is always sound: a snapshot's graph starts a round only when
+   it provably describes the edited routine too. *)
 
 type snapshot = {
   snap_mode : Mode.t;
   snap_machine : Machine.t;
   snap_flat : Iloc.Flat.t;
   snap_split_pairs : (Reg.t * Reg.t) list;
-  snap_boundary : Dataflow.Liveness.Boundary.t;
   snap_graph : Interference.t;
 }
 
 (* Round 1's start, before coalescing touches it.  Arenas are
    immutable (coalescing and spill code replace [ctx.flat]), so the
    arena is shared; the graph is copied, since coalescing merges in
-   place.  The boundary rows are the context's own: dropping its
-   liveness scratch detaches them, so the next recomputation (in round
-   2) allocates fresh rows instead of recycling these. *)
-let take_snapshot (ctx : Context.t) =
-  let graph = Interference.copy (Context.graph ctx) in
-  let boundary = Context.boundary ctx in
-  ctx.Context.boundary_scratch <- None;
+   place. *)
+let take_snapshot (ctx : Context.t) g =
   {
     snap_mode = ctx.Context.mode;
     snap_machine = ctx.Context.machine;
     snap_flat = ctx.Context.flat;
     snap_split_pairs = ctx.Context.split_pairs;
-    snap_boundary = boundary;
-    snap_graph = graph;
+    snap_graph = Context.time ctx Stats.Build (fun () -> Interference.copy g);
   }
 
-(* The spill-round loop, shared by the cold path (caches empty) and
-   [allocate_incremental]'s reuse path (caches primed from a snapshot).
+(* Of a round's uncolored nodes, the ones to spill.  Select's uncolored
+   set can include spill temporaries from an earlier round when it
+   colored optimistically-pushed candidates in an unlucky order.
+   Spilling a temporary is never useful — its live range is already
+   minimal — so defer temporaries whenever real live ranges are also
+   uncolored; the real spills lower the pressure that pinched the
+   temporary.  If only temporaries remain uncolored, pressure genuinely
+   exceeds the machine and Spill_code raises. *)
+let spill_victims ~name (ctx : Context.t) g costs spilled_nodes =
+  let temps, real =
+    List.partition
+      (fun i -> Reg.Tbl.mem ctx.Context.infinite (Interference.reg g i))
+      spilled_nodes
+  in
+  match (real, temps) with
+  | _ :: _, _ -> real
+  | [], temps ->
+      (* Only temporaries are uncolored: every color at their program
+         points is held by some longer live range.  Evict the cheapest
+         finite-cost neighbor of each stuck temporary instead — that
+         frees a color where it is needed, and the temporary colors next
+         round. *)
+      let victims =
+        List.filter_map
+          (fun t ->
+            Interference.neighbors g t
+            |> List.filter (fun nb -> costs.(nb) < infinity)
+            |> function
+            | [] -> None
+            | nb :: nbs ->
+                Some
+                  (List.fold_left
+                     (fun best c ->
+                       if costs.(c) < costs.(best) then c else best)
+                     nb nbs))
+          temps
+        |> List.sort_uniq Int.compare
+      in
+      if List.is_empty victims then begin
+        let machine = ctx.Context.machine in
+        raise
+          (Allocation_error
+             (Printf.sprintf "%s: register pressure irreducible at k=%d/%d"
+                name machine.Machine.k_int machine.Machine.k_float))
+      end;
+      victims
+
+(* The spill-round loop, shared by the cold path and
+   [allocate_incremental]'s reuse path, where round 1 starts from a copy
+   of the snapshot's graph ([primed]) instead of a build.  Each round is
+   the paper's fixed sequence — build, coalesce, spill costs, simplify,
+   select, then either the rewrite to physical registers or spill code —
+   with the round's graph and worklist passed from phase to phase.
    Colors the context's arena and bridges the result to [Cfg.t], the
    loop's only bridge.  Of renumbering's result it takes only the two
    counts it reports, so the round-0 arena is not kept alive through the
    rounds.  With [~capture], round 1 also takes the snapshot. *)
-let color_rounds ~capture ~verify ~n_values ~n_live_ranges
+let color_rounds ~capture ~primed ~verify ~n_values ~n_live_ranges
     (input : Cfg.t) (ctx : Context.t) =
   let name = input.Cfg.name in
   let machine = ctx.Context.machine in
@@ -188,80 +262,47 @@ let color_rounds ~capture ~verify ~n_values ~n_live_ranges
         (Allocation_error
            (Printf.sprintf "%s: no coloring after %d rounds" name max_rounds));
     Context.set_round ctx r;
-    if capture && r = 1 then snap := Some (take_snapshot ctx);
-    build_coalesce ctx;
-    let g = Context.graph ctx in
-    let costs = Spill_cost.phase ctx in
-    let order = Simplify.phase ctx ~costs in
-    let selection = Select.phase ctx ~order in
+    let g =
+      match primed with
+      | Some snap_graph when r = 1 ->
+          Context.time ctx Stats.Build (fun () -> Interference.copy snap_graph)
+      | _ -> build ctx
+    in
+    if capture && r = 1 then snap := Some (take_snapshot ctx g);
+    let wl = coalesce ctx g in
+    let costs = Spill_cost.phase ctx g in
+    let order = Simplify.phase ctx g ~costs in
+    let selection =
+      Select.phase ctx g ~split_nodes:wl.Coalesce.split_nodes ~order
+    in
     match selection.Select.spilled with
     | [] ->
-        let fl = rewrite_physical ctx.Context.flat g selection.Select.colors in
-        (Iloc.Flat.to_routine fl, r)
-    | spilled_nodes ->
-        (* Select's uncolored set can include spill temporaries from an
-           earlier round when it colored optimistically-pushed candidates
-           in an unlucky order.  Spilling a temporary is never useful —
-           its live range is already minimal — so defer temporaries
-           whenever real live ranges are also uncolored; the real spills
-           lower the pressure that pinched the temporary.  If only
-           temporaries remain uncolored, pressure genuinely exceeds the
-           machine and Spill_code raises. *)
-        let infinite = ctx.Context.infinite in
-        let spilled_nodes =
-          let temps, real =
-            List.partition
-              (fun i -> Reg.Tbl.mem infinite (Interference.reg g i))
-              spilled_nodes
-          in
-          match (real, temps) with
-          | _ :: _, _ -> real
-          | [], temps ->
-              (* Only temporaries are uncolored: every color at their
-                 program points is held by some longer live range.  Evict
-                 the cheapest finite-cost neighbor of each stuck
-                 temporary instead — that frees a color where it is
-                 needed, and the temporary colors next round. *)
-              let victims =
-                List.filter_map
-                  (fun t ->
-                    Interference.neighbors g t
-                    |> List.filter (fun nb -> costs.(nb) < infinity)
-                    |> function
-                    | [] -> None
-                    | nb :: nbs ->
-                        Some
-                          (List.fold_left
-                             (fun best c ->
-                               if costs.(c) < costs.(best) then c else best)
-                             nb nbs))
-                  temps
-                |> List.sort_uniq Int.compare
-              in
-              if List.is_empty victims then
-                raise
-                  (Allocation_error
-                     (Printf.sprintf
-                        "%s: register pressure irreducible at k=%d/%d" name
-                        machine.Machine.k_int machine.Machine.k_float));
-              victims
+        let cfg =
+          Context.time ctx Stats.Rewrite (fun () ->
+              Iloc.Flat.to_routine
+                (rewrite_physical ctx.Context.flat g selection.Select.colors))
         in
-        Context.count ctx Stats.Spilled_ranges (List.length spilled_nodes);
+        (cfg, r)
+    | spilled_nodes ->
         let fl =
           Context.time ctx Stats.Spill (fun () ->
+              let spilled_nodes =
+                spill_victims ~name ctx g costs spilled_nodes
+              in
+              Context.count ctx Stats.Spilled_ranges
+                (List.length spilled_nodes);
               let spilled = List.map (Interference.reg g) spilled_nodes in
               let st, fl =
                 Spill_code.insert_flat ctx.Context.flat ~phis:[||]
-                  ~tags:ctx.Context.tags ~infinite ~spilled ~slots:(Lazy.force slots)
-                  ~slot_counter
+                  ~tags:ctx.Context.tags ~infinite:ctx.Context.infinite
+                  ~spilled ~slots:(Lazy.force slots) ~slot_counter
               in
               spilled_memory := !spilled_memory + st.Spill_code.memory_lrs;
               spilled_remat := !spilled_remat + st.Spill_code.remat_lrs;
               fl)
         in
-        (* The spliced arena is the next round's routine: every derived
-           structure is rebuilt from it (the round's one build). *)
-        Context.invalidate ctx;
+        (* The spliced arena is the next round's routine: the next
+           round's build derives everything else from it. *)
         ctx.Context.flat <- fl;
         round (r + 1)
   in
@@ -321,7 +362,7 @@ let allocate_cold ~capture ~verify ~mode ~machine (input : Cfg.t) =
     let fr, ctx = renumber ~mode ~machine f in
     color_rounds
       ~capture:(capture && Mode.loop_scheme mode = None)
-      ~verify ~n_values:fr.Renumber.f_n_values
+      ~primed:None ~verify ~n_values:fr.Renumber.f_n_values
       ~n_live_ranges:fr.Renumber.f_n_live_ranges input ctx
 
 let allocate ?(verify = false) ?(mode = Mode.Briggs_remat)
@@ -397,25 +438,22 @@ let allocate_incremental (snap : snapshot) (input : Cfg.t) =
          (fun (a, b) (c, d) -> Reg.equal a c && Reg.equal b d)
          snap.snap_split_pairs fr.Renumber.f_split_pairs
   in
-  (* On reuse, prime the caches: boundary liveness is shared read-only
-     (no phase ever writes a row, and the context recycles only rows it
-     computed itself); the graph is deep-copied because coalescing will
-     mutate it.  Round 1 then performs no Liveness_runs and no
-     Full_builds — the observable signature of the incremental path. *)
-  if reuse then begin
-    ctx.Context.boundary <- Some snap.snap_boundary;
-    ctx.Context.graph <- Some (Interference.copy snap.snap_graph)
-  end;
+  (* On reuse, round 1 starts from a private copy of the snapshot's
+     graph (coalescing will mutate it) and performs no Liveness_runs and
+     no Full_builds — the observable signature of the incremental
+     path. *)
   match
-    color_rounds ~capture:(not reuse) ~verify:false
+    color_rounds ~capture:(not reuse)
+      ~primed:(if reuse then Some snap.snap_graph else None)
+      ~verify:false
       ~n_values:fr.Renumber.f_n_values
       ~n_live_ranges:fr.Renumber.f_n_live_ranges input ctx
   with
   | res, Some fresh -> (Cold, res, fresh)
   | res, None ->
       (* The edited routine's renumbered arena is immutable: the derived
-         snapshot reuses the base's liveness and graph, which the
-         skeleton check proved describe it too. *)
+         snapshot reuses the base's graph, which the skeleton check
+         proved describes it too. *)
       ( Incremental,
         res,
         {

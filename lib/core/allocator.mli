@@ -6,9 +6,11 @@
                  +------------------ spill code <---------------+ v}
 
     {!allocate} drives the whole loop for a chosen {!Mode} and
-    {!Machine}, threading a {!Context.t} through the phases so each one
-    reads the cached liveness and interference graph instead of
-    recomputing them.  Every allocation — either family, any entry
+    {!Machine}.  A spill round is straight-line code: {!build} computes
+    the round's liveness, live-range numbering and interference graph
+    from the {!Context.t}'s arena, {!coalesce} makes the round's copy
+    worklist, and the graph and worklist are passed as arguments from
+    phase to phase.  Every allocation — either family, any entry
     point — starts with the same {!front_half}: one encoding of the
     input and one control-flow analysis of it (one dominator tree, one
     loop nest), which every later phase reads.  Every phase of the Chaitin–Briggs family runs on
@@ -49,14 +51,25 @@ type result = {
   stats : Stats.t;
 }
 
-val build_coalesce : Context.t -> unit
-(** The incremental build–coalesce loop.  Forces one from-scratch graph
-    build through the context cache, then iterates {!Coalesce.pass} to a
+val build : Context.t -> Interference.t
+(** A round's from-scratch start on the context's arena: boundary
+    liveness over the context's block order (timed as [Liveness],
+    counted as a [Liveness_runs] event), then the live-range numbering
+    and {!Interference.build_flat_boundary} (timed together as [Build],
+    counted as a [Full_builds] event).  Recycles the context's two
+    scratches, so the previous round's graph and liveness must no longer
+    be in use. *)
+
+val coalesce : Context.t -> Interference.t -> Coalesce.worklist
+(** The incremental coalescing loop on the round's graph: make the
+    round's {!Coalesce.worklist}, then iterate {!Coalesce.pass} to a
     fixpoint — unrestricted copies first, then (in splitting modes)
     conservative coalescing of split copies.  Each sweep updates the
-    cached graph in place via {!Interference.merge}; the [Full_builds]
-    counter therefore stays at one per spill round.  When any sweep
-    merged, {!Coalesce.rewrite} then renames the context's arena once. *)
+    graph in place via {!Interference.merge}, so the [Full_builds]
+    counter stays at one per spill round.  When any sweep merged,
+    {!Coalesce.rewrite} then renames the context's arena once.  Returns
+    the worklist, whose split pairs' node form select's partner lists
+    read. *)
 
 
 val allocate :
@@ -94,19 +107,22 @@ type front = private {
 
 val front_half : Iloc.Cfg.t -> front
 (** Validate the input and gate it ({!Verify.Check.source_gate}),
-    raising {!Allocation_error} if either refuses it;
-    then, timed as round 0's [Cfa], split its critical edges, encode it
-    ({!Iloc.Flat.of_routine}) and compute its dominator tree and loop
-    nest on that arena.  {!allocate}, {!allocate_snapshot} and
-    {!allocate_incremental} all start here; the input is not mutated. *)
+    timed as round 0's [Validate] and raising {!Allocation_error} if
+    either refuses it; then, timed as round 0's [Cfa], split its
+    critical edges, encode it ({!Iloc.Flat.of_routine}) and compute its
+    dominator tree and loop nest on that arena.  {!allocate},
+    {!allocate_snapshot} and {!allocate_incremental} all start here;
+    the input is not mutated. *)
 
 val context : mode:Mode.t -> machine:Machine.t -> front -> Context.t
 (** The Chaitin–Briggs family's next steps on a front half, as
     {!allocate} takes them: renumber with the front half's dominator
     tree (timed as [Renum]), run the mode's §6 loop scheme with its loop
-    nest (timed as [Splitting]), and create the context the spill rounds
-    run in, before any round.  For tools and tests that drive the
-    rounds themselves. *)
+    nest and block order (timed as [Splitting]), and create the context
+    the spill rounds run in, before any round, holding the dominator
+    tree's postorder ({!Dataflow.Dominance.postorder}) as its block
+    order.  For tools and tests that drive the rounds themselves, with
+    {!build} and {!coalesce}. *)
 
 type snapshot = private {
   snap_mode : Mode.t;
@@ -114,31 +130,29 @@ type snapshot = private {
   snap_flat : Iloc.Flat.t;
       (** the pristine renumbered arena, before any coalescing *)
   snap_split_pairs : (Iloc.Reg.t * Iloc.Reg.t) list;
-  snap_boundary : Dataflow.Liveness.Boundary.t;
-      (** boundary liveness of [snap_flat]; the rows are the snapshot's
-          own, never recycled by a later round *)
   snap_graph : Interference.t;  (** the graph built from [snap_flat] *)
 }
 (** Everything a small edit of a routine leaves valid: the start of an
-    allocation's first round — the renumbered arena, boundary
-    liveness ({!Dataflow.Liveness.Boundary}) and the interference
-    graph, as built, before the first coalescing sweep.  Liveness and
-    the graph see only def/use registers, copies and terminator
+    allocation's first round — the renumbered arena and the
+    interference graph, as built, before the first coalescing sweep.
+    The graph sees only def/use registers, copies and terminator
     targets — never immediate payloads or source-operand order — so an
-    edit preserving that skeleton reuses both.  A snapshot is immutable:
+    edit preserving that skeleton reuses it.  Liveness is not kept: a
+    reused round 1 starts from the graph, and every later round
+    recomputes liveness from its own arena.  A snapshot is immutable:
     concurrent {!allocate_incremental} calls may share one (each takes a
-    private graph copy and shares the liveness rows read-only). *)
+    private graph copy). *)
 
 val allocate_snapshot :
   ?mode:Mode.t -> ?machine:Machine.t -> Iloc.Cfg.t -> result * snapshot option
 (** {!allocate} with its defaults, also capturing the snapshot for later
     {!allocate_incremental} calls.  The snapshot is taken from round
-    1's own context — nothing is computed twice — at the cost of a graph
-    copy; the result is byte-identical to {!allocate}'s, counters
-    included.  No snapshot is taken for modes with a §6 loop-splitting
-    scheme (splitting rewrites the routine after renumber) or for the
-    SSA pipeline (which builds no interference graph): their edits
-    always allocate cold. *)
+    1's own graph — nothing is computed twice — at the cost of a graph
+    copy (timed as round 1's [Build]); the result is byte-identical to
+    {!allocate}'s, counters included.  No snapshot is taken for modes
+    with a §6 loop-splitting scheme (splitting rewrites the routine
+    after renumber) or for the SSA pipeline (which builds no
+    interference graph): their edits always allocate cold. *)
 
 type path =
   | Incremental  (** the skeleton matched: round 1 reused the snapshot *)
@@ -150,11 +164,12 @@ val allocate_incremental :
     snapshot's mode and machine, and {!allocate}'s other defaults.  The
     edit runs the whole {!front_half}, loop nest included, and is always
     renumbered (tag unioning can change under payload edits).  If its live-range skeleton matches the snapshot's,
-    the first round skips the from-scratch liveness and graph build by
-    priming the context from the snapshot: it performs no [Full_builds]
-    and no [Liveness_runs] (observable in [result.stats]: [Full_builds]
-    = rounds − 1 instead of rounds), and the returned snapshot describes
-    the edited routine, sharing the base's liveness and graph.
+    the first round skips the from-scratch liveness and graph build and
+    starts from a copy of the snapshot's graph (timed as [Build]): it
+    performs no [Full_builds] and no [Liveness_runs] (observable in
+    [result.stats]: [Full_builds] = rounds − 1 instead of rounds), and
+    the returned snapshot describes the edited routine, sharing the
+    base's graph.
     Otherwise the edit continues cold from the arena just renumbered —
     renumbering still runs once — and returns the fresh snapshot its
     first round captured.  Either way the allocation is byte-identical

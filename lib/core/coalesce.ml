@@ -46,45 +46,46 @@ let harvest (fl : Flat.t) pmap =
   done;
   copies
 
-(* The split pairs as node pairs of [g], in list order, [-1] for a
-   register that is not a node: spill code can take a pair's register
-   out of a later round's arena. *)
-let split_nodes (ctx : Context.t) g =
-  match ctx.Context.split_nodes with
-  | Some sp -> sp
-  | None ->
+(* The split pairs as node pairs of the graph whose packed map is
+   [pmap], in list order, [-1] for a register that is not a node: spill
+   code can take a pair's register out of a later round's arena. *)
+let split_nodes split_pairs pmap =
+  let node r =
+    let p = Reg.hash r in
+    if p < Array.length pmap then pmap.(p) else -1
+  in
+  let sp = Array.make (2 * List.length split_pairs) (-1) in
+  List.iteri
+    (fun c (a, b) ->
+      sp.(2 * c) <- node a;
+      sp.((2 * c) + 1) <- node b)
+    split_pairs;
+  sp
+
+type worklist = { mutable copies : int array; split_nodes : int array }
+
+let worklist (ctx : Context.t) g =
+  Context.time ctx Stats.Coalesce (fun () ->
       let pmap = Interference.packed_map g in
-      let node r =
-        let p = Reg.hash r in
-        if p < Array.length pmap then pmap.(p) else -1
-      in
-      let sp = Array.make (2 * List.length ctx.Context.split_pairs) (-1) in
-      List.iteri
-        (fun c (a, b) ->
-          sp.(2 * c) <- node a;
-          sp.((2 * c) + 1) <- node b)
-        ctx.Context.split_pairs;
-      ctx.Context.split_nodes <- Some sp;
-      sp
+      {
+        copies = harvest ctx.Context.flat pmap;
+        split_nodes = split_nodes ctx.Context.split_pairs pmap;
+      })
 
 (* Back to registers, once per round, after the last sweep: each node
    to its representative's register, in list order, a pair whose two
    sides became one live range dropped. *)
-let restore_split_pairs (ctx : Context.t) g =
-  match ctx.Context.split_nodes with
-  | None -> ()
-  | Some sp ->
-      ctx.Context.split_nodes <- None;
-      let name r i =
-        if i < 0 then r else Interference.reg g (Interference.find g i)
-      in
-      let rec go c = function
-        | [] -> []
-        | (a, b) :: rest ->
-            let a = name a sp.(2 * c) and b = name b sp.((2 * c) + 1) in
-            if Reg.equal a b then go (c + 1) rest else (a, b) :: go (c + 1) rest
-      in
-      ctx.Context.split_pairs <- go 0 ctx.Context.split_pairs
+let restore_split_pairs (ctx : Context.t) g sp =
+  let name r i =
+    if i < 0 then r else Interference.reg g (Interference.find g i)
+  in
+  let rec go c = function
+    | [] -> []
+    | (a, b) :: rest ->
+        let a = name a sp.(2 * c) and b = name b sp.((2 * c) + 1) in
+        if Reg.equal a b then go (c + 1) rest else (a, b) :: go (c + 1) rest
+  in
+  ctx.Context.split_pairs <- go 0 ctx.Context.split_pairs
 
 (* Briggs' conservative test.  The graph is maintained in place after
    every merge, so — unlike the rebuild-between-sweeps scheme — the
@@ -116,18 +117,10 @@ let briggs_ok (ctx : Context.t) g di si =
   if not ok then Context.count ctx Stats.Briggs_denied 1;
   ok
 
-let pass phase (ctx : Context.t) =
-  let g = Context.graph ctx in
+let pass phase (ctx : Context.t) g wl =
   Context.time ctx Stats.Coalesce (fun () ->
       Context.count ctx Stats.Coalesce_sweeps 1;
-      let copies =
-        match ctx.Context.copies with
-        | Some a -> a
-        | None ->
-            let a = harvest ctx.Context.flat (Interference.packed_map g) in
-            ctx.Context.copies <- Some a;
-            a
-      in
+      let copies = wl.copies in
       (* Canonicalize every entry through [find] before the first merge
          of this sweep: the live ranges the copy would join had the
          routine been renamed after every earlier sweep.  The split-pair
@@ -139,7 +132,7 @@ let pass phase (ctx : Context.t) =
       let n = Interference.n_nodes g in
       let key a b = if a < b then (a * n) + b else (b * n) + a in
       let split_set = Hashtbl.create 16 in
-      let sp = split_nodes ctx g in
+      let sp = wl.split_nodes in
       for c = 0 to (Array.length sp / 2) - 1 do
         let a = sp.(2 * c) and b = sp.((2 * c) + 1) in
         if a >= 0 && b >= 0 then
@@ -181,7 +174,7 @@ let pass phase (ctx : Context.t) =
         end
       done;
       if 2 * !kept < Array.length copies then
-        ctx.Context.copies <- Some (Array.sub copies 0 (2 * !kept));
+        wl.copies <- Array.sub copies 0 (2 * !kept);
       Context.count ctx Stats.Interfering_copies !interfering;
       if !coalesced = 0 then { changed = false; coalesced = 0 }
       else begin
@@ -196,13 +189,8 @@ let rename g id fl =
       let i = if p < Array.length pmap then pmap.(p) else -1 in
       if i < 0 then p else (2 * id (Interference.find g i)) + (p land 1))
 
-let rewrite (ctx : Context.t) =
-  let g = Context.graph ctx in
+let rewrite (ctx : Context.t) g wl =
   Context.time ctx Stats.Coalesce (fun () ->
-      restore_split_pairs ctx g;
+      restore_split_pairs ctx g wl.split_nodes;
       ctx.Context.flat <-
-        rename g (fun i -> Reg.id (Interference.reg g i)) ctx.Context.flat);
-  (* The graph was maintained merge by merge; only the liveness rows
-     are now stale (merged ranges, renamed registers).  Nothing later in
-     the round reads them, so they are dropped, not recomputed. *)
-  Context.invalidate_liveness ctx
+        rename g (fun i -> Reg.id (Interference.reg g i)) ctx.Context.flat)

@@ -8,7 +8,7 @@
     guarantees the merged node is removable by simplify and therefore will
     never be spilled.
 
-    Each merge updates the context's interference graph {e in place}
+    Each merge updates the round's interference graph {e in place}
     ({!Interference.merge}: the neighbor sets are unioned, as Chaitin's
     allocator does) instead of asking the caller to recompute liveness and
     rebuild — the change that caps the build–coalesce loop at one full
@@ -25,42 +25,51 @@ type outcome = {
   coalesced : int;  (** copies removed this sweep *)
 }
 
-val pass : phase -> Context.t -> outcome
-(** One sweep over the copy {e worklist}.  The worklist is harvested
-    from the routine once per spill round, as node pairs of the round's
-    graph (cached on the context; dropped by {!Context.invalidate})
-    instead of re-scanning every block each sweep, and it only shrinks:
-    a copy leaves it when it is merged, becomes an identity, or its live
-    ranges are found to interfere — interference between
-    representatives only grows under merging, so such a copy can never
-    become coalescable again.  Entries are canonicalized through
-    {!Interference.find} at sweep start: the live ranges the copy would
-    name had the text been renamed after every earlier sweep.  The split
-    pairs are read as node pairs too ([Context.split_nodes], made by the
-    round's first sweep), so a sweep hashes no register.
+type worklist = {
+  mutable copies : int array;
+      (** the round's copies as node pairs of its graph, flattened
+          (entry [2c] is copy [c]'s destination node, [2c+1] its
+          source); each sweep compacts it to the copies still worth
+          trying *)
+  split_nodes : int array;
+      (** [Context.split_pairs] as node pairs of the round's graph,
+          flattened the same way and in the same order, [-1] for a
+          register that is not a node *)
+}
+(** What a round's coalescing sweeps share, and select's partner lists
+    read: made once per round, from the round's graph. *)
+
+val worklist : Context.t -> Interference.t -> worklist
+(** Harvest the context's arena for its copies and translate
+    [Context.split_pairs], both through the graph's packed map: every
+    register of the arena is a node of the graph built from it.  Timed
+    as [Coalesce]. *)
+
+val pass : phase -> Context.t -> Interference.t -> worklist -> outcome
+(** One sweep over the copy worklist, which only shrinks: a copy leaves
+    it when it is merged, becomes an identity, or its live ranges are
+    found to interfere — interference between representatives only
+    grows under merging, so such a copy can never become coalescable
+    again.  Entries are canonicalized through {!Interference.find} at
+    sweep start: the live ranges the copy would name had the text been
+    renamed after every earlier sweep.  The split pairs are read in
+    their node form too, so a sweep hashes no register.
 
     Briggs' test counts the significant neighbors of the would-be
     merged node in one scan of both adjacency vectors and stops at the
     [k]th, which decides a denial.
 
-    Mutates the context's graph, tag table, infinite-cost table, copy
-    worklist and split pairs' node form (not its arena, nor
-    [split_pairs] itself: {!rewrite} updates those), and records
-    [Coalesce] time plus sweep/merge/Briggs counters in the context's
-    stats. *)
+    Mutates the graph, the worklist's copies and the context's tag and
+    infinite-cost tables (not its arena, nor [split_pairs]: {!rewrite}
+    updates those), and records [Coalesce] time plus sweep/merge/Briggs
+    counters in the context's stats. *)
 
-val split_nodes : Context.t -> Interference.t -> int array
-(** [Context.split_nodes], made from [Context.split_pairs] through the
-    graph's packed map when absent: entries [2c] and [2c+1] are pair
-    [c]'s nodes, [-1] for a register that is not a node. *)
-
-val rewrite : Context.t -> unit
+val rewrite : Context.t -> Interference.t -> worklist -> unit
 (** After the round's last sweep, when some sweep merged: turn the
     split pairs' node form back into [Context.split_pairs] (each node to
     its representative's register, in list order, pairs whose sides
-    became one live range dropped), {!rename} the context's arena to
-    live-range representatives (identity copies drop out) and drop the
-    liveness rows, which nothing later in the round reads.  Timed as
+    became one live range dropped) and {!rename} the context's arena to
+    live-range representatives (identity copies drop out).  Timed as
     [Coalesce]. *)
 
 val rename : Interference.t -> (int -> int) -> Iloc.Flat.t -> Iloc.Flat.t

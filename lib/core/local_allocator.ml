@@ -35,7 +35,11 @@ let run ?(machine = Machine.standard) (input : Cfg.t) =
          (Printf.sprintf "local allocation needs >= 4 int / 2 float, got %d/%d"
             machine.Machine.k_int machine.Machine.k_float));
   let cfg = Cfg.copy input in
-  let live = Dataflow.Liveness.compute (Iloc.Flat.of_routine cfg) ~phis:[||] in
+  let fl = Iloc.Flat.of_routine cfg in
+  let live =
+    Dataflow.Liveness.compute fl ~order:(Dataflow.Order.postorder_flat fl)
+      ~phis:[||]
+  in
   let slots : int Reg.Tbl.t = Reg.Tbl.create 64 in
   let next_slot = ref 0 in
   let loads_inserted = ref 0 and stores_inserted = ref 0 in

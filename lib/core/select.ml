@@ -102,27 +102,27 @@ let run (g : Interference.t) ~k ~order ~partners =
     fallback_hits = !fallback_hits;
   }
 
-(* Each pair's sides pushed onto each other's lists, in list order, read
-   off the pairs' node form ([Coalesce.split_nodes] remakes it if need be). *)
-let partners (ctx : Context.t) =
-  let g = Context.graph ctx in
-  let sp = Coalesce.split_nodes ctx g in
+(* Each pair's sides pushed onto each other's lists, in list order,
+   through their representatives; a pair coalescing made one live range
+   is no pair. *)
+let partners g split_nodes =
   let partners = Array.make (Interference.n_nodes g) [] in
-  for c = 0 to (Array.length sp / 2) - 1 do
-    let a = sp.(2 * c) and b = sp.((2 * c) + 1) in
+  for c = 0 to (Array.length split_nodes / 2) - 1 do
+    let a = split_nodes.(2 * c) and b = split_nodes.((2 * c) + 1) in
     if a >= 0 && b >= 0 then begin
       let a = Interference.find g a and b = Interference.find g b in
-      partners.(a) <- b :: partners.(a);
-      partners.(b) <- a :: partners.(b)
+      if a <> b then begin
+        partners.(a) <- b :: partners.(a);
+        partners.(b) <- a :: partners.(b)
+      end
     end
   done;
   partners
 
-let phase (ctx : Context.t) ~order =
-  let g = Context.graph ctx in
+let phase (ctx : Context.t) g ~split_nodes ~order =
   let sel =
     Context.time ctx Stats.Select (fun () ->
-        run g ~k:ctx.Context.k ~order ~partners:(partners ctx))
+        run g ~k:ctx.Context.k ~order ~partners:(partners g split_nodes))
   in
   Context.count ctx Stats.Select_partner_hits sel.partner_hits;
   Context.count ctx Stats.Select_lookahead_hits sel.lookahead_hits;

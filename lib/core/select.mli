@@ -30,13 +30,16 @@ val run :
   partners:int list array ->
   t
 
-val partners : Context.t -> int list array
-(** Per node of the context's graph, the nodes its split pairs
-    ([Context.split_pairs], through {!Interference.find}) connect it to,
-    latest pair first; pairs whose registers are not both nodes are
+val partners : Interference.t -> int array -> int list array
+(** [partners g split_nodes]: per node of [g], the nodes the split
+    pairs connect it to, latest pair first.  [split_nodes] is the
+    round's {!Coalesce.worklist} node form of [Context.split_pairs];
+    each side is taken through {!Interference.find}, and pairs with a
+    side that is not a node, or whose sides coalescing joined, are
     skipped. *)
 
-val phase : Context.t -> order:int list -> t
-(** {!run} on the context's graph and machine with the context's
-    {!partners}, timed as [Select]; the bias-outcome tallies are
-    recorded as [Select_*] counters. *)
+val phase :
+  Context.t -> Interference.t -> split_nodes:int array -> order:int list -> t
+(** {!run} on the round's graph and the context's machine with the
+    {!partners} of [split_nodes], timed as [Select]; the bias-outcome
+    tallies are recorded as [Select_*] counters. *)

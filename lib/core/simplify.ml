@@ -81,6 +81,5 @@ let run (g : Interference.t) ~k ~costs =
   done;
   !stack
 
-let phase (ctx : Context.t) ~costs =
-  let g = Context.graph ctx in
+let phase (ctx : Context.t) g ~costs =
   Context.time ctx Stats.Simplify (fun () -> run g ~k:ctx.Context.k ~costs)

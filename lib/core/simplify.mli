@@ -22,5 +22,6 @@ val run :
 (** The returned list is the coloring order: its head is the node select
     must color first (the last node removed from the graph). *)
 
-val phase : Context.t -> costs:float array -> int list
-(** {!run} on the context's graph and machine, timed as [Simplify]. *)
+val phase : Context.t -> Interference.t -> costs:float array -> int list
+(** {!run} on the round's graph and the context's machine, timed as
+    [Simplify]. *)

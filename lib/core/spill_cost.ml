@@ -98,11 +98,7 @@ let compute (fl : Flat.t) (loops : Dataflow.Loops.t) (g : Interference.t)
   done;
   costs
 
-let phase (ctx : Context.t) =
-  let g = Context.graph ctx in
-  (* The arena is the coalesced routine; the block order survives
-     coalescing, which adds and removes no blocks or edges. *)
-  let order = Context.block_order ctx in
+let phase (ctx : Context.t) g =
   Context.time ctx Stats.Costs (fun () ->
-      compute (Context.flat ctx) ctx.Context.loops g ~order
+      compute (Context.flat ctx) ctx.Context.loops g ~order:ctx.Context.order
         ~tags:ctx.Context.tags ~infinite:ctx.Context.infinite)

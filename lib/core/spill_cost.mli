@@ -33,14 +33,15 @@ val compute :
     and is not live into it.  The sweep decides both, with no liveness
     run: the range is live into its one block exactly when its first
     occurrence there is a use and the block is in [order], the arena's
-    {!Dataflow.Order.postorder_flat} — boundary liveness solves over
-    those blocks only, so an unreachable block's live-in set is
-    empty. *)
+    block postorder — boundary liveness solves over those blocks only,
+    so an unreachable block's live-in set is empty. *)
 
-val phase : Context.t -> float array
-(** {!compute} on the context's arena, graph and block order, timed as
-    [Costs].  The arena is the coalesced routine: coalescing renamed it
-    before the call. *)
+val phase : Context.t -> Interference.t -> float array
+(** {!compute} on the context's arena and block order and the round's
+    graph, timed as [Costs].  The arena is the coalesced routine:
+    coalescing renamed it before the call.  The block order is the
+    front half's: coalescing and spill code add and remove no blocks or
+    edges. *)
 
 val load_store_cycles : int
 (** Cycles charged per inserted load or store (2, matching §5.1). *)

@@ -75,7 +75,8 @@ let split_one (cfg : Cfg.t) ~tags ~pairs (loop : Dataflow.Loops.loop)
     cfg;
   r'
 
-let run (scheme : scheme) (cfg : Cfg.t) ~tags ~(loops : Dataflow.Loops.t) =
+let run (scheme : scheme) (cfg : Cfg.t) ~tags ~(loops : Dataflow.Loops.t)
+    ~order =
   let pairs = ref [] in
   (* Outermost first: inner splits then operate on the outer loop's fresh
      name, chaining naturally. *)
@@ -99,7 +100,7 @@ let run (scheme : scheme) (cfg : Cfg.t) ~tags ~(loops : Dataflow.Loops.t) =
       (* Structure never changes — only copies are inserted — so
          recomputing liveness per loop is sound. *)
       let live =
-        Dataflow.Liveness.Boundary.compute (Iloc.Flat.of_routine cfg)
+        Dataflow.Liveness.Boundary.compute ~order (Iloc.Flat.of_routine cfg)
       in
       let candidates =
         Dataflow.Liveness.Boundary.live_in live l.Dataflow.Loops.header
@@ -122,11 +123,11 @@ let run (scheme : scheme) (cfg : Cfg.t) ~tags ~(loops : Dataflow.Loops.t) =
     chosen;
   !pairs
 
-let phase mode stats ~loops ~tags ~split_pairs flat =
+let phase mode stats ~loops ~order ~tags ~split_pairs flat =
   match Mode.loop_scheme mode with
   | None -> (split_pairs, flat)
   | Some scheme ->
       Stats.time stats ~round:0 Stats.Splitting (fun () ->
           let cfg = Iloc.Flat.to_routine flat in
-          let pairs = run scheme cfg ~tags ~loops in
+          let pairs = run scheme cfg ~tags ~loops ~order in
           (split_pairs @ pairs, Iloc.Flat.of_routine cfg))

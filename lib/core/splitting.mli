@@ -25,9 +25,10 @@
 
     Requires critical edges to have been split.  Mutates the routine and
     the tag table in place and returns the new split pairs.  The loop
-    nest is the caller's: renumbering and splitting add no blocks and
-    no edges, so the allocation's one loop nest, computed by its front
-    half before renumbering, describes the routine split here. *)
+    nest and the block order are the caller's: renumbering and splitting
+    add no blocks and no edges, so the allocation's one loop nest and
+    dominator-tree order, computed by its front half before renumbering,
+    describe the routine split here. *)
 
 type scheme = [ `All_loops | `Outer_loops | `Unreferenced ]
 
@@ -36,15 +37,18 @@ val run :
   Iloc.Cfg.t ->
   tags:Tag.t Iloc.Reg.Tbl.t ->
   loops:Dataflow.Loops.t ->
+  order:int array ->
   (Iloc.Reg.t * Iloc.Reg.t) list
 (** Returns the split pairs inserted (to be appended to renumber's).
     [loops] is the routine's loop nest; its loop order decides the
-    order splits are made in. *)
+    order splits are made in.  [order] is the routine's block postorder,
+    which every loop's liveness recomputation solves over. *)
 
 val phase :
   Mode.t ->
   Stats.t ->
   loops:Dataflow.Loops.t ->
+  order:int array ->
   tags:Tag.t Iloc.Reg.Tbl.t ->
   split_pairs:(Iloc.Reg.t * Iloc.Reg.t) list ->
   Iloc.Flat.t ->

@@ -485,10 +485,13 @@ let run ~mode ~machine ~max_rounds ~stats ~dom ~loops (fl0 : Flat.t) =
   let slot_counter = ref 0 in
   let spilled_memory = ref Reg.Set.empty in
   let spilled_remat = ref Reg.Set.empty in
+  (* No round adds a block or an edge: the front half's order holds for
+     every round's liveness. *)
+  let order = Dataflow.Dominance.postorder dom in
   let rec rounds r fl =
     let live =
       Stats.time stats ~round:r Stats.Liveness (fun () ->
-          Liveness.compute fl ~phis)
+          Liveness.compute fl ~order ~phis)
     in
     Stats.count stats ~round:r Stats.Liveness_runs 1;
     let sel =

@@ -1,4 +1,5 @@
 type phase =
+  | Validate
   | Cfa
   | Renum
   | Splitting
@@ -9,6 +10,7 @@ type phase =
   | Simplify
   | Select
   | Spill
+  | Rewrite
 
 type counter =
   | Full_builds
@@ -95,6 +97,7 @@ let counter_total t counter =
 let total t = List.fold_left (fun acc r -> acc +. r.seconds) 0. t.rows_rev
 
 let phase_to_string = function
+  | Validate -> "validate"
   | Cfa -> "cfa"
   | Renum -> "renum"
   | Splitting -> "split"
@@ -105,6 +108,7 @@ let phase_to_string = function
   | Simplify -> "simplify"
   | Select -> "select"
   | Spill -> "spill"
+  | Rewrite -> "rewrite"
 
 let counter_to_string = function
   | Full_builds -> "full-builds"

@@ -3,14 +3,18 @@
 
     The allocator records one timing row per (round, phase) execution;
     [rows] returns them in execution order.  Phase names match the
-    allocator pipeline: [cfa] (the front half's one control-flow
+    allocator pipeline: [validate] (the input's validation and source
+    gate, in round 0), [cfa] (the front half's one control-flow
     analysis, in round 0: splitting critical edges, encoding the
     routine onto the arena, its dominator tree and its loop nest —
     dominance frontiers belong to [renum], which places φs with them),
     [renum], [split] (the §6 loop-splitting schemes),
-    [live] (liveness), [build] (one from-scratch interference-graph
-    construction), [coalesce] (the in-place coalescing sweeps), [costs],
-    [simplify], [select], [spill] (spill-code insertion).
+    [live] (liveness), [build] (the live-range numbering and one
+    from-scratch interference-graph construction), [coalesce] (the copy
+    worklist and the in-place coalescing sweeps), [costs], [simplify],
+    [select], [spill] (choosing the ranges to spill and inserting spill
+    code), [rewrite] (the last round's rewrite to physical registers
+    and its bridge to the structured routine).
 
     Orthogonal to the timers, integer {e event counters} record how often
     structural events happened per round — most importantly
@@ -18,6 +22,7 @@
     ≤ 1 per spill round. *)
 
 type phase =
+  | Validate
   | Cfa
   | Renum
   | Splitting
@@ -28,6 +33,7 @@ type phase =
   | Simplify
   | Select
   | Spill
+  | Rewrite
 
 type counter =
   | Full_builds  (** from-scratch {!Interference.build_flat_boundary} runs *)

@@ -90,6 +90,10 @@ let compute_flat (fl : Iloc.Flat.t) =
   compute_generic ~n:(Iloc.Flat.n_blocks fl) ~entry:fl.Iloc.Flat.entry
     ~succs:(Iloc.Flat.succs_list fl) ~preds:(Iloc.Flat.preds_list fl)
 
+let postorder t =
+  let n = Array.length t.order in
+  Array.init n (fun i -> t.order.(n - 1 - i))
+
 let dominates t a b =
   t.tin.(a) >= 0 && t.tin.(b) >= 0
   && t.tin.(a) <= t.tin.(b)

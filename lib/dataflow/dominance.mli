@@ -23,6 +23,11 @@ val compute_flat : Iloc.Flat.t -> t
 (** Same tree computed from the flat arena's CSR edges — identical to
     [compute (Flat.to_routine fl)] without bridging. *)
 
+val postorder : t -> int array
+(** [order] reversed: the postorder of the same depth-first search —
+    equal to {!Order.postorder_flat} of the arena the tree was computed
+    on, and the block order the liveness solvers take. *)
+
 val dominates : t -> int -> int -> bool
 (** [dominates t a b] — does [a] dominate [b]?  Reflexive. *)
 

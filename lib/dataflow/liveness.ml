@@ -64,7 +64,7 @@ let solve (fl : Iloc.Flat.t) ~nr ~po ~live_in ~live_out ~ue ~kill =
    Rows are as wide as the routine's register count, numbered in
    ascending packed order ([Reg.compare] order) by one presence sweep
    over the records and the φs. *)
-let compute (fl : Iloc.Flat.t) ~phis =
+let compute (fl : Iloc.Flat.t) ~order ~phis =
   let nb = Iloc.Flat.n_blocks fl in
   let code = fl.Iloc.Flat.code in
   let stride = Iloc.Flat.stride in
@@ -148,7 +148,7 @@ let compute (fl : Iloc.Flat.t) ~phis =
      the fixpoint is unique, so only convergence speed depends on this
      order.  Unreachable blocks are not in the postorder and keep empty
      sets; edges from them are ignored. *)
-  solve fl ~nr ~po:(Order.postorder_flat fl) ~live_in ~live_out ~ue ~kill;
+  solve fl ~nr ~po:order ~live_in ~live_out ~ue ~kill;
   { regs; pmap = index; live_in; live_out; ue; kill }
 
 let live_out_mem t b r =
@@ -193,7 +193,7 @@ module Boundary = struct
   let scratch () =
     { s_defined = [||]; s_in_u = Bytes.empty; s_umap = [||]; s_prev = None }
 
-  let compute ?order ?scratch (fl : Iloc.Flat.t) =
+  let compute ~order ?scratch (fl : Iloc.Flat.t) =
     let nb = Iloc.Flat.n_blocks fl in
     let code = fl.Iloc.Flat.code in
     let stride = Iloc.Flat.stride in
@@ -287,8 +287,7 @@ module Boundary = struct
     let live_out =
       Bitset.slab ?buf:(prev_slab (fun p -> p.live_out)) ~rows:nb ~capacity:nr ()
     in
-    let po = match order with Some o -> o | None -> Order.postorder_flat fl in
-    solve fl ~nr ~po ~live_in ~live_out ~ue ~kill;
+    solve fl ~nr ~po:order ~live_in ~live_out ~ue ~kill;
     let t = { uindex; live_in; live_out; ue; kill } in
     Option.iter
       (fun s ->

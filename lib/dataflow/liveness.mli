@@ -30,9 +30,13 @@ type t = {
   kill : Bitset.t array;  (** registers defined per block *)
 }
 
-val compute : Iloc.Flat.t -> phis:Iloc.Flat.phi array array -> t
-(** [compute fl ~phis] — [phis.(b)] are block [b]'s φ-nodes, or [phis]
-    is [[||]] for a φ-free arena.  A φ-node's arguments are used at the
+val compute :
+  Iloc.Flat.t -> order:int array -> phis:Iloc.Flat.phi array array -> t
+(** [compute fl ~order ~phis] — [order] is the arena's postorder (the
+    blocks the solver visits: {!Order.postorder_flat}, or equally the
+    reversed [order] of its {!Dominance.t}), [phis.(b)] are block [b]'s
+    φ-nodes, or [phis] is [[||]] for a φ-free arena.  Blocks outside
+    [order] keep empty sets.  A φ-node's arguments are used at the
     end of the matching predecessor (they join that predecessor's
     [live_out]) and its destination is defined at the block's entry (it
     joins [kill] and is in no [live_in]).  [regs] numbers every register
@@ -65,7 +69,8 @@ module Boundary : sig
 
   val scratch : unit -> scratch
 
-  val compute : ?order:int array -> ?scratch:scratch -> Iloc.Flat.t -> t
+  val compute : order:int array -> ?scratch:scratch -> Iloc.Flat.t -> t
+  (** [order] as for the dense [compute] above. *)
 
   val live_in : t -> int -> Iloc.Reg.t list
   (** Block [b]'s live-in registers in ascending {!Iloc.Reg.compare}

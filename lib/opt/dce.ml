@@ -15,7 +15,11 @@ let pure (op : Instr.op) =
       false
 
 let sweep (cfg : Iloc.Cfg.t) =
-  let live = Dataflow.Liveness.compute (Iloc.Flat.of_routine cfg) ~phis:[||] in
+  let fl = Iloc.Flat.of_routine cfg in
+  let live =
+    Dataflow.Liveness.compute fl ~order:(Dataflow.Order.postorder_flat fl)
+      ~phis:[||]
+  in
   let regs = live.Dataflow.Liveness.regs in
   let changed = ref false in
   Iloc.Cfg.iter_blocks

@@ -13,12 +13,15 @@ let run (cfg : Cfg.t) =
      on large routines this dominates renumber's footprint.  The result
      is bit-identical to the structured computation. *)
   let fl = Iloc.Flat.of_routine cfg in
+  let dom = Dataflow.Dominance.compute cfg in
   (* Boundary rows suffice: φ pruning only ever asks live_in membership,
      and boundary sets agree with the dense ones on every register.  At
      10⁵-instruction routines the |U|-wide rows are what keep this pass
      in megabytes rather than hundreds of them. *)
-  let live = Dataflow.Liveness.Boundary.compute fl in
-  let dom = Dataflow.Dominance.compute cfg in
+  let live =
+    Dataflow.Liveness.Boundary.compute ~order:(Dataflow.Dominance.postorder dom)
+      fl
+  in
   let df = Dataflow.Dominance.frontiers cfg dom in
   (* Definition blocks per register. *)
   let def_blocks : int list Reg.Tbl.t = Reg.Tbl.create 64 in
@@ -191,7 +194,11 @@ let run_flat ~(dom : Dataflow.Dominance.t) (fl0 : Iloc.Flat.t) =
   in
   (* Step 1: boundary liveness for φ pruning (membership answers equal
      the dense rows') and dominance frontiers over the caller's tree. *)
-  let bl = Dataflow.Liveness.Boundary.compute fl0 in
+  let bl =
+    Dataflow.Liveness.Boundary.compute
+      ~order:(Dataflow.Dominance.postorder dom)
+      fl0
+  in
   let df = Dataflow.Dominance.frontiers_flat fl0 dom in
   let umap = Dataflow.Reg_index.packed_map bl.Dataflow.Liveness.Boundary.uindex in
   let ulen = Array.length umap in

@@ -810,8 +810,7 @@ module Coalesce = struct
      the context's arena that the caller keeps, in place after every
      sweep that merged; the production coalescer renames the arena once
      per round instead, and callers compare the two texts. *)
-  let pass phase (ctx : Context.t) (cfg : Iloc.Cfg.t) =
-    let g = Context.graph ctx in
+  let pass phase (ctx : Context.t) g (cfg : Iloc.Cfg.t) =
     Context.count ctx Stats.Coalesce_sweeps 1;
     let split_set = Hashtbl.create 16 in
     List.iter
@@ -890,17 +889,17 @@ module Coalesce = struct
           ctx.Context.split_pairs;
       ctx.Context.coalesced <- ctx.Context.coalesced + !coalesced;
       Context.count ctx Stats.Coalesced_copies !coalesced;
-      Context.invalidate_liveness ctx;
       { changed = true; coalesced = !coalesced }
     end
 
-  (* The allocator's build_coalesce regime: unrestricted to a fixpoint,
-     then (for splitting modes) conservative to a fixpoint. *)
+  (* The allocator's coalescing regime on the round's build:
+     unrestricted to a fixpoint, then (for splitting modes) conservative
+     to a fixpoint. *)
   let fixpoint (ctx : Context.t) cfg =
-    ignore (Context.graph ctx);
+    let g = Remat.Allocator.build ctx in
     let phase = ref Unrestricted in
     let rec loop () =
-      let outcome = pass !phase ctx cfg in
+      let outcome = pass !phase ctx g cfg in
       if outcome.changed then loop ()
       else
         match !phase with

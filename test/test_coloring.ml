@@ -26,15 +26,18 @@ let fresh_ctx ~mode ~machine cfg =
   let dom = Dataflow.Dominance.compute cfg0 in
   let loops = Dataflow.Loops.compute cfg0 dom in
   let rn = Reference.Renumber.run mode cfg0 in
-  ( Remat.Context.create ~mode ~machine ~loops ~tags:rn.Reference.Renumber.tags
+  ( Remat.Context.create ~mode ~machine ~loops
+      ~order:(Dataflow.Dominance.postorder dom)
+      ~tags:rn.Reference.Renumber.tags
       ~split_pairs:rn.Reference.Renumber.split_pairs
       ~stats:(Remat.Stats.create ())
       (Iloc.Flat.of_routine rn.Reference.Renumber.cfg),
     rn.Reference.Renumber.cfg )
 
-(* Select's partner lists, through the graph's register table:
-   [Remat.Select.partners] maps registers through the packed map and
-   must build the same lists, in the same order. *)
+(* Select's partner lists, through the graph's register table and the
+   split pairs coalescing's rewrite left: [Remat.Select.partners] reads
+   the round's node form of the pairs as they stood before coalescing,
+   through [find], and must build the same lists, in the same order. *)
 let partners_of ctx g =
   let partners = Array.make (Interference.n_nodes g) [] in
   List.iter
@@ -79,7 +82,8 @@ let check_seed ~config ~machine seed =
   let ctx_old, cfg_old = fresh_ctx ~mode ~machine (cfg ()) in
   Reference.Coalesce.fixpoint ctx_old cfg_old;
   let ctx, _ = fresh_ctx ~mode ~machine (cfg ()) in
-  Remat.Allocator.build_coalesce ctx;
+  let g = Remat.Allocator.build ctx in
+  let wl = Remat.Allocator.coalesce ctx g in
   if
     not
       (Cfg.structural_equal cfg_old
@@ -87,13 +91,12 @@ let check_seed ~config ~machine seed =
   then
     QCheck.Test.fail_reportf "seed %d on %s: coalesced routines differ" seed
       machine.Remat.Machine.name;
-  let g = Remat.Context.graph ctx in
   let k = ctx.Remat.Context.k in
   check_sig_counts
     (Printf.sprintf "seed %d on %s after coalesce" seed
        machine.Remat.Machine.name)
     ~k g;
-  let costs = Remat.Spill_cost.phase ctx in
+  let costs = Remat.Spill_cost.phase ctx g in
   let old_stack = Reference.Simplify.run g ~k ~costs in
   let new_stack = Remat.Simplify.run g ~k ~costs in
   if old_stack <> new_stack then
@@ -101,7 +104,7 @@ let check_seed ~config ~machine seed =
       machine.Remat.Machine.name;
   let order = new_stack in
   let partners = partners_of ctx g in
-  if Remat.Select.partners ctx <> partners then
+  if Remat.Select.partners g wl.Remat.Coalesce.split_nodes <> partners then
     QCheck.Test.fail_reportf "seed %d on %s: partner lists differ" seed
       machine.Remat.Machine.name;
   let old_sel = Reference.Select.run g ~k ~order ~partners in
@@ -390,8 +393,8 @@ let shape_digest = "32ec32cfe43f97b4f0d6515f7199c345"
 let arena_digest = "9bd497cc0ce6acf74d1322f3d5585037"
 
 (* Allocate every routine of the corpus round by round, calling
-   [on_round key ctx] after each round's build–coalesce loop, and check
-   that the rounds add up to [Allocator.allocate]'s result.  [start key]
+   [on_round key ctx g] after each round's build and coalescing loop, and
+   check that the rounds add up to [Allocator.allocate]'s result.  [start key]
    runs before each allocation, [refused key] when the register set is
    too small for the routine. *)
 let each_round ~start ~refused ~on_round =
@@ -428,8 +431,7 @@ let each_round ~start ~refused ~on_round =
 
 let shape_corpus () =
   let b = Buffer.create (1 lsl 20) in
-  let on_round _ ctx =
-    let g = Remat.Context.graph ctx in
+  let on_round _ ctx g =
     Printf.bprintf b "round %d\n" ctx.Remat.Context.round;
     for i = 0 to Interference.n_nodes g - 1 do
       Printf.bprintf b "%d %b %d %d %d:" i (Interference.alive g i)
@@ -457,7 +459,7 @@ let shape_tests =
           (Digest.to_hex (Digest.string text)));
     test_case "arena after every round is pinned" `Quick (fun () ->
         let b = Buffer.create (1 lsl 20) in
-        let on_round _ ctx =
+        let on_round _ ctx _ =
           Printf.bprintf b "round %d\n" ctx.Remat.Context.round;
           Buffer.add_string b
             (Iloc.Printer.routine_to_string
@@ -472,15 +474,12 @@ let shape_tests =
     test_case "arena spill costs equal the structured walk, every round"
       `Quick (fun () ->
         let rounds = ref 0 in
-        let on_round key ctx =
+        let on_round key ctx g =
           incr rounds;
-          let g = Remat.Context.graph ctx in
           (* Real liveness of the coalesced arena, computed here: the
              production phase decides which ranges cross a block from
              its own sweep. *)
-          let bl =
-            Dataflow.Liveness.Boundary.compute (Remat.Context.flat ctx)
-          in
+          let bl = Testutil.boundary (Remat.Context.flat ctx) in
           let uindex = bl.Dataflow.Liveness.Boundary.uindex in
           let live_in_iter b f =
             Dataflow.Bitset.iter
@@ -493,7 +492,7 @@ let shape_tests =
               ctx.Remat.Context.loops g ~live_in_iter
               ~tags:ctx.Remat.Context.tags ~infinite:ctx.Remat.Context.infinite
           in
-          let got = Remat.Spill_cost.phase ctx in
+          let got = Remat.Spill_cost.phase ctx g in
           Array.iteri
             (fun i c ->
               if Int64.bits_of_float c <> Int64.bits_of_float got.(i) then

@@ -188,13 +188,18 @@ let spill_code_tests =
 
 (* --- conservative coalescing criterion --- *)
 
-let ctx_of ?(split_pairs = []) cfg =
+(* A context on [cfg], its first round's graph and its worklist. *)
+let round_of ?(split_pairs = []) cfg =
   let dom = Dataflow.Dominance.compute cfg in
   let loops = Dataflow.Loops.compute cfg dom in
-  Remat.Context.create ~mode:Remat.Mode.Briggs_remat
-    ~machine:(Remat.Machine.make ~name:"test4" ~k_int:4 ~k_float:4)
-    ~loops ~tags:(Reg.Tbl.create 4) ~split_pairs
-    ~stats:(Remat.Stats.create ()) (Iloc.Flat.of_routine cfg)
+  let ctx =
+    Remat.Context.create ~mode:Remat.Mode.Briggs_remat
+      ~machine:(Remat.Machine.make ~name:"test4" ~k_int:4 ~k_float:4)
+      ~loops ~order:(Dataflow.Dominance.postorder dom) ~tags:(Reg.Tbl.create 4)
+      ~split_pairs ~stats:(Remat.Stats.create ()) (Iloc.Flat.of_routine cfg)
+  in
+  let g = Remat.Allocator.build ctx in
+  (ctx, g, Remat.Coalesce.worklist ctx g)
 
 let coalesce_tests =
   [
@@ -209,8 +214,8 @@ let coalesce_tests =
             \  ret\n"
         in
         let r1 = Reg.make 1 Reg.Int and r2 = Reg.make 2 Reg.Int in
-        let ctx = ctx_of ~split_pairs:[ (r2, r1) ] cfg in
-        let o = Remat.Coalesce.pass Remat.Coalesce.Unrestricted ctx in
+        let ctx, g, wl = round_of ~split_pairs:[ (r2, r1) ] cfg in
+        let o = Remat.Coalesce.pass Remat.Coalesce.Unrestricted ctx g wl in
         check Alcotest.bool "unchanged" false o.Remat.Coalesce.changed);
     tc "conservative pass coalesces safe splits" (fun () ->
         let cfg =
@@ -223,13 +228,13 @@ let coalesce_tests =
             \  ret\n"
         in
         let r1 = Reg.make 1 Reg.Int and r2 = Reg.make 2 Reg.Int in
-        let ctx = ctx_of ~split_pairs:[ (r2, r1) ] cfg in
-        let o = Remat.Coalesce.pass Remat.Coalesce.Conservative ctx in
+        let ctx, g, wl = round_of ~split_pairs:[ (r2, r1) ] cfg in
+        let o = Remat.Coalesce.pass Remat.Coalesce.Conservative ctx g wl in
         check Alcotest.bool "changed" true o.Remat.Coalesce.changed;
         check Alcotest.int "one coalesce" 1 o.Remat.Coalesce.coalesced;
         (* Split pairs go back to registers once, with the rewrite
            after the round's last sweep. *)
-        Remat.Coalesce.rewrite ctx;
+        Remat.Coalesce.rewrite ctx g wl;
         check Alcotest.int "pair dropped" 0
           (List.length ctx.Remat.Context.split_pairs);
         let copies = ref 0 in
@@ -253,8 +258,8 @@ let coalesce_tests =
             \  print r2\n\
             \  ret\n"
         in
-        let ctx = ctx_of cfg in
-        let o = Remat.Coalesce.pass Remat.Coalesce.Unrestricted ctx in
+        let ctx, g, wl = round_of cfg in
+        let o = Remat.Coalesce.pass Remat.Coalesce.Unrestricted ctx g wl in
         check Alcotest.bool "unchanged" false o.Remat.Coalesce.changed);
   ]
 

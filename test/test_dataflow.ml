@@ -296,8 +296,10 @@ let naive_dominators (cfg : Cfg.t) =
 
 (* The arena's control-flow analysis against the structured one, field
    by field: the allocator runs only the arena's, and [Splitting] and
-   the spill weights read the loop order and nest it produces.  The
-   first field that differs, if any. *)
+   the spill weights read the loop order and nest it produces.  Every
+   liveness run of an allocation solves over the dominator tree's
+   search reversed, so "postorder" checks that it is the arena's
+   depth-first postorder.  The first field that differs, if any. *)
 let cfa_mismatch cfg =
   let module D = Dataflow.Dominance in
   let module L = Dataflow.Loops in
@@ -314,6 +316,10 @@ let cfa_mismatch cfg =
       ("idom", d.D.idom = fd.D.idom);
       ("children", d.D.children = fd.D.children);
       ("order", d.D.order = fd.D.order);
+      ( "postorder",
+        let po = Dataflow.Order.postorder_flat fl in
+        D.postorder fd = po
+        && List.rev (Array.to_list fd.D.order) = Array.to_list po );
       ("tin", d.D.tin = fd.D.tin);
       ("tout", d.D.tout = fd.D.tout);
       ( "frontiers",
@@ -478,7 +484,10 @@ let liveness_unit =
       (fun () ->
         let ssa = Ssa.Construct.run (Testutil.diamond ()) in
         let fl, phis = Testutil.ssa_arena ssa in
-        let lv = Dataflow.Liveness.compute fl ~phis in
+        let lv =
+          Dataflow.Liveness.compute fl
+            ~order:(Dataflow.Order.postorder_flat fl) ~phis
+        in
         let idx = Dataflow.Reg_index.index lv.Dataflow.Liveness.regs in
         let n_phis = ref 0 in
         Array.iteri
@@ -540,7 +549,8 @@ let liveness_unit =
             let fl, phis = Testutil.ssa_arena ssa in
             same (k.Suite.Kernels.name ^ " ssa")
               (Reference.Liveness.compute_ssa ssa)
-              (Dataflow.Liveness.compute fl ~phis))
+              (Dataflow.Liveness.compute fl
+                 ~order:(Dataflow.Order.postorder_flat fl) ~phis))
           Suite.Kernels.all);
   ]
 
@@ -564,7 +574,7 @@ let k_crossing_routine k =
 
 let boundary_agrees what cfg =
   let dense = Testutil.liveness cfg in
-  let bound = Dataflow.Liveness.Boundary.compute (Iloc.Flat.of_routine cfg) in
+  let bound = Testutil.boundary (Iloc.Flat.of_routine cfg) in
   let regs = Cfg.all_regs cfg in
   for b = 0 to Cfg.n_blocks cfg - 1 do
     Iloc.Reg.Set.iter

@@ -246,7 +246,7 @@ let liveness_flat_prop (name, config) =
     (fun seed ->
       let cfg = Fuzz.Gen.generate ~config seed in
       let dense = Reference.Liveness.compute cfg in
-      let bound = Dataflow.Liveness.Boundary.compute (Flat.of_routine cfg) in
+      let bound = Testutil.boundary (Flat.of_routine cfg) in
       (* Boundary sets, reindexed through [uindex], must equal the
          structured dense sets exactly. *)
       let bound_out b =
@@ -372,7 +372,7 @@ let graph_boundary_prop (name, config) =
     (fun seed ->
       let cfg = Fuzz.Gen.generate ~config seed in
       let fl = Flat.of_routine cfg in
-      let bound = Dataflow.Liveness.Boundary.compute fl in
+      let bound = Testutil.boundary fl in
       let regs = Dataflow.Reg_index.of_flat fl in
       let k = Remat.Machine.k_for tiny in
       (* The structured reference: dense rows over the routine itself. *)
@@ -396,7 +396,7 @@ let arena_graph ?scratch cfg =
     ~k:(Remat.Machine.k_for tiny)
     (Dataflow.Reg_index.of_flat fl)
     fl
-    (Dataflow.Liveness.Boundary.compute fl)
+    (Testutil.boundary fl)
 
 (* A build that writes over the emission chunks an earlier build left,
    or grows past them, must produce the graph a build on fresh storage
@@ -514,7 +514,7 @@ let test_arena_build_large_chain () =
   let b =
     graph_fingerprint
       (Remat.Interference.build_flat_boundary ~k regs fl
-         (Dataflow.Liveness.Boundary.compute fl))
+         (Testutil.boundary fl))
   in
   if not (String.equal a b) then
     Alcotest.fail "arena graph differs from the structured reference"
@@ -607,8 +607,8 @@ let outcome f =
    edit: on either path the result is byte-identical to a cold
    allocation of the edit; on the incremental path its first round
    built no graph, on the cold path it built one.  The tiny machine
-   makes routines spill, so later rounds rebuild on the primed
-   context's own arena. *)
+   makes routines spill, so later rounds rebuild from the context's
+   own arena. *)
 let incremental_edit seed config =
   let base = Fuzz.Gen.generate ~config seed in
   let edit = Fuzz.Gen.mutate ~seed:(seed + 1) base in
@@ -704,26 +704,10 @@ let front_half_cases () =
           Remat.Mode.Briggs_remat,
           Fuzz.Gen.generate ~config:Fuzz.Gen.high_pressure seed ))
 
-let boundary_equal (a : Dataflow.Liveness.Boundary.t)
-    (b : Dataflow.Liveness.Boundary.t) =
-  let module B = Dataflow.Liveness.Boundary in
-  let module RI = Dataflow.Reg_index in
-  let rows_equal x y =
-    Array.length x = Array.length y && Array.for_all2 Dataflow.Bitset.equal x y
-  in
-  RI.count a.B.uindex = RI.count b.B.uindex
-  && List.for_all
-       (fun i -> Reg.equal (RI.reg a.B.uindex i) (RI.reg b.B.uindex i))
-       (List.init (RI.count a.B.uindex) Fun.id)
-  && rows_equal a.B.live_in b.B.live_in
-  && rows_equal a.B.live_out b.B.live_out
-  && rows_equal a.B.ue b.B.ue
-  && rows_equal a.B.kill b.B.kill
-
 (* The cold entry that feeds edits allocates exactly what [allocate]
-   does, renumbering once; its snapshot is round 1's front half as a
-   fresh build would produce it, and still is after every later round
-   has run — a round that recycled the captured liveness rows would
+   does, renumbering once; its snapshot's graph is round 1's as a fresh
+   build of its arena would produce it, and still is after every later
+   round has run — a round that wrote into the captured graph would
    show here. *)
 let test_snapshot_is_cold_front_half () =
   let spilled = ref 0 in
@@ -750,10 +734,7 @@ let test_snapshot_is_cold_front_half () =
           Alcotest.(check int) (name ^ ": renum rows") 1
             (phase_rows res Remat.Stats.Renum);
           let fl = snap.Remat.Allocator.snap_flat in
-          let bl = Dataflow.Liveness.Boundary.compute fl in
-          if not (boundary_equal snap.Remat.Allocator.snap_boundary bl) then
-            Alcotest.failf "%s: snapshot liveness differs from its arena's"
-              name;
+          let bl = Testutil.boundary fl in
           let fresh =
             Remat.Interference.build_flat_boundary
               ~k:(Remat.Machine.k_for eight)
@@ -857,7 +838,7 @@ let test_emission_buffer_kept () =
   let prev = ref [] and reused = ref 0 in
   ignore
     (Testutil.allocate_by_rounds ~mode ~machine:tiny
-       ~on_round:(fun ctx ->
+       ~on_round:(fun ctx _ ->
          let cs = chunks ctx in
          let round = ctx.Remat.Context.round in
          let pairs =

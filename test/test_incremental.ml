@@ -12,7 +12,8 @@ let check = Alcotest.check
 (* Run a routine up to the coalescing fixpoint under a fresh context:
    DCE (dead definitions would otherwise carry clobber edges that no
    rebuild of the rewritten routine can reproduce), critical-edge split,
-   renumber, then the allocator's incremental build–coalesce loop. *)
+   renumber, then the allocator's build and incremental coalescing
+   loop.  Returns the context and the round's coalesced graph. *)
 let coalesced_context mode cfg0 =
   ignore (Opt.Dce.routine cfg0);
   let cfg = Cfg.split_critical_edges cfg0 in
@@ -21,14 +22,15 @@ let coalesced_context mode cfg0 =
   let rn = Reference.Renumber.run mode cfg in
   let ctx =
     Remat.Context.create ~mode ~machine:Remat.Machine.standard ~loops
-      ~tags:rn.Reference.Renumber.tags
+      ~order:(Dataflow.Dominance.postorder dom) ~tags:rn.Reference.Renumber.tags
       ~split_pairs:rn.Reference.Renumber.split_pairs
       ~stats:(Remat.Stats.create ())
       (Iloc.Flat.of_routine rn.Reference.Renumber.cfg)
   in
   Remat.Context.set_round ctx 1;
-  Remat.Allocator.build_coalesce ctx;
-  ctx
+  let g = Remat.Allocator.build ctx in
+  ignore (Remat.Allocator.coalesce ctx g);
+  (ctx, g)
 
 (* Compare the incrementally maintained graph against a from-scratch
    rebuild of the coalesced routine.  Chaitin's neighbor-set union is a
@@ -50,8 +52,7 @@ let coalesced_context mode cfg0 =
      untouched regions of the graph match the rebuild exactly;
    - the maintained [n_edges] counter and deduplicated adjacency agree
      with the matrix (sum of alive degrees = 2 * n_edges). *)
-let matches_rebuild (ctx : Remat.Context.t) =
-  let g = Remat.Context.graph ctx in
+let matches_rebuild ((ctx : Remat.Context.t), g) =
   let coalesced = Iloc.Flat.to_routine (Remat.Context.flat ctx) in
   let live = Reference.Liveness.compute coalesced in
   let fresh = Reference.Interference.build coalesced live in

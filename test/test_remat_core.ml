@@ -406,7 +406,7 @@ let interference_unit =
             ~on_pairs:(fun ~emitted ~dropped -> counts := Some (emitted, dropped))
             (Dataflow.Reg_index.of_flat fl)
             fl
-            (Dataflow.Liveness.Boundary.compute fl)
+            (Testutil.boundary fl)
         in
         check
           Alcotest.(option (pair int int))
@@ -444,7 +444,7 @@ let interference_unit =
                 let arena =
                   Remat.Dump.interference_to_string
                     ~split_pairs:ctx.Remat.Context.split_pairs
-                    (Remat.Context.graph ctx)
+                    (Remat.Allocator.build ctx)
                 in
                 if not (String.equal reference arena) then
                   Alcotest.failf "kernel %s (optimize %b): graphs differ"
@@ -467,7 +467,7 @@ let costs_and_reference src =
   let cfg = Iloc.Parser.routine src in
   let loops = Dataflow.Loops.compute cfg (Dataflow.Dominance.compute cfg) in
   let g = Reference.Interference.build cfg (Reference.Liveness.compute cfg) in
-  let bl = Dataflow.Liveness.Boundary.compute (Iloc.Flat.of_routine cfg) in
+  let bl = Testutil.boundary (Iloc.Flat.of_routine cfg) in
   let uindex = bl.Dataflow.Liveness.Boundary.uindex in
   let live_in_iter b f =
     Dataflow.Bitset.iter
@@ -727,8 +727,10 @@ let splitting_unit =
      nest. *)
   let split scheme (rn : Reference.Renumber.result) =
     let cfg = rn.Reference.Renumber.cfg in
+    let dom = Dataflow.Dominance.compute cfg in
     Remat.Splitting.run scheme cfg ~tags:rn.Reference.Renumber.tags
-      ~loops:(Dataflow.Loops.compute cfg (Dataflow.Dominance.compute cfg))
+      ~loops:(Dataflow.Loops.compute cfg dom)
+      ~order:(Dataflow.Dominance.postorder dom)
   in
   [
     tc "all-loops splitting preserves behaviour" (fun () ->

@@ -140,7 +140,10 @@ let selector_agrees cfg =
     (Array.fold_left max 0 mi, Array.fold_left max 0 mf)
   in
   let fl, phis = Testutil.ssa_arena ssa in
-  let live = Dataflow.Liveness.compute fl ~phis in
+  let live =
+    Dataflow.Liveness.compute fl ~order:(Dataflow.Order.postorder_flat fl)
+      ~phis
+  in
   let regs = live.Dataflow.Liveness.regs in
   let nr = Reg_index.count regs in
   let names set = List.map Reg.to_string (Reg.Set.elements set) in

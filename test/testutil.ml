@@ -263,9 +263,10 @@ let max_per_round stats counter =
     (Remat.Stats.counters stats)
 
 (* The Chaitin–Briggs pipeline of [Remat.Allocator.allocate], spelled
-   out from its public phases so a test can look at the context after
-   each round's build–coalesce loop: [on_round ctx] runs then, before
-   spill costs.  Returns the allocated routine; callers compare it with
+   out from its public phases so a test can look at the context and the
+   round's graph after each round's build and coalescing loop:
+   [on_round ctx g] runs then, before spill costs.  Returns the
+   allocated routine; callers compare it with
    [Remat.Allocator.allocate]'s to show this loop is the production
    one.  Raises [Remat.Spill_code.Pressure_too_high] like the
    allocator does. *)
@@ -278,12 +279,15 @@ let allocate_by_rounds ~mode ~machine ~on_round input =
   let rec round r =
     if r > 64 then failwith "allocate_by_rounds: round limit";
     Remat.Context.set_round ctx r;
-    Remat.Allocator.build_coalesce ctx;
-    on_round ctx;
-    let g = Remat.Context.graph ctx in
-    let costs = Remat.Spill_cost.phase ctx in
-    let order = Remat.Simplify.phase ctx ~costs in
-    let sel = Remat.Select.phase ctx ~order in
+    let g = Remat.Allocator.build ctx in
+    let wl = Remat.Allocator.coalesce ctx g in
+    on_round ctx g;
+    let costs = Remat.Spill_cost.phase ctx g in
+    let order = Remat.Simplify.phase ctx g ~costs in
+    let sel =
+      Remat.Select.phase ctx g ~split_nodes:wl.Remat.Coalesce.split_nodes
+        ~order
+    in
     match sel.Remat.Select.spilled with
     | [] ->
         (* The allocator's final rewrite: every register to its node's
@@ -325,15 +329,21 @@ let allocate_by_rounds ~mode ~machine ~on_round input =
             ~spilled:(List.map (G.reg g) spilled)
             ~slots ~slot_counter
         in
-        Remat.Context.invalidate ctx;
         ctx.Remat.Context.flat <- fl;
         round (r + 1)
   in
   round 1
 
+(* Boundary liveness of an arena, over its own postorder. *)
+let boundary fl =
+  Dataflow.Liveness.Boundary.compute ~order:(Dataflow.Order.postorder_flat fl)
+    fl
+
 (* Dense liveness of a φ-free routine, through its arena. *)
 let liveness cfg =
-  Dataflow.Liveness.compute (Iloc.Flat.of_routine cfg) ~phis:[||]
+  let fl = Iloc.Flat.of_routine cfg in
+  Dataflow.Liveness.compute fl ~order:(Dataflow.Order.postorder_flat fl)
+    ~phis:[||]
 
 (* An SSA-form routine as the SSA family holds it: the arena of its
    records and, beside it, each block's φs. *)
